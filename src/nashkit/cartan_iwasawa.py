@@ -14,7 +14,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._span import bracket, coords_in_span, span_basis, span_dim, vec_basis, vec_coords
+from ._span import (
+    Subspace,
+    bracket,
+    coords_in_span,
+    eigenspace,
+    in_span,
+    restriction,
+    span_basis,
+    span_dim,
+)
 from .errors import (
     ExactModeRequired,
     NotAbelian,
@@ -25,14 +34,7 @@ from .errors import (
 )
 from .explog import exp_hyperbolic, log_hyperbolic
 from .liealg import LieAlgebraData, algebra_from_basis
-from .matrix_core import (
-    APPROX,
-    EXACT,
-    Matrix,
-    char_poly,
-    exact_nullspace,
-    irreducible_factors,
-)
+from .matrix_core import APPROX, EXACT, Matrix, exact_nullspace, rational_eigenvalues
 
 
 @dataclass(frozen=True)
@@ -65,11 +67,12 @@ def cartan_split(g: LieAlgebraData) -> CartanSplit:
     """Eigenspace split of negative-transpose on a stable algebra."""
     if not g.is_exact:
         raise ExactModeRequired("the involution split is only defined on the exact track")
+    space = Subspace(g.basis)
     skews, syms = [], []
     for b in g.basis:
         skew, sym = _half(b - b.T), _half(b + b.T)
         for part in (skew, sym):
-            if not part.is_zero() and not coords_in_span(part, list(g.basis)):
+            if not part.is_zero() and not in_span(part, space):
                 raise NotThetaStable("algebra is not stable under negative-transpose")
         skews.append(skew)
         syms.append(sym)
@@ -88,12 +91,12 @@ def maximal_abelian(split: CartanSplit, seed_index: int = 0) -> list[Matrix]:
     if any(m.mode != EXACT for m in p):
         raise ExactModeRequired("maximal abelian subspaces need the exact track")
     a = [p[seed_index % len(p)]]
+    space = Subspace(a)
     while True:
         central = _centralizer_in(p, a)
-        if span_dim(central) == span_dim(a):
+        if span_dim(central) == len(space):
             return a
-        ext = next(m for m in central if span_dim(a + [m]) > len(a))
-        a.append(ext)
+        a.append(next(m for m in central if space.add(m)))
 
 
 def _centralizer_in(p: list[Matrix], a: list[Matrix]) -> list[Matrix]:
@@ -131,7 +134,8 @@ def restricted_roots(g: LieAlgebraData, a_basis: list[Matrix]) -> RootDatum:
             if not bracket(a_basis[i], a_basis[j]).is_zero():
                 raise NotAbelian(f"a-basis elements {i} and {j} do not commute")
     d = g.dim
-    ads = [_ad_matrix(g, a) for a in a_basis]
+    g_space = Subspace(g.basis)
+    ads = [_ad_matrix(g, g_space, a) for a in a_basis]
     unit = [[Fraction(int(i == j)) for i in range(d)] for j in range(d)]
     leaves: list[tuple[list[list[Fraction]], tuple[Fraction, ...]]] = [(unit, ())]
     for m in ads:
@@ -166,50 +170,36 @@ def restricted_roots(g: LieAlgebraData, a_basis: list[Matrix]) -> RootDatum:
     return datum
 
 
-def _ad_matrix(g: LieAlgebraData, a: Matrix) -> Matrix:
-    d = g.dim
+def _ad_matrix(g: LieAlgebraData, space: Subspace, a: Matrix) -> Matrix:
+    """ad(a) in the basis of g; ``space`` is the span of that basis."""
     cols = []
     for b in g.basis:
-        coords = coords_in_span(bracket(a, b), list(g.basis))
+        coords = coords_in_span(bracket(a, b), space)
         if coords is None:
             raise NotSimultaneouslyDiagonalizable("ad image left the algebra")
         cols.append(coords)
-    return Matrix.exact([[cols[j][i] for j in range(d)] for i in range(d)])
+    return Matrix.exact(cols).T
 
 
 def _eigensplit_exact(m: Matrix, space: list[list[Fraction]]):
     """Split an invariant subspace into eigenspaces of m; rational, complete."""
-    r = _restrict(m, space)
-    factors = irreducible_factors(char_poly(r))
-    if any(q.degree > 1 for q, _ in factors):
+    r = restriction(m, space)
+    if r is None:
+        raise NotSimultaneouslyDiagonalizable("subspace is not ad-invariant")
+    values = rational_eigenvalues(r)
+    if values is None:
         raise NotSimultaneouslyDiagonalizable(
             "ad operator has non-rational eigenvalues; the subspace is not split"
         )
     out = []
     covered = 0
-    for q, _ in sorted(factors, key=lambda fe: fe[0].coeffs[0]):
-        lam = -q.coeffs[0]
-        kernel = exact_nullspace([[r.entry(i, j) - (lam if i == j else 0)
-                                   for j in range(r.n)] for i in range(r.n)])
-        vecs = [[sum(k[a] * space[a][i] for a in range(len(space)))
-                 for i in range(len(space[0]))] for k in kernel]
-        covered += len(vecs)
-        out.append((lam, vec_basis(vecs)))
+    for lam in reversed(values):
+        sub = eigenspace(r, lam, space)
+        covered += len(sub)
+        out.append((lam, sub))
     if covered != len(space):
         raise NotSimultaneouslyDiagonalizable("ad operator is not semisimple on the subspace")
     return out
-
-
-def _restrict(m: Matrix, space: list[list[Fraction]]) -> Matrix:
-    cols = []
-    for v in space:
-        image = [sum(m.entry(i, j) * v[j] for j in range(m.n)) for i in range(m.n)]
-        coords = vec_coords(image, space)
-        if coords is None:
-            raise NotSimultaneouslyDiagonalizable("subspace is not ad-invariant")
-        cols.append(coords)
-    d = len(space)
-    return Matrix.exact([[cols[j][i] for j in range(d)] for i in range(d)])
 
 
 def nilpotent_part_n(rd: RootDatum) -> LieAlgebraData:
@@ -223,7 +213,7 @@ def nilpotent_part_n(rd: RootDatum) -> LieAlgebraData:
     except ValueError as exc:
         raise PostconditionFailed(f"positive root spaces are not bracket closed: {exc}")
     for b in algebra.basis:
-        if not (b ** b.n).is_zero():
+        if not b.is_nilpotent():
             raise PostconditionFailed("a positive root space element is not nilpotent")
     return algebra
 

@@ -20,26 +20,12 @@ from .errors import (
     NotUnipotent,
 )
 from .jordan import ALGEBRA, GROUP, classify, multiplicative_jordan, eigenprojections
-from .matrix_core import (
-    APPROX,
-    EXACT,
-    Matrix,
-    char_poly,
-    irreducible_factors,
-    squarefree_part,
-)
-
-
-def _is_nilpotent(x: Matrix) -> bool:
-    p = x ** x.n
-    if x.mode == EXACT:
-        return p.is_zero()
-    return p.norm() <= x.tol * (1.0 + x.norm()) ** x.n
+from .matrix_core import APPROX, EXACT, Matrix, Polynomial, rational_eigenvalues
 
 
 def exp_nilpotent(x: Matrix) -> Matrix:
     """Finite exponential series of a nilpotent matrix; exact in exact mode."""
-    if not _is_nilpotent(x):
+    if not x.is_nilpotent():
         raise NotNilpotent("exponential series needs a nilpotent input")
     acc = Matrix.identity(x.n, x.mode, x.tol)
     term = Matrix.identity(x.n, x.mode, x.tol)
@@ -52,7 +38,7 @@ def exp_nilpotent(x: Matrix) -> Matrix:
 def log_unipotent(x: Matrix) -> Matrix:
     """Finite logarithm series of a unipotent matrix; exact in exact mode."""
     y = x - Matrix.identity(x.n, x.mode, x.tol)
-    if not _is_nilpotent(y):
+    if not y.is_nilpotent():
         raise NotUnipotent("logarithm series needs a unipotent input")
     acc = Matrix.zero(x.n, x.mode, x.tol)
     power = Matrix.identity(x.n, x.mode, x.tol)
@@ -63,20 +49,17 @@ def log_unipotent(x: Matrix) -> Matrix:
     return acc
 
 
-def _rational_real_factors(x: Matrix):
-    """Linear factors of the squarefree characteristic polynomial, or None."""
-    factors = [q for q, _ in irreducible_factors(squarefree_part(char_poly(x)))]
-    if all(q.degree == 1 for q in factors):
-        return factors
-    return None
+def _scalar_map_exact(x: Matrix, values, fn) -> Matrix:
+    """Apply fn to the rational eigenvalues through exact eigenprojections.
 
-
-def _scalar_map_exact(x: Matrix, factors, fn) -> Matrix:
-    """Apply fn to the (rational) eigenvalues through exact eigenprojections."""
-    projs = eigenprojections(x, factors)
+    The terms are summed from the largest eigenvalue down; that order fixes
+    the float result bit for bit.
+    """
+    values = values[::-1]
+    projs = eigenprojections(x, [Polynomial.of([-lam, 1]) for lam in values])
     out = np.zeros((x.n, x.n))
-    for q, p in zip(factors, projs):
-        out = out + fn(float(-q.coeffs[0])) * p.float_array()
+    for lam, p in zip(values, projs):
+        out = out + fn(float(lam)) * p.float_array()
     return Matrix(out, APPROX, x.tol)
 
 
@@ -87,9 +70,9 @@ def exp_hyperbolic(x: Matrix) -> Matrix:
     if x.is_zero():
         return Matrix.identity(x.n, x.mode, x.tol)
     if x.mode == EXACT:
-        factors = _rational_real_factors(x)
-        if factors is not None:
-            return _scalar_map_exact(x, factors, np.exp)
+        values = rational_eigenvalues(x)
+        if values is not None:
+            return _scalar_map_exact(x, values, np.exp)
     a = x.float_array()
     if np.allclose(a, a.T, atol=x.abs_tol()):
         w, v = np.linalg.eigh(a)
@@ -104,9 +87,9 @@ def log_hyperbolic(x: Matrix) -> Matrix:
     if x == Matrix.identity(x.n, x.mode, x.tol):
         return Matrix.zero(x.n, x.mode, x.tol).to_approx()
     if x.mode == EXACT:
-        factors = _rational_real_factors(x)
-        if factors is not None:
-            return _scalar_map_exact(x, factors, np.log)
+        values = rational_eigenvalues(x)
+        if values is not None:
+            return _scalar_map_exact(x, values, np.log)
     a = x.float_array()
     if np.allclose(a, a.T, atol=x.abs_tol()):
         w, v = np.linalg.eigh(a)

@@ -16,7 +16,7 @@ from math import isqrt
 
 import numpy as np
 
-from ._span import bracket, intersect, span_basis, span_dim
+from ._span import bracket, float_span_basis, intersect, span_basis, span_dim
 from .errors import (
     NotAbelian,
     NotInvertible,
@@ -469,16 +469,4 @@ def abelian_ehu_split(
             if intersect(x, y):
                 raise PostconditionFailed("part subspaces intersect nontrivially")
         return e_b, h_b, u_b
-    return _float_span(es), _float_span(hs), _float_span(us)
-
-
-def _float_span(mats: list[Matrix]) -> list[Matrix]:
-    if not mats:
-        return []
-    n = mats[0].n
-    tol = max(m.tol for m in mats)
-    rows = np.array([m.float_array().ravel() for m in mats])
-    _, s, vt = np.linalg.svd(rows)
-    scale = max(m.abs_tol() for m in mats)
-    rank = int(np.sum(s > scale))
-    return [Matrix(vt[i].reshape(n, n).copy(), APPROX, tol) for i in range(rank)]
+    return float_span_basis(es), float_span_basis(hs), float_span_basis(us)

@@ -15,8 +15,10 @@ from fractions import Fraction
 import numpy as np
 
 from ._span import (
+    Subspace,
     bracket,
     coords_in_span,
+    float_span_basis,
     in_span,
     independent_subset,
     intersect,
@@ -98,17 +100,6 @@ def _f_tol(mats) -> float:
     return max(m.abs_tol() for m in mats)
 
 
-def _f_span_basis(mats: list[Matrix]) -> list[Matrix]:
-    if not mats:
-        return []
-    n = mats[0].n
-    rows = np.array([m.float_array().ravel() for m in mats])
-    _, s, vt = np.linalg.svd(rows)
-    rank = int(np.sum(s > _f_tol(mats)))
-    tol = max(m.tol for m in mats)
-    return [Matrix(vt[i].reshape(n, n).copy(), APPROX, tol) for i in range(rank)]
-
-
 def _f_independent(mats: list[Matrix]) -> list[Matrix]:
     picked: list[Matrix] = []
     for m in mats:
@@ -129,30 +120,25 @@ def _f_coords(m: Matrix, basis: list[Matrix]) -> list[float] | None:
     return [float(c) for c in sol]
 
 
-def _coords(m: Matrix, basis: list[Matrix], exact: bool):
-    return coords_in_span(m, basis) if exact else _f_coords(m, basis)
-
-
-def _span(mats: list[Matrix], exact: bool) -> list[Matrix]:
-    return span_basis(mats) if exact else _f_span_basis(mats)
-
-
 # -- construction ---------------------------------------------------------------
 
 
-def _structure_constants(basis: list[Matrix], exact: bool) -> np.ndarray:
+def _structure_constants(basis: list[Matrix], exact: bool, ideal=()) -> np.ndarray:
+    """sc[i, j, k]: coefficient of basis[k] in [basis[i], basis[j]] modulo span(ideal)."""
     d = len(basis)
     sc = np.empty((d, d, d), dtype=object if exact else float)
     sc[:] = Fraction(0) if exact else 0.0
+    space = Subspace(basis + list(ideal)) if exact else basis
     for i in range(d):
         for j in range(d):
             if i == j:
                 continue
-            coords = _coords(bracket(basis[i], basis[j]), basis, exact)
+            br = bracket(basis[i], basis[j])
+            coords = coords_in_span(br, space) if exact else _f_coords(br, basis)
             if coords is None:
                 raise ValueError("basis is not bracket closed")
-            for k, c in enumerate(coords):
-                sc[i, j, k] = c
+            for k in range(d):
+                sc[i, j, k] = coords[k]
     return sc
 
 
@@ -179,6 +165,7 @@ def lie_closure(generators: list[Matrix], ambient: int | None = None) -> LieAlge
         return algebra_from_basis([], ambient)
     exact = all(m.mode == EXACT for m in gens)
     basis = independent_subset(gens) if exact else _f_independent(gens)
+    space = Subspace(basis) if exact else None
     while True:
         new = []
         for i in range(len(basis)):
@@ -186,12 +173,12 @@ def lie_closure(generators: list[Matrix], ambient: int | None = None) -> LieAlge
                 br = bracket(basis[i], basis[j])
                 if br.is_zero():
                     continue
-                if _coords(br, basis + new, exact) is None:
+                if space.add(br) if exact else (_f_coords(br, basis + new) is None):
                     new.append(br)
         if not new:
             break
-        merged = basis + new
-        basis = independent_subset(merged) if exact else _f_independent(merged)
+        # exact: each new bracket raised the rank, so basis + new stays independent
+        basis = basis + new if exact else _f_independent(basis + new)
     return algebra_from_basis(basis)
 
 
@@ -208,7 +195,8 @@ def series(g: LieAlgebraData, kind: str) -> list[list[Matrix]]:
         current = chain[-1]
         left = current if kind == DERIVED else list(g.basis)
         brackets = [bracket(a, b) for a in left for b in current]
-        nxt = _span([m for m in brackets if not m.is_zero()], exact)
+        nonzero = [m for m in brackets if not m.is_zero()]
+        nxt = span_basis(nonzero) if exact else float_span_basis(nonzero)
         if len(nxt) >= len(current):
             break
         chain.append(nxt)
@@ -273,9 +261,10 @@ def radical(g: LieAlgebraData) -> list[Matrix]:
 
 
 def _check_radical(g: LieAlgebraData, rad: list[Matrix]):
+    rad_space = Subspace(rad)
     for b in g.basis:
         for r in rad:
-            if not in_span(bracket(b, r), rad):
+            if not in_span(bracket(b, r), rad_space):
                 raise PostconditionFailed("radical candidate is not an ideal")
     if rad and not is_solvable(algebra_from_basis(span_basis(rad))):
         raise PostconditionFailed("radical candidate is not solvable")
@@ -294,18 +283,10 @@ def _quotient_structure(g: LieAlgebraData, ideal: list[Matrix]) -> LieAlgebraDat
     if not comp:
         return None
     d = len(comp)
-    combined = comp + ideal
-    sc = np.empty((d, d, d), dtype=object)
-    sc[:] = Fraction(0)
-    for i in range(d):
-        for j in range(d):
-            if i == j:
-                continue
-            coords = coords_in_span(bracket(comp[i], comp[j]), combined)
-            if coords is None:
-                raise PostconditionFailed("quotient brackets fall outside the algebra")
-            for k in range(d):
-                sc[i, j, k] = coords[k]
+    try:
+        sc = _structure_constants(comp, True, ideal)
+    except ValueError:
+        raise PostconditionFailed("quotient brackets fall outside the algebra") from None
     ads = []
     for i in range(d):
         rows = [[sc[i, j, k] for j in range(d)] for k in range(d)]
@@ -315,12 +296,8 @@ def _quotient_structure(g: LieAlgebraData, ideal: list[Matrix]) -> LieAlgebraDat
 
 def _complement_mod(whole: list[Matrix], sub: list[Matrix]) -> list[Matrix]:
     """Elements of `whole` extending a basis of span(sub) to span(whole)."""
-    picked: list[Matrix] = []
-    rank = span_dim(list(sub))
-    for m in whole:
-        if span_dim(list(sub) + picked + [m]) > rank + len(picked):
-            picked.append(m)
-    return picked
+    space = Subspace(sub)
+    return [m for m in whole if space.add(m)]
 
 
 # -- unipotent radical ------------------------------------------------------------------
@@ -337,17 +314,16 @@ def unipotent_radical(g: LieAlgebraData) -> list[Matrix]:
     _require_exact(g.basis, "unipotent_radical")
     if g.dim == 0:
         return []
-    env = span_basis(list(g.basis))
+    env_space = Subspace(g.basis)
+    env = env_space.matrices()
     while True:
-        new = []
+        size = len(env_space)
         for a in env:
             for b in env:
-                prod = a @ b
-                if not prod.is_zero() and not in_span(prod, env + new):
-                    new.append(prod)
-        if not new:
+                env_space.add(a @ b)
+        if len(env_space) == size:
             break
-        env = span_basis(env + new)
+        env = env_space.matrices()
     m = len(env)
     gram = [[(env[i] @ env[j]).trace() for i in range(m)] for j in range(m)]
     rad_env = []
@@ -364,13 +340,14 @@ def unipotent_radical(g: LieAlgebraData) -> list[Matrix]:
 
 def _check_unipotent_radical(g: LieAlgebraData, out: list[Matrix]):
     for u in out:
-        if not (u ** g.ambient).is_zero():
+        if not u.is_nilpotent():
             raise PostconditionFailed("unipotent radical contains a non-nilpotent element")
+    out_space = Subspace(out)
     for b in g.basis:
         for u in out:
-            if not in_span(bracket(b, u), out):
+            if not in_span(bracket(b, u), out_space):
                 raise PostconditionFailed("unipotent radical is not an ideal")
-    rad = radical(g)
+    rad = Subspace(radical(g))
     for u in out:
         if not in_span(u, rad):
             raise PostconditionFailed("unipotent radical is not inside the radical")
@@ -399,9 +376,10 @@ def levi_complement(g: LieAlgebraData) -> LeviDecomp:
         raise PostconditionFailed("unipotent radical is not nilpotent")
     for stage in range(len(chain) - 1):
         levi = _correct_stage(levi, chain[stage], chain[stage + 1])
+    levi_space = Subspace(levi)
     for i in range(len(levi)):
         for j in range(i + 1, len(levi)):
-            if not in_span(bracket(levi[i], levi[j]), levi):
+            if not in_span(bracket(levi[i], levi[j]), levi_space):
                 raise LiftFailed("complement is not bracket closed after the last stage")
     decomp = LeviDecomp(tuple(levi), tuple(unip))
     _check_levi(g, decomp)
@@ -414,7 +392,7 @@ def _correct_stage(levi: list[Matrix], uj: list[Matrix], uj1: list[Matrix]) -> l
     if not w:
         return levi
     p, dl = len(w), len(levi)
-    mixed = levi + w + uj1
+    mixed = Subspace(levi + w + uj1)
 
     def split(m: Matrix) -> tuple[list[Fraction], list[Fraction]]:
         coords = coords_in_span(m, mixed)
@@ -461,15 +439,16 @@ def _check_levi(g: LieAlgebraData, decomp: LeviDecomp):
     levi, unip = list(decomp.levi_basis), list(decomp.unip_basis)
     if span_dim(levi + unip) != g.dim or intersect(levi, unip):
         raise PostconditionFailed("complement and unipotent radical do not split the algebra")
+    levi_space, unip_space = Subspace(levi), Subspace(unip)
     for i in range(len(levi)):
         for j in range(i + 1, len(levi)):
-            if not in_span(bracket(levi[i], levi[j]), levi):
+            if not in_span(bracket(levi[i], levi[j]), levi_space):
                 raise PostconditionFailed("complement is not a subalgebra")
     if levi and not is_reductive(algebra_from_basis(span_basis(levi))):
         raise PostconditionFailed("complement is not reductive")
     for a in levi:
         for b in unip:
-            if not in_span(bracket(a, b), unip):
+            if not in_span(bracket(a, b), unip_space):
                 raise PostconditionFailed("unipotent radical is not stable under the complement")
 
 

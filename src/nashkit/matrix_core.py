@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isfinite
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -29,12 +30,17 @@ _SYMPY_T = sympy.Symbol("t")
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, bool):
+        raise TypeError(f"cannot interpret {x!r} as an exact rational")
     if isinstance(x, (int, np.integer)):
         return Fraction(int(x))
     if isinstance(x, float):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"{x!r} has a zero denominator") from None
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
@@ -61,8 +67,7 @@ class Matrix:
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "tol", float(tol))
-        if mode == APPROX:
-            data.setflags(write=False)
+        data.setflags(write=False)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -99,12 +104,12 @@ class Matrix:
 
     @staticmethod
     def diagonal(values: Sequence, mode: str = EXACT, tol: float = DEFAULT_TOL) -> "Matrix":
-        n = len(values)
         if mode == EXACT:
-            m = Matrix.zero(n)
+            arr = np.empty((len(values), len(values)), dtype=object)
+            arr[:] = Fraction(0)
             for i, v in enumerate(values):
-                m.data[i, i] = _as_fraction(v)
-            return m
+                arr[i, i] = _as_fraction(v)
+            return Matrix(arr, EXACT)
         return Matrix(np.diag(np.asarray(values, dtype=float)), APPROX, tol)
 
     # -- basic queries ---------------------------------------------------------
@@ -122,7 +127,11 @@ class Matrix:
     def norm(self) -> float:
         """Frobenius norm as a float (also for exact matrices)."""
         flat = self.float_array().ravel()
-        return float(np.sqrt(np.dot(flat, flat)))
+        squares = np.dot(flat, flat)
+        if isfinite(squares):
+            return float(np.sqrt(squares))
+        big = np.max(np.abs(flat))  # rescaled only on overflow: finite norms keep their bits
+        return float(big * np.linalg.norm(flat / big))
 
     def abs_tol(self) -> float:
         """Effective absolute threshold: tol * (1 + ||m||)."""
@@ -141,6 +150,13 @@ class Matrix:
     def vec(self) -> np.ndarray:
         """Entries flattened row-major (object or float 1-D array)."""
         return self.data.reshape(-1)
+
+    def is_nilpotent(self) -> bool:
+        """m^n vanishes: exactly, or within tol * (1 + ||m||)^n on the float track."""
+        p = self ** self.n
+        if self.mode == EXACT:
+            return p.is_zero()
+        return p.norm() <= self.tol * (1.0 + self.norm()) ** self.n
 
     def is_zero(self, tol: float | None = None) -> bool:
         if self.mode == EXACT:
@@ -258,7 +274,7 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
         r += 1
         if r == nrows:
             break
-    return m[:r] + m[r:], pivots
+    return m, pivots
 
 
 def exact_nullspace(rows: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -406,18 +422,6 @@ class Polynomial:
             a, b = b, a % b
         return a.monic() if not a.is_zero() else a
 
-    def eval_fraction(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def eval_complex(self, x: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * x + complex(c)
-        return acc
-
     def eval_matrix(self, m: Matrix) -> Matrix:
         acc = Matrix.zero(m.n, m.mode, m.tol)
         ident = Matrix.identity(m.n, m.mode, m.tol)
@@ -504,6 +508,14 @@ def count_real_roots(p: Polynomial, lo=None, hi=None) -> int:
     lo = -sympy.oo if lo is None else sympy.Rational(lo.numerator, lo.denominator)
     hi = sympy.oo if hi is None else sympy.Rational(hi.numerator, hi.denominator)
     return int(sp.count_roots(lo, hi))
+
+
+def rational_eigenvalues(m: Matrix) -> list[Fraction] | None:
+    """Distinct eigenvalues of an exact matrix, ascending; None unless all are rational."""
+    factors = irreducible_factors(char_poly(m))
+    if any(q.degree > 1 for q, _ in factors):
+        return None
+    return sorted(-q.coeffs[0] for q, _ in factors)
 
 
 # -- spectra ---------------------------------------------------------------------

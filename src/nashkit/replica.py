@@ -17,7 +17,7 @@ import sympy
 from .errors import IrrationalSpectrum, NotHyperbolic, NotPositiveRational
 from .explog import log_unipotent
 from .jordan import GROUP, classify
-from .matrix_core import EXACT, Matrix, char_poly, irreducible_factors
+from .matrix_core import EXACT, Matrix, rational_eigenvalues
 
 HYPERBOLIC = "hyperbolic"
 UNIPOTENT = "unipotent"
@@ -137,13 +137,6 @@ def hom_space_dimension(values: list[Fraction]) -> int:
 # -- replicas --------------------------------------------------------------------
 
 
-def _rational_eigenvalues(x: Matrix) -> list[Fraction] | None:
-    factors = irreducible_factors(char_poly(x))
-    if any(q.degree > 1 for q, _ in factors):
-        return None
-    return sorted(-q.coeffs[0] for q, _ in factors)
-
-
 def replica_hyperbolic(x: Matrix) -> ReplicaDatum:
     """Replica of a hyperbolic element with rational eigenvalues.
 
@@ -157,7 +150,7 @@ def replica_hyperbolic(x: Matrix) -> ReplicaDatum:
         )
     if not classify(x, GROUP).hyperbolic:
         raise NotHyperbolic("input is not semisimple with positive real spectrum")
-    values = _rational_eigenvalues(x)
+    values = rational_eigenvalues(x)
     if values is None:
         raise IrrationalSpectrum("eigenvalues are not rational")
     lattice = exponent_lattice(values)

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._span import bracket, in_span, intersect, span_dim
+from ._span import bracket, in_span, intersect, span_dim, vec_coords
 from .cartan_iwasawa import (
     cartan_split,
     iwasawa_kan,
@@ -35,7 +35,6 @@ from .liealg import (
 from .matrix_core import EXACT, Matrix, char_poly, squarefree_part
 from .replica import exponent_lattice, replica_hyperbolic
 from .triangularize import engel_flag, split_triangularize
-from ._span import vec_coords
 
 
 @dataclass(frozen=True)

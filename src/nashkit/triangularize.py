@@ -13,19 +13,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._span import vec_basis, vec_coords, vec_rank
+from ._span import Subspace, eigenspace, restriction
 from .errors import (
     NotNilpotentAlgebra,
     NotSolvable,
     NotSplit,
     PostconditionFailed,
 )
-from .liealg import DERIVED, LieAlgebraData, series
+from .liealg import LieAlgebraData, algebra_from_basis, is_solvable
 from .matrix_core import (
     APPROX,
     EXACT,
     Matrix,
     char_poly,
+    count_real_roots,
     exact_nullspace,
     irreducible_factors,
     spectrum,
@@ -52,18 +53,14 @@ def _flag_from_columns(cols: list[list]) -> Flag:
 def _complete_columns(cols: list[list[Fraction]], n: int) -> list[list[Fraction]]:
     """Extend the given independent columns with coordinate vectors."""
     out = [list(c) for c in cols]
+    space = Subspace(out)
     for j in range(n):
-        unit = [Fraction(int(i == j)) for i in range(n)]
-        if vec_rank(out + [unit]) > len(out):
-            out.append(unit)
         if len(out) == n:
             break
+        unit = [Fraction(int(i == j)) for i in range(n)]
+        if space.add(unit):
+            out.append(unit)
     return out
-
-
-def _basis_matrix(cols: list[list[Fraction]]) -> Matrix:
-    n = len(cols[0])
-    return Matrix.exact([[cols[j][i] for j in range(n)] for i in range(n)])
 
 
 def engel_flag(g: LieAlgebraData) -> Flag:
@@ -73,43 +70,47 @@ def engel_flag(g: LieAlgebraData) -> Flag:
     the quotient by the flag so far; the kernel is nonzero as long as the
     action is genuinely nilpotent.
     """
-    n = g.ambient
     for b in g.basis:
-        if not _nilpotent_matrix(b):
+        if not b.is_nilpotent():
             raise NotNilpotentAlgebra("a basis element is not nilpotent")
     if not g.is_exact:
         return _engel_flag_float(g)
+    return _flag_from_columns(_pulled_back_columns(g, _joint_kernel_vector))
+
+
+def _joint_kernel_vector(blocks: list[list[list[Fraction]]], width: int) -> list[Fraction]:
+    """First basis vector of the joint kernel of the quotient actions."""
+    stacked = [row for block in blocks for row in block]
+    if not stacked:
+        return [Fraction(int(i == 0)) for i in range(width)]
+    kernel = exact_nullspace(stacked)
+    if not kernel:
+        raise NotNilpotentAlgebra("joint kernel vanished before the flag completed")
+    return kernel[0]  # lexicographically smallest free column
+
+
+def _pulled_back_columns(g: LieAlgebraData, pick) -> list[list[Fraction]]:
+    """Flag columns, each pulled back from the quotient by the columns so far.
+
+    ``pick(blocks, width)`` chooses a vector of the quotient from the
+    actions of the basis elements on it (one width x width block each).
+    """
+    n = g.ambient
     cols: list[list[Fraction]] = []
     while len(cols) < n:
         k = len(cols)
         full = _complete_columns(cols, n)
-        bmat = _basis_matrix(full)
+        bmat = Matrix.exact(full).T  # columns: the flag so far, then unit vectors
         binv = bmat.inv()
-        stacked: list[list[Fraction]] = []
+        blocks = []
         for b in g.basis:
             m = (binv @ b @ bmat).rows()
-            for i in range(k, n):
-                if any(m[i][j] != 0 for j in range(k)):
-                    raise PostconditionFailed("flag stages are not invariant")
-            stacked.extend([row[k:] for row in m[k:]])
-        if stacked:
-            kernel = exact_nullspace(stacked)
-        else:
-            kernel = [[Fraction(int(i == j)) for i in range(n - k)] for j in range(n - k)]
-        if not kernel:
-            raise NotNilpotentAlgebra("joint kernel vanished before the flag completed")
-        w = kernel[0]  # lexicographically smallest free column
-        lift = [Fraction(0)] * k + list(w)
-        v = [sum(full[j][i] * lift[j] for j in range(n)) for i in range(n)]
-        cols.append(v)
-    return _flag_from_columns(cols)
-
-
-def _nilpotent_matrix(b: Matrix) -> bool:
-    p = b ** b.n
-    if b.mode == EXACT:
-        return p.is_zero()
-    return p.norm() <= b.tol * (1.0 + b.norm()) ** b.n
+            if any(m[i][j] != 0 for i in range(k, n) for j in range(k)):
+                raise PostconditionFailed("flag stages are not invariant")
+            blocks.append([row[k:] for row in m[k:]])
+        lift = [Fraction(0)] * k + list(pick(blocks, n - k))
+        cols.append([sum(full[j][i] * lift[j] for j in range(n)) for i in range(n)])
+    return cols
 
 
 def _engel_flag_float(g: LieAlgebraData) -> Flag:
@@ -179,53 +180,28 @@ def _joint_eigenspace_exact(flat_ops: list[list[Fraction]], n: int) -> list[list
     derived span, recurse, then split one remaining operator over the
     recursive eigenspace by a rational eigenvalue.
     """
-    ops = vec_basis([v for v in flat_ops if any(x != 0 for x in v)])
+    ops = Subspace(flat_ops)
     if not ops:
         return [[Fraction(int(i == j)) for i in range(n)] for j in range(n)]
-
-    def to_mat(v):
-        return Matrix.exact([[v[i * n + j] for j in range(n)] for i in range(n)])
-
-    mats = [to_mat(v) for v in ops]
-    derived = vec_basis([list((a @ b - b @ a).vec()) for a in mats for b in mats])
-    if len(derived) >= len(ops):
+    mats = ops.matrices()
+    ideal = Subspace(a @ b - b @ a for a in mats for b in mats)  # the derived span
+    if len(ideal) >= len(ops):
         raise NotSolvable("derived span did not shrink")
     # any codimension-one subspace containing the derived span is an ideal
-    ideal_rows = list(derived)
-    z = None
-    for v in ops:
-        if vec_rank(ideal_rows + [v]) > len(ideal_rows):
-            if len(ideal_rows) < len(ops) - 1:
-                ideal_rows = vec_basis(ideal_rows + [v])
-            else:
-                z = v
-                break
-    zmat = to_mat(z)
-    w = _joint_eigenspace_exact(ideal_rows, n)
+    for m in mats:
+        if len(ideal) == len(ops) - 1:
+            break
+        ideal.add(m)
+    z = next(m for m in mats if m not in ideal)
+    w = _joint_eigenspace_exact(ideal.rows, n)
     # restrict z to the recursive eigenspace (invariant in characteristic zero)
-    r = _restriction_exact(zmat, w)
-    lam = _rational_eigenvalue(r)
-    kernel = exact_nullspace([[r.entry(i, j) - (lam if i == j else 0)
-                               for j in range(r.n)] for i in range(r.n)])
-    if not kernel:
+    r = restriction(z, w)
+    if r is None:
+        raise PostconditionFailed("eigenspace is not stable under the action")
+    out = eigenspace(r, _rational_eigenvalue(r), w)
+    if not out:
         raise PostconditionFailed("restricted operator lost its eigenvalue")
-    out = []
-    for kv in kernel:
-        out.append([sum(kv[a] * w[a][i] for a in range(len(w))) for i in range(n)])
-    return vec_basis(out)
-
-
-def _restriction_exact(z: Matrix, w: list[list[Fraction]]) -> Matrix:
-    n = z.n
-    cols = []
-    for v in w:
-        image = [sum(z.entry(i, j) * v[j] for j in range(n)) for i in range(n)]
-        coords = vec_coords(image, w)
-        if coords is None:
-            raise PostconditionFailed("eigenspace is not stable under the action")
-        cols.append(coords)
-    d = len(w)
-    return Matrix.exact([[cols[j][i] for j in range(d)] for i in range(d)])
+    return out
 
 
 def _rational_eigenvalue(r: Matrix) -> Fraction:
@@ -234,8 +210,6 @@ def _rational_eigenvalue(r: Matrix) -> Fraction:
     linear = sorted(-q.coeffs[0] for q, _ in factors if q.degree == 1)
     if linear:
         return linear[0]
-    from .matrix_core import count_real_roots
-
     if any(count_real_roots(q) > 0 for q, _ in factors):
         raise _Irrational
     raise NotSplit("the action has no real eigenvalue at this step")
@@ -311,7 +285,7 @@ def split_triangularize(g: LieAlgebraData) -> tuple[Matrix, Flag]:
     quotient actions, so the first flag stage is a fixed line of the whole
     algebra.
     """
-    if not _is_solvable_data(g):
+    if not is_solvable(g):
         raise NotSolvable("algebra is not solvable")
     for b in g.basis:
         _check_real_spectrum(b)
@@ -326,19 +300,11 @@ def split_triangularize(g: LieAlgebraData) -> tuple[Matrix, Flag]:
 
 
 def algebra_from_float(g: LieAlgebraData) -> LieAlgebraData:
-    from .liealg import algebra_from_basis
-
     return algebra_from_basis([b.to_approx() for b in g.basis], g.ambient)
-
-
-def _is_solvable_data(g: LieAlgebraData) -> bool:
-    return not series(g, DERIVED)[-1]
 
 
 def _check_real_spectrum(b: Matrix):
     if b.mode == EXACT:
-        from .matrix_core import count_real_roots
-
         for q, _ in irreducible_factors(char_poly(b)):
             if count_real_roots(q) != q.degree:
                 raise NotSplit("a basis element has non-real eigenvalues")
@@ -350,24 +316,13 @@ def _check_real_spectrum(b: Matrix):
 
 def _split_triangularize_exact(g: LieAlgebraData) -> tuple[Matrix, Flag]:
     n = g.ambient
-    cols: list[list[Fraction]] = []
-    while len(cols) < n:
-        k = len(cols)
-        full = _complete_columns(cols, n)
-        bmat = _basis_matrix(full)
-        binv = bmat.inv()
-        quo_ops = []
-        for b in g.basis:
-            m = (binv @ b @ bmat).rows()
-            for i in range(k, n):
-                if any(m[i][j] != 0 for j in range(k)):
-                    raise PostconditionFailed("flag stages are not invariant")
-            quo_ops.append([m[i][j] for i in range(k, n) for j in range(k, n)])
-        w = _joint_eigenspace_exact(quo_ops, n - k)[0]
-        lift = [Fraction(0)] * k + list(w)
-        v = [sum(full[j][i] * lift[j] for j in range(n)) for i in range(n)]
-        cols.append(v)
-    p = _basis_matrix(cols)
+
+    def eigenvector(blocks, width):
+        flat = [[x for row in block for x in row] for block in blocks]
+        return _joint_eigenspace_exact(flat, width)[0]
+
+    cols = _pulled_back_columns(g, eigenvector)
+    p = Matrix.exact(cols).T
     pinv = p.inv()
     for b in g.basis:
         m = (pinv @ b @ p).rows()

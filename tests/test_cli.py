@@ -64,6 +64,16 @@ def test_malformed_input_exit_two(tmp_path):
     path2 = write(tmp_path, "schema.json", {"rows": [[1]]})
     code2, out2, _ = run_cli(["classify", path2])
     assert code2 == 2
+    zero_den = write(tmp_path, "zero_den.json", {"mode": "exact", "entries": [["1/0"]]})
+    boolean = write(tmp_path, "bool.json", {"mode": "exact", "entries": [[True]]})
+    mixed = write(tmp_path, "mixed.json", {"generators": [
+        {"mode": "exact", "entries": [["1", "0"], ["0", "0"]]},
+        {"mode": "exact", "entries": [["1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]},
+    ]})
+    for args in (["classify", zero_den], ["classify", boolean], ["lie", "close", mixed]):
+        code3, out3, err3 = run_cli(args)
+        assert code3 == 2, (args, out3, err3)
+        assert json.loads(out3)["error"] == "MalformedInput"
 
 
 def test_cluster_ambiguity_exit_four(tmp_path):

@@ -154,3 +154,31 @@ def test_matrix_json_rejects_garbage():
         matrix_from_json({"entries": [[1]]})
     with pytest.raises(ValueError):
         matrix_from_json({"mode": "weird", "entries": [[1]]})
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_norm_survives_overflowing_squares():
+    m = Matrix.approx([[1e200, 1.0], [0.0, 1e200]])
+    assert np.isclose(m.norm(), np.sqrt(2.0) * 1e200)
+    assert np.isfinite(m.abs_tol())
+    assert m.is_invertible()
+    small = Matrix.approx([[3.0, 0.0], [4.0, 0.0]])
+    assert small.norm() == 5.0
+
+
+def test_exact_json_rejects_zero_denominator_and_booleans():
+    with pytest.raises(ValueError):
+        matrix_from_json({"mode": "exact", "entries": [["1/0"]]})
+    with pytest.raises(TypeError):
+        matrix_from_json({"mode": "exact", "entries": [[True]]})
+    assert matrix_from_json({"mode": "exact", "entries": [[2]]}) == Matrix.exact([["2"]])
+
+
+@pytest.mark.parametrize("m", [Matrix.exact([[1, 2], [3, 4]]), Matrix.diagonal([1, 2]),
+                               Matrix.identity(2), Matrix.zero(2),
+                               Matrix.approx([[1.0, 2.0], [3.0, 4.0]])])
+def test_matrix_data_is_read_only(m):
+    with pytest.raises(ValueError):
+        m.data[0, 0] = 7
+    with pytest.raises(ValueError):
+        m.vec()[0] = 7
