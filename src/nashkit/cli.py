@@ -338,6 +338,9 @@ def main(argv: list[str] | None = None) -> int:
     except MalformedInput as exc:
         _emit({"error": "MalformedInput", "detail": str(exc)})
         return EXIT_MALFORMED
+    except OverflowError as exc:  # an exact entry beyond the float range met a float step
+        _emit({"error": "MalformedInput", "detail": f"entry out of float range: {exc}"})
+        return EXIT_MALFORMED
     except NashkitError as exc:
         _emit({"error": exc.code, "detail": str(exc)})
         return exc.exit_code

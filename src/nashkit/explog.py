@@ -11,7 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     NotExponentialElement,
@@ -77,6 +76,8 @@ def exp_hyperbolic(x: Matrix) -> Matrix:
     if np.allclose(a, a.T, atol=x.abs_tol()):
         w, v = np.linalg.eigh(a)
         return Matrix(v @ np.diag(np.exp(w)) @ v.T, APPROX, x.tol)
+    import scipy.linalg  # on first use only, so importing nashkit does not load scipy
+
     return Matrix(scipy.linalg.expm(a), APPROX, x.tol)
 
 
@@ -94,6 +95,8 @@ def log_hyperbolic(x: Matrix) -> Matrix:
     if np.allclose(a, a.T, atol=x.abs_tol()):
         w, v = np.linalg.eigh(a)
         return Matrix(v @ np.diag(np.log(w)) @ v.T, APPROX, x.tol)
+    import scipy.linalg
+
     out = scipy.linalg.logm(a)
     return Matrix(np.real(out), APPROX, x.tol)
 
@@ -112,4 +115,6 @@ def log_exponential(x: Matrix) -> Matrix:
 
 def matrix_exp(x: Matrix) -> Matrix:
     """General matrix exponential (scaling and squaring); verification utility."""
+    import scipy.linalg
+
     return Matrix(scipy.linalg.expm(x.float_array()), APPROX, x.tol)

@@ -1,18 +1,25 @@
 """Exact-rational and tolerance-controlled floating matrix arithmetic.
 
-Two numeric tracks share one ``Matrix`` type: exact entries are
-``fractions.Fraction`` held in an object ndarray, approximate entries are
+Two numeric tracks share one ``Matrix`` type: exact entries are stored as
+reduced ``fractions.Fraction`` in an object ndarray, approximate entries are
 float64.  Exact is the default for triangular, nilpotent and
 rational-spectrum inputs; float (with a relative tolerance) is only needed
 when eigenvalues are irrational.  Mixed-mode arithmetic promotes exact
 operands to the float track.
+
+The exact kernels (matmul, polynomial evaluation, characteristic
+polynomial, determinant and inverse) compute on a scaled-integer form: the
+Python-int numerators of ``m * d`` for the common denominator ``d`` of the
+entries.  Products, Horner steps and fraction-free (Bareiss) elimination then
+run on integers, and each entry is reduced once, when the result goes back to
+``Fraction``.  ``rref`` and the polynomial arithmetic stay on ``Fraction``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isfinite
+from math import isfinite, lcm
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,6 +42,8 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, (int, np.integer)):
         return Fraction(int(x))
     if isinstance(x, float):
+        if not isfinite(x):
+            raise ValueError(f"{x!r} is not a finite number")
         return Fraction(x)
     if isinstance(x, str):
         try:
@@ -42,6 +51,24 @@ def _as_fraction(x) -> Fraction:
         except ZeroDivisionError:
             raise ValueError(f"{x!r} has a zero denominator") from None
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
+
+
+# -- scaled integers: an exact array is nums / d, Python ints over d > 0 ---------
+
+
+def _scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """Fraction array -> (int numerators, lcm of the denominators)."""
+    d = lcm(*[x.denominator for x in a.flat])
+    nums = np.empty(a.shape, dtype=object)
+    nums.flat = [x.numerator * (d // x.denominator) for x in a.flat]
+    return nums, d
+
+
+def _unscaled(nums: np.ndarray, d: int) -> np.ndarray:
+    """(int numerators, denominator) -> array of reduced Fractions."""
+    out = np.empty(nums.shape, dtype=object)
+    out.flat = [Fraction(p, d) for p in nums.flat]
+    return out
 
 
 class Matrix:
@@ -189,7 +216,10 @@ class Matrix:
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         a, b, tol = self._pair(other)
-        return Matrix(np.dot(a.data, b.data), a.mode, tol)
+        if a.mode == EXACT:
+            (na, da), (nb, db) = _scaled(a.data), _scaled(b.data)
+            return Matrix(_unscaled(np.dot(na, nb), da * db), EXACT, tol)
+        return Matrix(np.dot(a.data, b.data), APPROX, tol)
 
     def scale(self, c) -> "Matrix":
         if self.mode == EXACT and isinstance(c, (int, Fraction)):
@@ -230,15 +260,15 @@ class Matrix:
 
     def det(self):
         if self.mode == EXACT:
-            return _det_exact([list(r) for r in self.data])
+            return _det_exact(self.data)
         return float(np.linalg.det(self.data))
 
     def inv(self) -> "Matrix":
         if self.mode == EXACT:
-            rows = _inv_exact([list(r) for r in self.data])
-            if rows is None:
+            out = _inv_exact(self.data)
+            if out is None:
                 raise NotInvertible("exact matrix is singular")
-            return Matrix.exact(rows)
+            return Matrix(out, EXACT)
         if min(np.linalg.svd(self.data, compute_uv=False), default=0.0) <= self.abs_tol():
             raise NotInvertible("matrix is singular at the working tolerance")
         return Matrix(np.linalg.inv(self.data), APPROX, self.tol)
@@ -306,33 +336,51 @@ def exact_solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fractio
     return x
 
 
-def _det_exact(m: list[list[Fraction]]) -> Fraction:
-    n = len(m)
-    m = [list(r) for r in m]
-    det = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
+def _bareiss(rows: list[list[int]]) -> tuple[int, int]:
+    """Fraction-free Gauss-Jordan on the leading square block of int rows, in place.
+
+    Bareiss (1968): each update divides exactly by the previous pivot, so
+    every entry stays an integer minor of the input, and the block ends as D
+    times the identity.  Returns (D, sign of the row swaps); D is sign * det
+    of the block, and 0 if the block is singular.
+    """
+    n = len(rows)
+    prev, sign = 1, 1
+    for k in range(n):
+        pr = next((i for i in range(k, n) if rows[i][k] != 0), None)
         if pr is None:
-            return Fraction(0)
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = Fraction(1) / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return det
+            return 0, sign
+        if pr != k:
+            rows[k], rows[pr] = rows[pr], rows[k]
+            sign = -sign
+        pivot = rows[k]
+        p = pivot[k]
+        for i in range(n):
+            if i != k:
+                f = rows[i][k]
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], pivot)]
+        prev = p
+    return prev, sign
 
 
-def _inv_exact(m: list[list[Fraction]]) -> list[list[Fraction]] | None:
-    n = len(m)
-    aug = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(m)]
-    red, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
+def _det_exact(a: np.ndarray) -> Fraction:
+    """det(N / d) = det(N) / d^n."""
+    nums, d = _scaled(a)
+    det, sign = _bareiss([list(r) for r in nums])
+    return Fraction(sign * det, d ** len(nums))
+
+
+def _inv_exact(a: np.ndarray) -> np.ndarray | None:
+    """(N / d)^-1 = d * N^-1: Gauss-Jordan takes [N | d*I] to [D*I | D*d*N^-1]."""
+    nums, d = _scaled(a)
+    n = len(nums)
+    rows = [list(r) + [d * (i == j) for j in range(n)] for i, r in enumerate(nums)]
+    det, _ = _bareiss(rows)
+    if det == 0:
         return None
-    return [row[n:] for row in red[:n]]
+    right = np.empty((n, n), dtype=object)
+    right.flat = [x for r in rows for x in r[n:]]
+    return _unscaled(right, det)
 
 
 # -- polynomials ----------------------------------------------------------------
@@ -423,11 +471,24 @@ class Polynomial:
         return a.monic() if not a.is_zero() else a
 
     def eval_matrix(self, m: Matrix) -> Matrix:
-        acc = Matrix.zero(m.n, m.mode, m.tol)
-        ident = Matrix.identity(m.n, m.mode, m.tol)
-        for c in reversed(self.coeffs):
-            acc = acc @ m + ident.scale(c)
-        return acc
+        if m.mode == APPROX:
+            acc = Matrix.zero(m.n, APPROX, m.tol)
+            ident = Matrix.identity(m.n, APPROX, m.tol)
+            for c in reversed(self.coeffs):
+                acc = acc @ m + ident.scale(c)
+            return acc
+        # p(N/d) = sum_k (a_k/q) N^k d^-k = (sum_k a_k d^(deg-k) N^k) / (q d^deg),
+        # the sum by integer Horner steps
+        if self.is_zero():
+            return Matrix.zero(m.n, EXACT, m.tol)
+        nums, d = _scaled(m.data)
+        q = lcm(*[c.denominator for c in self.coeffs])
+        diag = np.arange(m.n)
+        acc = np.zeros((m.n, m.n), dtype=object)
+        for k, c in enumerate(reversed(self.coeffs)):
+            acc = np.dot(acc, nums)
+            acc[diag, diag] += c.numerator * (q // c.denominator) * d ** k
+        return Matrix(_unscaled(acc, q * d ** self.degree), EXACT, m.tol)
 
     def compose_shift(self, a: Fraction) -> "Polynomial":
         """Coefficients of p(t + a)."""
@@ -463,20 +524,24 @@ class Polynomial:
 def char_poly(m: Matrix) -> Polynomial:
     """Characteristic polynomial det(tI - m), exact rational coefficients.
 
-    Faddeev-LeVerrier recursion; float entries are lifted to exact rationals
-    first so one code path serves both modes.
+    Faddeev-LeVerrier recursion on the integer matrix N = d * m, where every
+    trace division is exact; the coefficient of t^(n-k) is then c_k(N) / d^k.
+    Float entries are lifted to exact rationals first so one code path
+    serves both modes.
     """
     n = m.n
     if m.mode == APPROX:
         m = Matrix.exact([[Fraction(float(x)) for x in row] for row in m.data])
+    nums, d = _scaled(m.data)
+    diag = np.arange(n)
     coeffs = [Fraction(1)]  # c_{n-k}, starting with leading 1
-    mk = Matrix.identity(n)
+    mk = np.identity(n, dtype=object)
     for k in range(1, n + 1):
-        am = m @ mk
-        ck = -am.trace() / k
-        coeffs.append(ck)
-        if k < n:
-            mk = am + Matrix.identity(n).scale(ck)
+        am = np.dot(nums, mk)
+        ck = -sum(am[diag, diag]) // k
+        coeffs.append(Fraction(ck, d ** k))
+        mk = am
+        mk[diag, diag] += ck
     return Polynomial.of(list(reversed(coeffs)))
 
 
@@ -498,7 +563,7 @@ def irreducible_factors(p: Polynomial) -> list[tuple[Polynomial, int]]:
         raise ZeroPolynomial("cannot factor the zero polynomial")
     _, factors = p.to_sympy().factor_list()
     out = [(Polynomial.from_sympy(q).monic(), int(e)) for q, e in factors]
-    out.sort(key=lambda fe: (fe[0].degree, [float(c) for c in fe[0].coeffs]))
+    out.sort(key=lambda fe: (fe[0].degree, fe[0].coeffs))
     return out
 
 

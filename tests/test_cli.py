@@ -66,14 +66,41 @@ def test_malformed_input_exit_two(tmp_path):
     assert code2 == 2
     zero_den = write(tmp_path, "zero_den.json", {"mode": "exact", "entries": [["1/0"]]})
     boolean = write(tmp_path, "bool.json", {"mode": "exact", "entries": [[True]]})
+    infinite = write(tmp_path, "inf.json", {"mode": "exact", "entries": [[float("-inf")]]})
     mixed = write(tmp_path, "mixed.json", {"generators": [
         {"mode": "exact", "entries": [["1", "0"], ["0", "0"]]},
         {"mode": "exact", "entries": [["1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]},
     ]})
-    for args in (["classify", zero_den], ["classify", boolean], ["lie", "close", mixed]):
+    for args in (["classify", zero_den], ["classify", boolean], ["classify", infinite],
+                 ["lie", "close", mixed]):
         code3, out3, err3 = run_cli(args)
         assert code3 == 2, (args, out3, err3)
         assert json.loads(out3)["error"] == "MalformedInput"
+
+
+@pytest.mark.parametrize("entries", [[["1e400"]], [["1e400", "1"], ["0", "1"]]])
+def test_exact_entries_beyond_float_range(tmp_path, capsys, entries):
+    from nashkit.cli import main
+
+    path = write(tmp_path, "big.json", {"mode": "exact", "entries": entries})
+    big = f"{10 ** 400}/1"
+    assert main(["classify", path]) == 0
+    assert json.loads(capsys.readouterr().out)["hyperbolic"] is True
+    for mode in ("mul", "add"):
+        assert main(["jordan", "--mode", mode, path]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert all(doc[k]["mode"] == "exact" for k in "ehu")
+        assert doc["h"]["entries"][0][0] == big
+    # the hyperbolic logarithm is a float computation: out of range is malformed input
+    assert main(["explog", "log", "--domain", "exponential", path]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "MalformedInput"
+
+
+def test_import_leaves_scipy_unloaded():
+    code = "import sys, nashkit.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_cluster_ambiguity_exit_four(tmp_path):

@@ -1,7 +1,9 @@
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -166,6 +168,12 @@ def test_norm_survives_overflowing_squares():
     assert small.norm() == 5.0
 
 
+@pytest.mark.parametrize("x", [float("inf"), float("-inf"), float("nan")])
+def test_exact_rejects_non_finite_numbers(x):
+    with pytest.raises(ValueError):
+        matrix_from_json({"mode": "exact", "entries": [[x]]})
+
+
 def test_exact_json_rejects_zero_denominator_and_booleans():
     with pytest.raises(ValueError):
         matrix_from_json({"mode": "exact", "entries": [["1/0"]]})
@@ -182,3 +190,88 @@ def test_matrix_data_is_read_only(m):
         m.data[0, 0] = 7
     with pytest.raises(ValueError):
         m.vec()[0] = 7
+
+
+# -- scaled-integer kernels against plain Fraction references ------------------------
+
+_fractions = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)),
+    st.builds(Fraction, st.integers(-10 ** 20, 10 ** 20),
+              st.sampled_from([2 ** 61 - 1, 10 ** 12 + 39, 3 ** 40])),
+)
+
+
+@st.composite
+def _exact_matrices(draw, n=None):
+    n = draw(st.integers(0, 6)) if n is None else n
+    if draw(st.integers(0, 9)) == 0:
+        return Matrix.zero(n)
+    rows = [[draw(_fractions) for _ in range(n)] for _ in range(n)]
+    if n > 1 and draw(st.integers(0, 4)) == 0:
+        rows[-1] = [2 * x for x in rows[0]]  # singular
+    return Matrix.exact(rows)
+
+
+def _reduced_fractions(m: Matrix) -> bool:
+    return m.data.dtype == object and all(
+        type(x) is Fraction and x.denominator > 0 and gcd(x.numerator, x.denominator) == 1
+        for x in m.data.flat)
+
+
+def _sympy(m: Matrix):
+    return sympy.Matrix(m.n, m.n, [sympy.Rational(x.numerator, x.denominator) for x in m.vec()])
+
+
+def _from_sympy(x) -> Fraction:
+    x = sympy.Rational(x)
+    return Fraction(int(x.p), int(x.q))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(_exact_matrices(n), _exact_matrices(n))))
+def test_matmul_matches_fraction_dot(pair):
+    a, b = pair
+    out = a @ b
+    assert _reduced_fractions(out)
+    assert out.rows() == [list(r) for r in np.dot(a.data, b.data)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_exact_matrices(), st.lists(_fractions, max_size=6))
+def test_eval_matrix_matches_fraction_horner(m, coeffs):
+    p = Polynomial.of(coeffs)
+    acc = Matrix.zero(m.n).data
+    eye = Matrix.identity(m.n).data
+    for c in reversed(p.coeffs):
+        acc = np.dot(acc, m.data) + eye * c
+    out = p.eval_matrix(m)
+    assert _reduced_fractions(out)
+    assert out.rows() == [list(r) for r in acc]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_exact_matrices())
+def test_char_poly_matches_sympy(m):
+    expected = [_from_sympy(c) for c in _sympy(m).charpoly().all_coeffs()]
+    p = char_poly(m)
+    assert all(type(c) is Fraction for c in p.coeffs)
+    assert list(reversed(p.coeffs)) == expected
+    # the float track lifts its entries to exact rationals and runs the same kernel
+    lifted = Matrix.exact([[Fraction(float(x)) for x in row] for row in m.rows()])
+    assert char_poly(m.to_approx()) == char_poly(lifted)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_exact_matrices())
+def test_det_and_inv_match_sympy(m):
+    ref = _sympy(m)
+    det = m.det()
+    assert type(det) is Fraction and det == _from_sympy(ref.det())
+    if det == 0:
+        with pytest.raises(NotInvertible):
+            m.inv()
+        return
+    inv = m.inv()
+    assert _reduced_fractions(inv)
+    assert inv.vec().tolist() == [_from_sympy(x) for x in ref.inv()]
