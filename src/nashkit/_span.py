@@ -3,7 +3,9 @@
 ``Subspace`` holds the reduced row echelon basis of the span of some
 rational vectors (a matrix counts as its row-major entries).  Built once,
 it answers membership and coordinate questions with one reduction of the
-query vector each, and grows with ``add``.  The list-taking helpers below
+query vector each (one integer product with its rows), and grows with
+``add``.  ``bracket`` of exact matrices is one integer kernel on their
+``Matrix.ints`` forms.  The list-taking helpers below
 build one per call; callers that ask many questions of one span pass a
 prebuilt ``Subspace`` instead.  ``float_span_basis`` is the float track's
 span: an SVD basis cut at the inputs' own absolute tolerance.
@@ -13,83 +15,125 @@ from __future__ import annotations
 
 from bisect import bisect
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
-from .matrix_core import APPROX, Matrix, exact_nullspace, exact_solve
+from .matrix_core import APPROX, EXACT, Matrix, _reduced, exact_nullspace, exact_solve
 
 
 class Subspace:
     """Exact span of rational vectors, kept in reduced row echelon form.
 
     ``rows`` and ``pivots`` are what ``rref`` gives for the span: row i has
-    a 1 in column pivots[i] and a 0 in every other pivot column.  Each row
-    also carries its combination of the added vectors that raised the rank,
-    so ``coords`` reads coordinates in the list the span was built from.
+    a 1 in column pivots[i] and a 0 in every other pivot column.  Each row is
+    stored as a primitive int vector with a positive pivot entry, so
+    elimination runs on Python ints; a matrix enters by its ``ints`` form
+    and a list of rationals by its numerators over their lcm.  Each row also
+    carries its combination of the added vectors that raised the rank, so
+    ``coords`` reads coordinates in the list the span was built from.
     Vectors of different lengths raise ``ValueError``.
     """
 
-    __slots__ = ("rows", "pivots", "length", "_combos", "_picked", "_added")
+    __slots__ = ("pivots", "length", "_rows", "_heads", "_lcm", "_combos", "_dens",
+                 "_picked", "_added")
 
     def __init__(self, vecs=()):
-        self.rows: list[list[Fraction]] = []
         self.pivots: list[int] = []
         self.length: int | None = None
-        # rows[i] == sum_k _combos[i][k] * (added vector number _picked[k])
-        self._combos: list[list[Fraction]] = []
+        # row i of the echelon form is _rows[i] / _heads[i], _heads[i] = _rows[i, pivots[i]] > 0
+        self._rows = np.empty((0, 0), dtype=object)
+        self._heads: list[int] = []
+        self._lcm = 1  # of the heads
+        # _rows[i] == sum_k _combos[i, k] / _dens[i] * (added vector number _picked[k])
+        self._combos = np.empty((0, 0), dtype=object)
+        self._dens: list[int] = []
         self._picked: list[int] = []
         self._added = 0
         for v in vecs:
             self.add(v)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
-    def _reduce(self, v) -> tuple[list, list]:
-        """(v as a flat list, v minus its projection along the echelon rows)."""
-        v = list(v.vec()) if isinstance(v, Matrix) else list(v)
-        if self.length is not None and len(v) != self.length:
-            raise ValueError(f"a length-{len(v)} vector in a span of length-{self.length} vectors")
-        res = v
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]  # other rows are 0 at p, so the reduction never changes it
-            if c:
-                res = [a - c * b if b else a for a, b in zip(res, row)]
-        return v, res
+    @property
+    def rows(self) -> list[list[Fraction]]:
+        """The echelon rows as rationals, each with a 1 at its pivot."""
+        return [[Fraction(x, h) for x in r] for r, h in zip(self._rows, self._heads)]
+
+    def _reduce(self, v) -> tuple[np.ndarray, int, np.ndarray, list[int]]:
+        """(a, d, res, coef): v = a / d in ints, and res = lcm(heads) * a - coef . rows.
+
+        coef[i] = a[pivots[i]] * lcm(heads) / heads[i], so res is lcm(heads) * d
+        times v minus its projection along the echelon rows; it is 0 at every pivot.
+        """
+        if isinstance(v, Matrix):
+            nums, d = v.ints
+            a = nums.reshape(-1)
+        else:
+            v = list(v)
+            d = lcm(*(x.denominator for x in v))
+            a = np.array([x.numerator * (d // x.denominator) for x in v], dtype=object)
+        if self.length is not None and len(a) != self.length:
+            raise ValueError(f"a length-{len(a)} vector in a span of length-{self.length} vectors")
+        coef = [a[p] * (self._lcm // h) for p, h in zip(self.pivots, self._heads)]
+        res = self._lcm * a
+        if any(coef):
+            res -= np.dot(np.array(coef, dtype=object), self._rows)
+        return a, d, res, coef
 
     def add(self, v) -> bool:
         """Adjoin v to the span; True when the rank rises."""
-        v, res = self._reduce(v)
+        a, d, res, coef = self._reduce(v)
         if self.length is None:
-            self.length = len(v)
+            self.length = len(a)
+            self._rows = np.empty((0, self.length), dtype=object)
         self._added += 1
-        p = next((i for i, x in enumerate(res) if x != 0), None)
-        if p is None:
+        nonzero = res.nonzero()[0]
+        if not len(nonzero):
             return False
-        inv = Fraction(1) / res[p]
-        row = [x * inv for x in res]
-        for combo in self._combos:
-            combo.append(Fraction(0))
-        combo = [Fraction(0)] * len(self._picked) + [Fraction(1)]
-        for r, q in zip(self._combos, self.pivots):
-            if v[q]:
-                combo = [a - v[q] * b for a, b in zip(combo, r)]
-        combo = [x * inv for x in combo]
-        for i, other in enumerate(self.rows):
-            f = other[p]
-            if f:
-                self.rows[i] = [a - f * b for a, b in zip(other, row)]
-                self._combos[i] = [a - f * b for a, b in zip(self._combos[i], combo)]
+        p = int(nonzero[0])
+        g = gcd(*res) if res[p] > 0 else -gcd(*res)
+        row = res // g
+        head = row[p]
+        # row = (lcm * d * v - coef . rows) / g, as a combination of the added vectors
+        rank = len(self.pivots)
+        den = lcm(*self._dens)
+        combo = np.zeros(rank + 1, dtype=object)
+        if rank:
+            weights = [c * (den // e) for c, e in zip(coef, self._dens)]
+            combo[:rank] = -np.dot(np.array(weights, dtype=object), self._combos)
+        combo[rank] = self._lcm * d * den
+        combo, cden = _reduced(combo, den * g)
+        # insert the new row at its pivot's place; old combinations get a 0 for the new vector
         at = bisect(self.pivots, p)
-        self.rows.insert(at, row)
+        rows = np.empty((rank + 1, self.length), dtype=object)
+        rows[:at], rows[at], rows[at + 1:] = self._rows[:at], row, self._rows[at:]
+        combos = np.zeros((rank + 1, rank + 1), dtype=object)
+        combos[:at, :rank], combos[at], combos[at + 1:, :rank] = (
+            self._combos[:at], combo, self._combos[at:])
         self.pivots.insert(at, p)
-        self._combos.insert(at, combo)
+        self._heads.insert(at, head)
+        self._dens.insert(at, cden)
+        # clear column p from the other rows; each stays primitive with a positive head
+        for i in range(rank + 1):
+            f = rows[i, p]
+            if i == at or not f:
+                continue
+            rows[i] = head * rows[i] - f * row
+            gi = gcd(*rows[i])
+            rows[i] //= gi
+            self._heads[i] = rows[i, self.pivots[i]]
+            e = lcm(self._dens[i], cden)
+            combos[i], self._dens[i] = _reduced(
+                head * (e // self._dens[i]) * combos[i] - f * (e // cden) * combo, e * gi)
+        self._rows, self._combos = rows, combos
+        self._lcm = lcm(*self._heads)
         self._picked.append(self._added - 1)
         return True
 
     def __contains__(self, v) -> bool:
-        return not any(x != 0 for x in self._reduce(v)[1])
+        return not self._reduce(v)[2].any()
 
     def coords(self, v) -> list[Fraction] | None:
         """Coordinates of v in the added vectors, or None if v is outside the span.
@@ -97,19 +141,25 @@ class Subspace:
         Vectors that did not raise the rank get coordinate 0, as the free
         variables of ``exact_solve`` do.
         """
-        v, res = self._reduce(v)
-        if any(x != 0 for x in res):
+        a, d, res, _ = self._reduce(v)
+        if res.any():
             return None
-        terms = [(v[p], combo) for p, combo in zip(self.pivots, self._combos) if v[p]]
         out = [Fraction(0)] * self._added
-        for k, index in enumerate(self._picked):
-            out[index] = sum((c * combo[k] for c, combo in terms), Fraction(0))
+        if not self.pivots:
+            return out
+        # v = sum_i a[p_i] / (d * heads[i]) * rows[i], each row a combination over _dens[i]
+        scales = [h * e for h, e in zip(self._heads, self._dens)]
+        den = lcm(*scales)
+        weights = np.array([a[p] * (den // s) for p, s in zip(self.pivots, scales)], dtype=object)
+        for index, x in zip(self._picked, np.dot(weights, self._combos)):
+            out[index] = Fraction(x, d * den)
         return out
 
     def matrices(self) -> list[Matrix]:
         """The echelon rows as square exact matrices."""
         n = isqrt(self.length or 0)
-        return [Matrix.exact([r[i * n:(i + 1) * n] for i in range(n)]) for r in self.rows]
+        return [Matrix.from_ints(r.reshape(n, n).copy(), h)
+                for r, h in zip(self._rows, self._heads)]
 
 
 def vec_coords(v: list[Fraction], vecs: list[list[Fraction]]) -> list[Fraction] | None:
@@ -138,7 +188,7 @@ def coords_in_span(m: Matrix, space: Subspace | list[Matrix]) -> list[Fraction] 
 
 
 def in_span(m: Matrix, space: Subspace | list[Matrix]) -> bool:
-    return coords_in_span(m, space) is not None
+    return m in (space if isinstance(space, Subspace) else Subspace(space))
 
 
 def intersect(a: list[Matrix], b: list[Matrix]) -> list[Matrix]:
@@ -160,6 +210,10 @@ def span_dim(mats: list[Matrix]) -> int:
 
 
 def bracket(a: Matrix, b: Matrix) -> Matrix:
+    """[a, b] = ab - ba; exact operands give (na nb - nb na) / (da db) in one kernel."""
+    if a.mode == b.mode == EXACT:
+        (na, da), (nb, db) = a.ints, b.ints
+        return Matrix.from_ints(np.dot(na, nb) - np.dot(nb, na), da * db, max(a.tol, b.tol))
     return a @ b - b @ a
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .matrix_core import (
     APPROX,
     EXACT,
     Matrix,
+    _scaled,
     exact_nullspace,
     exact_solve,
     float_rank,
@@ -216,6 +218,23 @@ def is_nilpotent(g: LieAlgebraData) -> bool:
 # -- trace forms ---------------------------------------------------------------------
 
 
+def _trace_pairing(xs: list[Matrix], ys: list[Matrix]) -> tuple[np.ndarray, int]:
+    """Integer form (G, D) of the exact numbers tr(x_i y_j) = G[i, j] / D.
+
+    tr(X Y) = vec(X) . vec(Y^T), so with every X over the lcm Dx of the xs'
+    denominators and every Y over Dy, all traces are one integer product
+    over Dx * Dy, and no product matrix is built.
+    """
+    def stack(ms, transpose):
+        forms = [m.ints for m in ms]
+        den = lcm(*(d for _, d in forms))
+        return np.array([(nums.T if transpose else nums).reshape(-1) * (den // d)
+                         for nums, d in forms], dtype=object), den
+
+    (a, da), (b, db) = stack(xs, False), stack(ys, True)
+    return np.dot(a, b.T), da * db
+
+
 def trace_form(g: LieAlgebraData, rep: str = NATURAL) -> TraceFormGram:
     """Gram matrix tr(rho(b_i) rho(b_j)); rho = inclusion or adjoint."""
     if rep not in (NATURAL, ADJOINT):
@@ -223,14 +242,22 @@ def trace_form(g: LieAlgebraData, rep: str = NATURAL) -> TraceFormGram:
     d = g.dim
     if d == 0:
         return TraceFormGram(Matrix.exact([]), rep)
+    if g.is_exact:
+        if rep == NATURAL:
+            gram, den = _trace_pairing(list(g.basis), list(g.basis))
+        else:
+            # tr(ad_i ad_j) = sum_{k,l} sc[i,k,l] sc[j,l,k]: one product of the
+            # integer structure constants, flattened over (k, l) and (l, k)
+            nums, den = _scaled(g.structure_constants)
+            gram = np.dot(nums.reshape(d, d * d), nums.transpose(0, 2, 1).reshape(d, d * d).T)
+            den *= den
+        return TraceFormGram(Matrix.from_ints(gram, den), rep)
     if rep == NATURAL:
         entries = [[(g.basis[i] @ g.basis[j]).trace() for j in range(d)] for i in range(d)]
     else:
         sc = g.structure_constants
         entries = [[sum(sc[i, k, l] * sc[j, l, k] for k in range(d) for l in range(d))
                     for j in range(d)] for i in range(d)]
-    if g.is_exact:
-        return TraceFormGram(Matrix.exact(entries), rep)
     tol = max(b.tol for b in g.basis)
     return TraceFormGram(Matrix.approx([[float(x) for x in row] for row in entries], tol), rep)
 
@@ -254,8 +281,8 @@ def radical(g: LieAlgebraData) -> list[Matrix]:
     derived = span_basis([bracket(a, b) for a in g.basis for b in g.basis])
     if not derived:
         return list(g.basis)
-    rows = [[(b @ y).trace() for b in g.basis] for y in derived]
-    rad = [g.element(v) for v in exact_nullspace(rows)]
+    pairing, _ = _trace_pairing(derived, list(g.basis))  # scaling keeps the kernel
+    rad = [g.element(v) for v in exact_nullspace(pairing.tolist())]
     _check_radical(g, rad)
     return rad
 
@@ -324,10 +351,9 @@ def unipotent_radical(g: LieAlgebraData) -> list[Matrix]:
         if len(env_space) == size:
             break
         env = env_space.matrices()
-    m = len(env)
-    gram = [[(env[i] @ env[j]).trace() for i in range(m)] for j in range(m)]
+    gram, _ = _trace_pairing(env, env)
     rad_env = []
-    for v in exact_nullspace(gram):
+    for v in exact_nullspace(gram.tolist()):
         acc = Matrix.zero(g.ambient)
         for i, c in enumerate(v):
             if c != 0:

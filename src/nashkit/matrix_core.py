@@ -1,25 +1,32 @@
 """Exact-rational and tolerance-controlled floating matrix arithmetic.
 
-Two numeric tracks share one ``Matrix`` type: exact entries are stored as
-reduced ``fractions.Fraction`` in an object ndarray, approximate entries are
-float64.  Exact is the default for triangular, nilpotent and
-rational-spectrum inputs; float (with a relative tolerance) is only needed
-when eigenvalues are irrational.  Mixed-mode arithmetic promotes exact
-operands to the float track.
+Two numeric tracks share one ``Matrix`` type: exact matrices are rational,
+approximate ones float64.  Exact is the default for triangular, nilpotent
+and rational-spectrum inputs; float (with a relative tolerance) is only
+needed when eigenvalues are irrational.  Mixed-mode arithmetic promotes
+exact operands to the float track.
 
-The exact kernels (matmul, polynomial evaluation, characteristic
-polynomial, determinant and inverse) compute on a scaled-integer form: the
-Python-int numerators of ``m * d`` for the common denominator ``d`` of the
-entries.  Products, Horner steps and fraction-free (Bareiss) elimination then
-run on integers, and each entry is reduced once, when the result goes back to
-``Fraction``.  ``rref`` and the polynomial arithmetic stay on ``Fraction``.
+An exact matrix carries one scaled-integer form, ``Matrix.ints == (nums,
+d)``: an object array of Python ints and a positive int ``d``, reduced so
+that ``gcd(d, *nums) == 1`` (``d`` is then the lcm of the entry
+denominators).  The exact kernels run on it: ``+``, ``-``, ``@``, ``scale``,
+``trace``, ``T``, equality and ``float_array`` here, ``_span.bracket`` and
+``liealg``'s trace forms, ``_span.Subspace`` (integer echelon rows),
+polynomial evaluation, the characteristic polynomial (Faddeev-LeVerrier)
+and fraction-free (Bareiss) ``det``/``inv``.  A kernel's result is built
+from its integer output and reduced once.  ``Matrix.data``, the read-only
+array of reduced ``Fraction`` entries that ``entry``/``rows``/``vec``,
+hashing and the JSON wire format read, is built from ``ints`` on first
+access, and ``ints`` from ``data`` for matrices constructed from entries.
+``rref``, ``exact_solve``, ``exact_nullspace`` and the polynomial
+arithmetic stay on ``Fraction``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isfinite, lcm
+from math import gcd, isfinite, lcm
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -71,15 +78,32 @@ def _unscaled(nums: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
+def _reduced(nums: np.ndarray, d: int) -> tuple[np.ndarray, int]:
+    """(nums, d) for d != 0 -> the same quotient with d > 0 and gcd(d, *nums) == 1."""
+    if d < 0:
+        nums, d = -nums, -d
+    g = gcd(d, *nums.flat)
+    if g != 1:
+        nums, d = nums // g, d // g
+    return nums, d
+
+
 class Matrix:
     """Square real matrix, either exact-rational or float with a tolerance.
 
     Values are immutable after construction and safe to share between
     threads.  ``tol`` is a relative tolerance; the effective threshold for
     "numerically zero" is ``tol * (1 + frobenius norm)``.
+
+    An exact matrix has ``data`` (reduced ``Fraction`` entries) and ``ints``
+    (the reduced scaled-integer form, see the module docstring); it is built
+    with one of them and derives the other on first access.  Two threads
+    racing on that first access compute equal values.  Both are properties
+    over the slots ``_data`` and ``_ints``, and the float track reads
+    ``_data`` directly.
     """
 
-    __slots__ = ("n", "mode", "data", "tol")
+    __slots__ = ("n", "mode", "tol", "_data", "_ints")
 
     def __init__(self, data: np.ndarray, mode: str, tol: float = DEFAULT_TOL):
         if data.ndim != 2 or data.shape[0] != data.shape[1]:
@@ -92,14 +116,52 @@ class Matrix:
                 raise ValueError("entries must be finite")
         object.__setattr__(self, "n", data.shape[0])
         object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "_data", data)
         object.__setattr__(self, "tol", float(tol))
         data.setflags(write=False)
+
+    @property
+    def data(self) -> np.ndarray:
+        """Read-only entries: float64, or reduced Fractions on the exact track."""
+        try:
+            return self._data
+        except AttributeError:  # an exact kernel's output, built from its ints
+            data = _unscaled(*self._ints)
+            data.setflags(write=False)
+            object.__setattr__(self, "_data", data)
+            return data
+
+    @property
+    def ints(self) -> tuple[np.ndarray, int]:
+        """Exact track: (nums, d), the entries are nums / d, d > 0 and gcd(d, *nums) == 1."""
+        try:
+            return self._ints
+        except AttributeError:
+            if self.mode != EXACT:
+                raise AttributeError("a float matrix has no integer form") from None
+            nums, d = _scaled(self._data)
+            nums.setflags(write=False)
+            object.__setattr__(self, "_ints", (nums, d))
+            return nums, d
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
     # -- constructors --------------------------------------------------------
+
+    @staticmethod
+    def from_ints(nums: np.ndarray, d: int, tol: float = DEFAULT_TOL) -> "Matrix":
+        """The exact matrix nums / d, for a square object array of ints and an int d != 0."""
+        if nums.ndim != 2 or nums.shape[0] != nums.shape[1]:
+            raise ValueError("matrix must be square")
+        nums, d = _reduced(nums, d)
+        m = object.__new__(Matrix)
+        object.__setattr__(m, "n", nums.shape[0])
+        object.__setattr__(m, "mode", EXACT)
+        object.__setattr__(m, "tol", float(tol))
+        nums.setflags(write=False)
+        object.__setattr__(m, "_ints", (nums, d))
+        return m
 
     @staticmethod
     def exact(rows: Sequence[Sequence]) -> "Matrix":
@@ -118,15 +180,13 @@ class Matrix:
     @staticmethod
     def identity(n: int, mode: str = EXACT, tol: float = DEFAULT_TOL) -> "Matrix":
         if mode == EXACT:
-            return Matrix.diagonal([Fraction(1)] * n)
+            return Matrix.from_ints(np.identity(n, dtype=object), 1)
         return Matrix(np.eye(n), APPROX, tol)
 
     @staticmethod
     def zero(n: int, mode: str = EXACT, tol: float = DEFAULT_TOL) -> "Matrix":
         if mode == EXACT:
-            arr = np.empty((n, n), dtype=object)
-            arr[:] = Fraction(0)
-            return Matrix(arr, EXACT)
+            return Matrix.from_ints(np.zeros((n, n), dtype=object), 1)
         return Matrix(np.zeros((n, n)), APPROX, tol)
 
     @staticmethod
@@ -166,10 +226,11 @@ class Matrix:
 
     def float_array(self) -> np.ndarray:
         if self.mode == APPROX:
-            return self.data
+            return self._data
         if self.n == 0:
             return np.zeros((0, 0))
-        return np.array([[float(x) for x in row] for row in self.data])
+        nums, d = self.ints  # int / int is correctly rounded, as float(Fraction) is
+        return np.array([[p / d for p in row] for row in nums])
 
     def to_approx(self, tol: float | None = None) -> "Matrix":
         return Matrix(self.float_array(), APPROX, self.tol if tol is None else tol)
@@ -187,9 +248,9 @@ class Matrix:
 
     def is_zero(self, tol: float | None = None) -> bool:
         if self.mode == EXACT:
-            return all(x == 0 for x in self.vec())
+            return not any(self.ints[0].flat)
         t = self.abs_tol() if tol is None else tol
-        return bool(np.all(np.abs(self.data) <= t))
+        return bool(np.all(np.abs(self._data) <= t))
 
     def close_to(self, other: "Matrix", tol: float | None = None) -> bool:
         return (self - other).is_zero(tol)
@@ -205,25 +266,34 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         a, b, tol = self._pair(other)
-        return Matrix(a.data + b.data, a.mode, tol)
+        if a.mode == EXACT:
+            return _sum_ints(a.ints, b.ints, 1, tol)
+        return Matrix(a._data + b._data, a.mode, tol)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         a, b, tol = self._pair(other)
-        return Matrix(a.data - b.data, a.mode, tol)
+        if a.mode == EXACT:
+            return _sum_ints(a.ints, b.ints, -1, tol)
+        return Matrix(a._data - b._data, a.mode, tol)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(-self.data, self.mode, self.tol)
+        if self.mode == EXACT:
+            nums, d = self.ints
+            return Matrix.from_ints(-nums, d, self.tol)
+        return Matrix(-self._data, self.mode, self.tol)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         a, b, tol = self._pair(other)
         if a.mode == EXACT:
-            (na, da), (nb, db) = _scaled(a.data), _scaled(b.data)
-            return Matrix(_unscaled(np.dot(na, nb), da * db), EXACT, tol)
-        return Matrix(np.dot(a.data, b.data), APPROX, tol)
+            (na, da), (nb, db) = a.ints, b.ints
+            return Matrix.from_ints(np.dot(na, nb), da * db, tol)
+        return Matrix(np.dot(a._data, b._data), APPROX, tol)
 
     def scale(self, c) -> "Matrix":
         if self.mode == EXACT and isinstance(c, (int, Fraction)):
-            return Matrix(self.data * _as_fraction(c), EXACT, self.tol)
+            c = _as_fraction(c)
+            nums, d = self.ints
+            return Matrix.from_ints(nums * c.numerator, d * c.denominator, self.tol)
         return Matrix(self.float_array() * float(c), APPROX, self.tol)
 
     def __pow__(self, k: int) -> "Matrix":
@@ -240,17 +310,26 @@ class Matrix:
 
     @property
     def T(self) -> "Matrix":
-        return Matrix(self.data.T.copy(), self.mode, self.tol)
+        if self.mode == EXACT:
+            nums, d = self.ints
+            return Matrix.from_ints(nums.T.copy(), d, self.tol)
+        return Matrix(self._data.T.copy(), self.mode, self.tol)
 
     def trace(self):
-        return sum(self.data[i, i] for i in range(self.n))
+        if self.mode == EXACT:
+            nums, d = self.ints
+            return Fraction(sum(nums.diagonal()), d)
+        return sum(self._data[i, i] for i in range(self.n))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.n != other.n or self.mode != other.mode:
             return False
-        return bool(np.all(self.data == other.data))
+        if self.mode == EXACT:  # the reduced form is unique, so compare it
+            (na, da), (nb, db) = self.ints, other.ints
+            return da == db and bool(np.all(na == nb))
+        return bool(np.all(self._data == other._data))
 
     def __hash__(self):
         return hash((self.n, self.mode, tuple(self.vec())))
@@ -260,23 +339,33 @@ class Matrix:
 
     def det(self):
         if self.mode == EXACT:
-            return _det_exact(self.data)
-        return float(np.linalg.det(self.data))
+            return _det_exact(*self.ints)
+        return float(np.linalg.det(self._data))
 
     def inv(self) -> "Matrix":
         if self.mode == EXACT:
-            out = _inv_exact(self.data)
+            out = _inv_exact(*self.ints)
             if out is None:
                 raise NotInvertible("exact matrix is singular")
-            return Matrix(out, EXACT)
-        if min(np.linalg.svd(self.data, compute_uv=False), default=0.0) <= self.abs_tol():
+            return out
+        if min(np.linalg.svd(self._data, compute_uv=False), default=0.0) <= self.abs_tol():
             raise NotInvertible("matrix is singular at the working tolerance")
-        return Matrix(np.linalg.inv(self.data), APPROX, self.tol)
+        return Matrix(np.linalg.inv(self._data), APPROX, self.tol)
 
     def is_invertible(self) -> bool:
         if self.mode == EXACT:
             return self.det() != 0
-        return bool(min(np.linalg.svd(self.data, compute_uv=False)) > self.abs_tol())
+        return bool(min(np.linalg.svd(self._data, compute_uv=False)) > self.abs_tol())
+
+
+def _sum_ints(a: tuple[np.ndarray, int], b: tuple[np.ndarray, int], sign: int,
+              tol: float) -> Matrix:
+    """na/da + sign * nb/db over lcm(da, db)."""
+    (na, da), (nb, db) = a, b
+    if da == db:
+        return Matrix.from_ints(na + nb if sign > 0 else na - nb, da, tol)
+    d = lcm(da, db)
+    return Matrix.from_ints(na * (d // da) + nb * (sign * (d // db)), d, tol)
 
 
 # -- exact elimination kernels -------------------------------------------------
@@ -363,16 +452,14 @@ def _bareiss(rows: list[list[int]]) -> tuple[int, int]:
     return prev, sign
 
 
-def _det_exact(a: np.ndarray) -> Fraction:
+def _det_exact(nums: np.ndarray, d: int) -> Fraction:
     """det(N / d) = det(N) / d^n."""
-    nums, d = _scaled(a)
     det, sign = _bareiss([list(r) for r in nums])
     return Fraction(sign * det, d ** len(nums))
 
 
-def _inv_exact(a: np.ndarray) -> np.ndarray | None:
+def _inv_exact(nums: np.ndarray, d: int) -> Matrix | None:
     """(N / d)^-1 = d * N^-1: Gauss-Jordan takes [N | d*I] to [D*I | D*d*N^-1]."""
-    nums, d = _scaled(a)
     n = len(nums)
     rows = [list(r) + [d * (i == j) for j in range(n)] for i, r in enumerate(nums)]
     det, _ = _bareiss(rows)
@@ -380,7 +467,7 @@ def _inv_exact(a: np.ndarray) -> np.ndarray | None:
         return None
     right = np.empty((n, n), dtype=object)
     right.flat = [x for r in rows for x in r[n:]]
-    return _unscaled(right, det)
+    return Matrix.from_ints(right, det)
 
 
 # -- polynomials ----------------------------------------------------------------
@@ -481,14 +568,14 @@ class Polynomial:
         # the sum by integer Horner steps
         if self.is_zero():
             return Matrix.zero(m.n, EXACT, m.tol)
-        nums, d = _scaled(m.data)
+        nums, d = m.ints
         q = lcm(*[c.denominator for c in self.coeffs])
         diag = np.arange(m.n)
         acc = np.zeros((m.n, m.n), dtype=object)
         for k, c in enumerate(reversed(self.coeffs)):
             acc = np.dot(acc, nums)
             acc[diag, diag] += c.numerator * (q // c.denominator) * d ** k
-        return Matrix(_unscaled(acc, q * d ** self.degree), EXACT, m.tol)
+        return Matrix.from_ints(acc, q * d ** self.degree, m.tol)
 
     def compose_shift(self, a: Fraction) -> "Polynomial":
         """Coefficients of p(t + a)."""
@@ -532,7 +619,7 @@ def char_poly(m: Matrix) -> Polynomial:
     n = m.n
     if m.mode == APPROX:
         m = Matrix.exact([[Fraction(float(x)) for x in row] for row in m.data])
-    nums, d = _scaled(m.data)
+    nums, d = m.ints
     diag = np.arange(n)
     coeffs = [Fraction(1)]  # c_{n-k}, starting with leading 1
     mk = np.identity(n, dtype=object)
@@ -568,7 +655,10 @@ def irreducible_factors(p: Polynomial) -> list[tuple[Polynomial, int]]:
 
 
 def count_real_roots(p: Polynomial, lo=None, hi=None) -> int:
-    """Number of real roots in [lo, hi] (endpoints included; None = unbounded)."""
+    """Number of real roots in [lo, hi] (endpoints included; None = unbounded), lo <= hi."""
+    if p.degree == 1:  # the root -c0/c1 is read off, without sympy
+        root = -p.coeffs[0] / p.coeffs[1]
+        return int((lo is None or lo <= root) and (hi is None or root <= hi))
     sp = p.to_sympy()
     lo = -sympy.oo if lo is None else sympy.Rational(lo.numerator, lo.denominator)
     hi = sympy.oo if hi is None else sympy.Rational(hi.numerator, hi.denominator)

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._span import Subspace, eigenspace, restriction
+from ._span import Subspace, bracket, eigenspace, restriction
 from .errors import (
     NotNilpotentAlgebra,
     NotSolvable,
@@ -184,7 +184,7 @@ def _joint_eigenspace_exact(flat_ops: list[list[Fraction]], n: int) -> list[list
     if not ops:
         return [[Fraction(int(i == j)) for i in range(n)] for j in range(n)]
     mats = ops.matrices()
-    ideal = Subspace(a @ b - b @ a for a in mats for b in mats)  # the derived span
+    ideal = Subspace(bracket(a, b) for a in mats for b in mats)  # the derived span
     if len(ideal) >= len(ops):
         raise NotSolvable("derived span did not shrink")
     # any codimension-one subspace containing the derived span is an ideal

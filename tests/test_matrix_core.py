@@ -4,14 +4,16 @@ from math import gcd
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from integer_form import check_integer_form
 from nashkit.errors import ClusterAmbiguity, NotInvertible, ZeroPolynomial
 from nashkit.matrix_core import (
     Matrix,
     Polynomial,
     char_poly,
+    count_real_roots,
     irreducible_factors,
     matrix_from_json,
     matrix_to_json,
@@ -275,3 +277,69 @@ def test_det_and_inv_match_sympy(m):
     inv = m.inv()
     assert _reduced_fractions(inv)
     assert inv.vec().tolist() == [_from_sympy(x) for x in ref.inv()]
+
+
+# -- the stored integer form ------------------------------------------------------------
+
+
+def _fraction_add(a, b, sign):
+    return [[x + sign * y for x, y in zip(ra, rb)] for ra, rb in zip(a.rows(), b.rows())]
+
+
+_small_pairs = st.integers(0, 5).flatmap(
+    lambda n: st.tuples(_exact_matrices(n), _exact_matrices(n)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_small_pairs)
+def test_sum_and_difference_match_fractions(pair):
+    a, b = pair
+    for out in (a + b, a - b, a + a, a - a):
+        check_integer_form(out)
+    assert (a + b).rows() == _fraction_add(a, b, 1)
+    assert (a - b).rows() == _fraction_add(a, b, -1)
+    assert (a - a).is_zero() and (a - a).ints[1] == 1
+    assert (-a).rows() == [[-x for x in r] for r in a.rows()]
+    check_integer_form(-a)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_small_pairs, st.one_of(_fractions, st.integers(-10 ** 15, 10 ** 15)))
+def test_scale_trace_transpose_match_fractions(pair, c):
+    a, b = pair
+    for out in (a.scale(c), a.T, a @ b, Matrix.identity(a.n), Matrix.zero(a.n)):
+        check_integer_form(out)
+    assert a.scale(c).rows() == [[x * c for x in r] for r in a.rows()]
+    assert a.T.rows() == [list(r) for r in zip(*a.rows())]
+    tr = a.trace()
+    assert type(tr) is Fraction and tr == sum((a.entry(i, i) for i in range(a.n)), Fraction(0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_exact_matrices())
+def test_kernel_outputs_agree_with_entry_built_matrices(m):
+    check_integer_form(m)
+    for out in (m @ m, Polynomial.of([1, -2, 3]).eval_matrix(m), m ** 3):
+        check_integer_form(out)
+    if m.det() != 0:
+        check_integer_form(m.inv())
+
+
+# -- count_real_roots on linear factors ----------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.builds(Fraction, st.integers(-30, 30), st.integers(1, 7)),
+       st.builds(Fraction, st.integers(-30, 30).filter(bool), st.integers(1, 7)),
+       st.sampled_from(["none", "root", "below", "above"]),
+       st.sampled_from(["none", "root", "below", "above"]),
+       st.builds(Fraction, st.integers(1, 20), st.integers(1, 5)))
+def test_linear_count_real_roots_matches_sympy(c0, c1, lo_kind, hi_kind, gap):
+    p = Polynomial.of([c0, c1])
+    root = -c0 / c1
+    pick = {"none": None, "root": root, "below": root - gap, "above": root + gap}
+    lo, hi = pick[lo_kind], pick[hi_kind]
+    assume(lo is None or hi is None or lo <= hi)
+    sp_lo = -sympy.oo if lo is None else sympy.Rational(lo.numerator, lo.denominator)
+    sp_hi = sympy.oo if hi is None else sympy.Rational(hi.numerator, hi.denominator)
+    assert count_real_roots(p, lo, hi) == int(p.to_sympy().count_roots(sp_lo, sp_hi))

@@ -3,11 +3,14 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nashkit._span import Subspace
+from integer_form import check_integer_form
+from nashkit._span import Subspace, bracket
+from nashkit.liealg import ADJOINT, NATURAL, LieAlgebraData, trace_form
 from nashkit.matrix_core import Matrix, exact_solve, rref
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -97,6 +100,81 @@ def test_matrices_reshape_the_rows():
     space = Subspace([Matrix.exact([[2, 4], [0, 0]]), Matrix.exact([[1, 2], [0, 1]])])
     assert space.matrices() == [Matrix.exact([[1, 2], [0, 0]]),
                                 Matrix.exact([[0, 0], [0, 1]])]
+
+
+# -- integer kernels: brackets and trace forms against Fraction references --------------
+
+_kernel_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)),
+    st.builds(Fraction, st.integers(-10 ** 20, 10 ** 20), st.sampled_from([7, 3 ** 40])),
+)
+
+
+def _matrices(n):
+    rows = st.lists(st.lists(_kernel_entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    return st.one_of(st.just(Matrix.zero(n)), rows.map(Matrix.exact))
+
+
+def _fraction_product(a, b):
+    return [[sum((a.entry(i, k) * b.entry(k, j) for k in range(a.n)), Fraction(0))
+             for j in range(a.n)] for i in range(a.n)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: st.tuples(_matrices(n), _matrices(n))))
+def test_bracket_matches_fraction_products(pair):
+    a, b = pair
+    out = bracket(a, b)
+    check_integer_form(out)
+    ab, ba = _fraction_product(a, b), _fraction_product(b, a)
+    assert out.rows() == [[x - y for x, y in zip(r, s)] for r, s in zip(ab, ba)]
+    assert bracket(a, a).is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda n: st.lists(_matrices(n), min_size=1, max_size=5)))
+def test_natural_trace_form_matches_fraction_traces(basis):
+    d = len(basis)
+    g = LieAlgebraData(basis[0].n, tuple(basis), np.empty((d, d, d), dtype=object))
+    gram = trace_form(g, NATURAL).gram
+    check_integer_form(gram)
+    assert gram.rows() == [[sum((p[i][i] for i in range(x.n)), Fraction(0))
+                            for p in (_fraction_product(x, y) for y in basis)] for x in basis]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda d: st.lists(_kernel_entries, min_size=d ** 3, max_size=d ** 3)))
+def test_adjoint_trace_form_matches_fraction_sums(flat):
+    d = round(len(flat) ** (1 / 3))
+    sc = np.array(flat, dtype=object).reshape(d, d, d)
+    g = LieAlgebraData(1, tuple(Matrix.zero(1) for _ in range(d)), sc)
+    gram = trace_form(g, ADJOINT).gram
+    check_integer_form(gram)
+    assert gram.rows() == [[sum((sc[i, k, l] * sc[j, l, k] for k in range(d) for l in range(d)),
+                                Fraction(0)) for j in range(d)] for i in range(d)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.lists(_matrices(n), max_size=5), _matrices(n), st.lists(_kernel_entries, min_size=5,
+                                                               max_size=5))))
+def test_subspace_of_matrices_with_large_denominators(data):
+    mats, m, weights = data
+    vecs = [list(x.vec()) for x in mats]
+    space = Subspace(mats)
+    red, pivots = rref(vecs) if vecs else ([], [])
+    assert space.rows == red[:len(pivots)] and space.pivots == pivots
+    for b in space.matrices():
+        check_integer_form(b)
+    combo = [sum((w * x[i] for w, x in zip(weights, vecs)), Fraction(0)) for i in range(m.n ** 2)]
+    for target in (list(m.vec()), combo):
+        cols = [[x[i] for x in vecs] for i in range(len(target))]
+        reference = exact_solve(cols, target) if vecs else (None if any(target) else [])
+        assert space.coords(target) == reference
+        assert (target in space) == (reference is not None)
+    assert space.coords(m) == space.coords(list(m.vec()))
 
 
 def test_tracer_self_test_passes():
