@@ -14,6 +14,8 @@ import os
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import selftest as selftest_mod
 from .cartan_iwasawa import cartan_split, iwasawa_kan, maximal_abelian, polar_kak, restricted_roots
 from .errors import NashkitError
@@ -82,7 +84,7 @@ def _coerce_track(m: Matrix, args) -> Matrix:
     if args.numeric == "approx" and m.mode == EXACT:
         return m.to_approx(args.tol)
     if args.numeric == "exact" and m.mode != EXACT:
-        return Matrix.exact([[Fraction(float(x)) for x in row] for row in m.data])
+        return Matrix.exact([[Fraction(float(x)) for x in row] for row in m.data], m.tol)
     return m
 
 
@@ -334,7 +336,10 @@ def main(argv: list[str] | None = None) -> int:
         env = os.environ.get("NASHKIT_TOL")
         args.tol = float(env) if env else DEFAULT_TOL
     try:
-        return args.func(args)
+        # float steps on entries near the float range overflow to inf and are
+        # handled where they do (see Matrix.norm); numpy's warning adds nothing
+        with np.errstate(over="ignore"):
+            return args.func(args)
     except MalformedInput as exc:
         _emit({"error": "MalformedInput", "detail": str(exc)})
         return EXIT_MALFORMED

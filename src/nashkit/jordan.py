@@ -371,6 +371,8 @@ def multiplicative_jordan(x: Matrix) -> JordanTriple:
 
 
 def _multiplicative_jordan_approx(x: Matrix) -> JordanTriple:
+    if not x.is_invertible():  # an exact input promoted here may be singular in floats
+        raise NotInvertible("matrix is singular at the working tolerance")
     s, n = sn_split(x)
     spec = spectrum(x)
     if len(spec.clusters) == 1:

@@ -20,25 +20,28 @@ hashing and the JSON wire format read, is built from ``ints`` on first
 access, and ``ints`` from ``data`` for matrices constructed from entries.
 ``rref``, ``exact_solve``, ``exact_nullspace`` and the polynomial
 arithmetic stay on ``Fraction``.
+
+Rational roots come from p-adic lifting and real-root counts from Sturm
+sequences, both on Python ints and ``Fraction``.  sympy is imported on the
+first call of ``Polynomial.to_sympy``, which ``irreducible_factors`` makes
+only to factor a remainder that has no rational root and whose squarefree
+part has degree >= 4.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isfinite, lcm
+from math import gcd, isfinite, isqrt, lcm
 from typing import Iterable, Sequence
 
 import numpy as np
-import sympy
 
-from .errors import ClusterAmbiguity, NotInvertible, ZeroPolynomial
+from .errors import ClusterAmbiguity, NotInvertible, NumericalFailure, ZeroPolynomial
 
 EXACT = "exact"
 APPROX = "approx"
 DEFAULT_TOL = 1e-8
-
-_SYMPY_T = sympy.Symbol("t")
 
 
 def _as_fraction(x) -> Fraction:
@@ -112,8 +115,8 @@ class Matrix:
             raise ValueError(f"unknown mode {mode!r}")
         if mode == APPROX:
             data = np.asarray(data, dtype=float)
-            if not np.all(np.isfinite(data)):
-                raise ValueError("entries must be finite")
+            if not np.all(np.isfinite(data)):  # inputs are checked in Matrix.approx
+                raise NumericalFailure("a float result left the float range")
         object.__setattr__(self, "n", data.shape[0])
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "_data", data)
@@ -164,29 +167,32 @@ class Matrix:
         return m
 
     @staticmethod
-    def exact(rows: Sequence[Sequence]) -> "Matrix":
+    def exact(rows: Sequence[Sequence], tol: float = DEFAULT_TOL) -> "Matrix":
         arr = np.empty((len(rows), len(rows)), dtype=object)
         for i, row in enumerate(rows):
             if len(row) != len(rows):
                 raise ValueError("matrix must be square")
             for j, x in enumerate(row):
                 arr[i, j] = _as_fraction(x)
-        return Matrix(arr, EXACT)
+        return Matrix(arr, EXACT, tol)
 
     @staticmethod
     def approx(rows, tol: float = DEFAULT_TOL) -> "Matrix":
-        return Matrix(np.array(rows, dtype=float), APPROX, tol)
+        data = np.array(rows, dtype=float)
+        if not np.all(np.isfinite(data)):
+            raise ValueError("entries must be finite")
+        return Matrix(data, APPROX, tol)
 
     @staticmethod
     def identity(n: int, mode: str = EXACT, tol: float = DEFAULT_TOL) -> "Matrix":
         if mode == EXACT:
-            return Matrix.from_ints(np.identity(n, dtype=object), 1)
+            return Matrix.from_ints(np.identity(n, dtype=object), 1, tol)
         return Matrix(np.eye(n), APPROX, tol)
 
     @staticmethod
     def zero(n: int, mode: str = EXACT, tol: float = DEFAULT_TOL) -> "Matrix":
         if mode == EXACT:
-            return Matrix.from_ints(np.zeros((n, n), dtype=object), 1)
+            return Matrix.from_ints(np.zeros((n, n), dtype=object), 1, tol)
         return Matrix(np.zeros((n, n)), APPROX, tol)
 
     @staticmethod
@@ -196,7 +202,7 @@ class Matrix:
             arr[:] = Fraction(0)
             for i, v in enumerate(values):
                 arr[i, i] = _as_fraction(v)
-            return Matrix(arr, EXACT)
+            return Matrix(arr, EXACT, tol)
         return Matrix(np.diag(np.asarray(values, dtype=float)), APPROX, tol)
 
     # -- basic queries ---------------------------------------------------------
@@ -597,7 +603,9 @@ class Polynomial:
         return Polynomial.of(self.coeffs[0::2])
 
     def to_sympy(self):
-        return sympy.Poly(list(reversed(self.coeffs)), _SYMPY_T, domain="QQ")
+        import sympy  # loaded on first use only: it costs about 0.45 s to import
+
+        return sympy.Poly(list(reversed(self.coeffs)), sympy.Symbol("t"), domain="QQ")
 
     @staticmethod
     def from_sympy(p) -> "Polynomial":
@@ -632,37 +640,220 @@ def char_poly(m: Matrix) -> Polynomial:
     return Polynomial.of(list(reversed(coeffs)))
 
 
-def squarefree_part(p: Polynomial) -> Polynomial:
-    """p / gcd(p, p'), monic."""
-    if p.is_zero():
-        raise ZeroPolynomial("squarefree part of the zero polynomial")
-    g = p.gcd(p.derivative())
-    if g.is_zero() or g.degree == 0:
+def _int_multiple(p: Polynomial) -> list[int]:
+    """Coefficients of L * p for L > 0 the lcm of their denominators."""
+    scale = lcm(*[c.denominator for c in p.coeffs])
+    return [c.numerator * (scale // c.denominator) for c in p.coeffs]
+
+
+def _neg_prem(a: list[int], b: list[int]) -> list[int]:
+    """A primitive int polynomial that is a positive multiple of -(a mod b).
+
+    Pseudo-division: each step scales the remainder by lc(b) before it
+    cancels the leading term, so after e steps it is lc(b)^e * (a mod b).
+    """
+    r, lead, e = list(a), b[-1], 0
+    while len(r) >= len(b):
+        f, k = r[-1], len(r) - len(b)
+        r = [lead * x for x in r]
+        for i, c in enumerate(b):
+            r[k + i] -= f * c
+        e += 1
+        while r and r[-1] == 0:
+            r.pop()
+    if not r:
+        return r
+    sign = -1 if lead < 0 and e % 2 else 1
+    g = gcd(*r)
+    return [-sign * x // g for x in r]
+
+
+def _sturm_sequence(p: Polynomial) -> list[list[int]]:
+    """p_0 = p, p_1 = p', p_(k+1) = -(p_(k-1) mod p_k) up to the last nonzero term.
+
+    Each term is an int polynomial (lowest degree first) and a positive
+    multiple of the rational one; the last is gcd(p, p') times a constant.
+    Pseudo-remainders divided by their content keep the ints small where
+    ``Fraction`` remainders grow.
+    """
+    seq = [_int_multiple(p)]
+    b = _int_multiple(p.derivative())
+    while b:
+        seq.append(b)
+        b = _neg_prem(seq[-2], b)
+    return seq
+
+
+def _squarefree(p: Polynomial) -> Polynomial:
+    """p / gcd(p, p'), monic, for p != 0."""
+    g = _sturm_sequence(p)[-1]
+    if len(g) == 1:
         return p.monic()
-    q, r = p.divmod(g)
+    q, r = p.divmod(Polynomial.of(g))
     assert r.is_zero()
     return q.monic()
 
 
+def squarefree_part(p: Polynomial) -> Polynomial:
+    """p / gcd(p, p'), monic."""
+    if p.is_zero():
+        raise ZeroPolynomial("squarefree part of the zero polynomial")
+    return _squarefree(p)
+
+
+def _horner(cs: list[int], x: int, m: int = 0) -> int:
+    """The int polynomial cs (lowest degree first) at x, reduced mod m when m > 0."""
+    v = 0
+    for c in reversed(cs):
+        v = v * x + c
+        if m:
+            v %= m
+    return v
+
+
+def _primes():
+    """2, 3, 5, 7, ... by trial division."""
+    p = 2
+    while True:
+        if all(p % d for d in range(2, isqrt(p) + 1)):
+            yield p
+        p += 1
+
+
+def _integer_roots(q: list[int]) -> list[int]:
+    """Integer roots of a monic squarefree int polynomial (lowest degree first).
+
+    Loos, "Computing rational zeros of integral polynomials by p-adic
+    expansion" (1983): at the first prime p where every root of q mod p is
+    simple (true wherever q mod p is squarefree, so at all but finitely many
+    p), each integer root reduces to one of the roots mod p found by trying
+    all p residues, and Newton's step r <- r - q(r)/q'(r) lifts that root
+    uniquely from mod m to mod m^2.  Once m exceeds twice the Cauchy bound
+    1 + max|q_i| on the roots, the residue of the lift nearest 0 is the
+    integer root if there is one; an exact evaluation keeps it or drops it.
+    """
+    dq = [i * c for i, c in enumerate(q)][1:]
+    for p in _primes():
+        residues = [r for r in range(p) if _horner(q, r, p) == 0]
+        if all(_horner(dq, r, p) for r in residues):
+            break
+    bound = 2 * (1 + max(abs(c) for c in q[:-1]))
+    roots = []
+    for r in residues:
+        m = p
+        while m <= bound:
+            m *= m
+            r = (r - _horner(q, r, m) * pow(_horner(dq, r, m), -1, m)) % m
+        if r > m // 2:
+            r -= m
+        if _horner(q, r) == 0:
+            roots.append(r)
+    return roots
+
+
+def _rational_roots(f: Polynomial) -> list[Fraction]:
+    """Rational roots of a monic squarefree polynomial f of degree n.
+
+    For L the lcm of the coefficient denominators, q(s) = L^n f(s/L) is
+    monic with int coefficients, so its rational roots are integers, and
+    they are L times those of f.
+    """
+    n = f.degree
+    if n < 1:
+        return []
+    scale = lcm(*[c.denominator for c in f.coeffs])
+    q = [c.numerator * (scale // c.denominator) * scale ** (n - 1 - i)
+         for i, c in enumerate(f.coeffs[:-1])] + [1]
+    return [Fraction(s, scale) for s in _integer_roots(q)]
+
+
+def _deflate(coeffs: Sequence[Fraction], root: Fraction) -> tuple[list[Fraction], Fraction]:
+    """Quotient coefficients and remainder of the division by t - root (synthetic division)."""
+    out = []
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * root + c
+        out.append(acc)
+    rem = out.pop()
+    return out[::-1], rem
+
+
 def irreducible_factors(p: Polynomial) -> list[tuple[Polynomial, int]]:
-    """Monic irreducible factors over the rationals with multiplicities."""
+    """Monic irreducible factors over the rationals with multiplicities.
+
+    Sorted by (degree, coeffs).  The rational roots are those of the
+    squarefree part f (``_rational_roots``); each linear factor is divided
+    out of p with its multiplicity.  What is left has no rational root, so
+    when its squarefree part has degree <= 3 that part is irreducible and
+    the remainder is a power of it; only a remainder whose squarefree part
+    has degree >= 4 is factored by sympy's ``factor_list``.  Factorization
+    is unique, so the result is sympy's on p, made monic.
+    """
     if p.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
-    _, factors = p.to_sympy().factor_list()
-    out = [(Polynomial.from_sympy(q).monic(), int(e)) for q, e in factors]
+    f = _squarefree(p)
+    rest = list(p.coeffs)
+    out = []
+    for root in _rational_roots(f):
+        e = 0
+        q, r = _deflate(rest, root)
+        while r == 0:
+            rest, e = q, e + 1
+            q, r = _deflate(rest, root)
+        out.append((Polynomial.of([-root, 1]), e))
+        f = Polynomial.of(_deflate(f.coeffs, root)[0])
+    rest = Polynomial.of(rest)
+    if f.degree >= 4:
+        _, factors = rest.to_sympy().factor_list()
+        out += [(Polynomial.from_sympy(q).monic(), int(e)) for q, e in factors]
+    elif f.degree > 0:
+        out.append((f, rest.degree // f.degree))
     out.sort(key=lambda fe: (fe[0].degree, fe[0].coeffs))
     return out
 
 
+def _sign_at(cs: list[int], x: Fraction) -> int:
+    """Sign of the int polynomial cs at x = a/b: of b^deg * cs(a/b), by Horner on ints."""
+    a, b = x.numerator, x.denominator
+    v, bk = 0, 1
+    for c in reversed(cs):
+        v = v * a + c * bk
+        bk *= b
+    return (v > 0) - (v < 0)
+
+
 def count_real_roots(p: Polynomial, lo=None, hi=None) -> int:
-    """Number of real roots in [lo, hi] (endpoints included; None = unbounded), lo <= hi."""
-    if p.degree == 1:  # the root -c0/c1 is read off, without sympy
+    """Number of distinct real roots in [lo, hi] (endpoints included; None = unbounded), lo <= hi.
+
+    Sturm's theorem: the sequence p_k of ``_sturm_sequence`` ends in
+    g = gcd(p, p'), and s_k = p_k / g is a Sturm sequence of the squarefree
+    part s_0.  Its number of sign changes V(x) drops by one exactly as x
+    passes a root, and at a root equals its value just right of it, so
+    V(lo) - V(hi) counts the roots in (lo, hi]; a root at lo is added.  At
+    an unbounded end the leading terms give the signs.  Like sympy's
+    ``count_roots``, a constant polynomial has no roots.
+    """
+    if p.degree == 1:  # the root -c0/c1 is read off
         root = -p.coeffs[0] / p.coeffs[1]
         return int((lo is None or lo <= root) and (hi is None or root <= hi))
-    sp = p.to_sympy()
-    lo = -sympy.oo if lo is None else sympy.Rational(lo.numerator, lo.denominator)
-    hi = sympy.oo if hi is None else sympy.Rational(hi.numerator, hi.denominator)
-    return int(sp.count_roots(lo, hi))
+    if p.degree < 1:
+        return 0
+    seq = _sturm_sequence(p)
+    if len(seq[-1]) > 1:  # repeated roots: divide every term by g
+        g = Polynomial.of(seq[-1])
+        seq = [_int_multiple(Polynomial.of(s).divmod(g)[0]) for s in seq]
+
+    def signs(x, end: int) -> list[int]:
+        if x is None:  # x = end * infinity: the leading term's sign
+            return [(1 if s[-1] > 0 else -1) * end ** (len(s) - 1) for s in seq]
+        return [_sign_at(s, x) for s in seq]
+
+    def changes(sg: list[int]) -> int:
+        sg = [v for v in sg if v]
+        return sum(u != v for u, v in zip(sg, sg[1:]))
+
+    at_lo = signs(lo, -1)
+    return changes(at_lo) - changes(signs(hi, 1)) + (at_lo[0] == 0)
 
 
 def rational_eigenvalues(m: Matrix) -> list[Fraction] | None:
@@ -810,7 +1001,7 @@ def matrix_from_json(obj: dict, tol: float = DEFAULT_TOL) -> Matrix:
     if not isinstance(entries, list) or not entries:
         raise ValueError("'entries' must be a non-empty list of rows")
     if mode == "exact":
-        return Matrix.exact([[_as_fraction(x) for x in row] for row in entries])
+        return Matrix.exact(entries, tol=tol)
     if mode == "approx":
         return Matrix.approx(entries, tol=tol)
     raise ValueError(f"unknown matrix mode {mode!r}")

@@ -3,16 +3,16 @@
 For a hyperbolic element with rational eigenvalues the subgroup is cut out
 of the diagonal torus by the multiplicative relation lattice of the
 eigenvalues; rational relations among logs of positive rationals reduce to
-integer linear algebra on prime-factorization exponent vectors.  For a
-unipotent element it is the one-parameter group through the logarithm.
+integer linear algebra on exponent vectors over a coprime base of their
+numerators and denominators.  For a unipotent element it is the
+one-parameter group through the logarithm.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import sympy
+from math import gcd
 
 from .errors import IrrationalSpectrum, NotHyperbolic, NotPositiveRational
 from .explog import log_unipotent
@@ -102,8 +102,50 @@ def _row_hnf(rows: list[list[int]]) -> list[list[int]]:
     return mat[:r]
 
 
+def _coprime_base(numbers: list[int]) -> list[int]:
+    """Pairwise coprime integers > 1, ascending, of which each number is a product of powers.
+
+    Refinement by gcds alone (Bernstein, "Factoring into coprimes in
+    essentially linear time", 2005, here in its plain quadratic form): a
+    number x sharing g > 1 with a base element b takes b out and puts back
+    b/g, g and x/g to be placed.  Each such step divides the product of what
+    is placed or still to place by g, so the loop ends.
+    """
+    base: list[int] = []
+    todo = list(numbers)
+    while todo:
+        x = todo.pop()
+        if x == 1:
+            continue
+        for i, b in enumerate(base):
+            g = gcd(x, b)
+            if g > 1:
+                del base[i]
+                todo += [b // g, g, x // g]
+                break
+        else:
+            base.append(x)
+    return sorted(base)
+
+
+def _valuation(x: int, b: int) -> int:
+    """Largest e with b^e dividing x, for b > 1."""
+    e = 0
+    while x % b == 0:
+        x //= b
+        e += 1
+    return e
+
+
 def exponent_lattice(values: list[Fraction]) -> list[list[int]]:
-    """Basis of {k in Z^m : prod values_i^(k_i) = 1} for positive rationals."""
+    """Basis of {k in Z^m : prod values_i^(k_i) = 1} for positive rationals.
+
+    Each prime divides exactly one element b of a coprime base of the
+    numerators and denominators, and its exponent in every value is a fixed
+    multiple of the value's exponent of b.  So the exponent rows over the
+    base have the kernel of the prime-exponent rows, and ``_integer_kernel``
+    returns that kernel in Hermite form.
+    """
     vals = []
     for v in values:
         v = Fraction(v)
@@ -113,18 +155,9 @@ def exponent_lattice(values: list[Fraction]) -> list[list[int]]:
     m = len(vals)
     if m == 0:
         return []
-    primes: list[int] = []
-    expanded = []
-    for v in vals:
-        fac = dict(sympy.factorint(v.numerator))
-        for p, e in sympy.factorint(v.denominator).items():
-            fac[p] = fac.get(p, 0) - e
-        expanded.append(fac)
-        for p in fac:
-            if p not in primes:
-                primes.append(p)
-    primes.sort()
-    rows = [[fac.get(p, 0) for p in primes] for fac in expanded]
+    base = _coprime_base([x for v in vals for x in (v.numerator, v.denominator)])
+    rows = [[_valuation(v.numerator, b) - _valuation(v.denominator, b) for b in base]
+            for v in vals]
     return _integer_kernel(rows, m)
 
 

@@ -18,6 +18,7 @@ from .errors import (
     NotNilpotentAlgebra,
     NotSolvable,
     NotSplit,
+    NumericalFailure,
     PostconditionFailed,
 )
 from .liealg import LieAlgebraData, algebra_from_basis, is_solvable
@@ -259,6 +260,8 @@ def _joint_eigenspace_float(ops: list[np.ndarray], n: int, tol: float) -> list[n
             else:
                 z = b
                 break
+    if z is None:  # the unit basis rows all fall below tol, which scales with the input norm
+        raise NumericalFailure("no direction extends the derived span at the working tolerance")
     w = _joint_eigenspace_float(ideal, n, tol)
     q, _ = np.linalg.qr(np.array(w).T)  # orthonormalize the eigenspace
     r = q.T @ z @ q

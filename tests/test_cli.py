@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 CLI = [sys.executable, "-m", "nashkit.cli"]
 
@@ -101,6 +105,44 @@ def test_import_leaves_scipy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_exact_calls_leave_sympy_unloaded(tmp_path):
+    code = "import sys, nashkit.cli; print('sympy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+    # distinct rational, irrational cubic and rotation-block spectra
+    tri = write(tmp_path, "tri.json", {"mode": "exact", "entries": [
+        ["2", "1", "0"], ["0", "3", "1/2"], ["0", "0", "4"]]})
+    cubic = write(tmp_path, "cubic.json", {"mode": "exact", "entries": [
+        ["0", "0", "2"], ["1", "0", "0"], ["0", "1", "0"]]})
+    rot = write(tmp_path, "rot.json", {"mode": "exact", "entries": [
+        ["0", "-2", "0"], ["2", "0", "0"], ["1", "0", "3"]]})
+    calls = [["jordan", tri], ["jordan", "--mode", "add", cubic], ["jordan", rot],
+             ["classify", cubic], ["classify", "--setting", "algebra", rot], ["replica", tri]]
+    code = ("import contextlib, io, json, sys\n"
+            "from nashkit.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(codes, 'sympy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(calls)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == f"{[0] * len(calls)} False"
+
+
+def test_overflowing_float_input_prints_no_warning(tmp_path):
+    path = write(tmp_path, "big.json", {"mode": "approx", "entries": [[1e200, 1], [0, 1e200]]})
+    code, out, err = run_cli(["jordan", path])
+    assert code == 0 and err == ""
+    assert json.loads(out) == {
+        "e": {"mode": "approx", "entries": [[1.0, 1e-200], [0.0, 1.0]]},
+        "h": {"mode": "approx", "entries": [[1e200, 0.0], [0.0, 1e200]]},
+        "u": {"mode": "approx", "entries": [[1.0, 0.0], [0.0, 1.0]]},
+        "class": {"elliptic": False, "hyperbolic": True, "unipotent": False,
+                  "semisimple": True, "exponential": True},
+    }
 
 
 def test_cluster_ambiguity_exit_four(tmp_path):
@@ -262,3 +304,96 @@ def test_tol_env_override(tmp_path, monkeypatch):
     env = dict(os.environ, NASHKIT_TOL="1e-12")
     proc = sp.run(CLI + ["classify", path], capture_output=True, text=True, env=env)
     assert proc.returncode == 0  # fine at a tighter tolerance
+
+
+# -- input fuzzing: every input ends in JSON on stdout and exit 0, 2, 3 or 4 -------------
+
+_TINY = 2.190906124428017e-234
+_FUZZ_FINDINGS = [  # inputs that ended in a traceback before they were handled
+    # exactly invertible, singular in floats once promoted
+    (["--exact", "jordan"], {"mode": "approx", "entries": [[0, 1], [_TINY, 1]]},
+     3, "NotInvertible"),
+    # x^T x overflows
+    (["cartan", "kak"], {"mode": "approx", "entries": [[6.899029938689414e283]]},
+     4, "NumericalFailure"),
+    # an eigenvalue of x^T x underflows to 0.0 before its log is taken
+    (["--exact", "cartan", "kak"], {"mode": "approx", "entries": [[0, 1], [_TINY, 0]]},
+     4, "NumericalFailure"),
+    # the tolerance scales with the norm, so no unit direction extends the derived span
+    (["flag", "split"],
+     {"basis": [{"mode": "exact", "entries": [[-2.0935988701599332e16, -2], [2, -2]]}]},
+     4, "NumericalFailure"),
+]
+
+
+@pytest.mark.parametrize("argv, doc, exit_code, error", _FUZZ_FINDINGS)
+def test_fuzz_findings_end_in_json(tmp_path, capsys, argv, doc, exit_code, error):
+    from nashkit.cli import main
+
+    assert main(argv + [write(tmp_path, "in.json", doc)]) == exit_code
+    assert json.loads(capsys.readouterr().out)["error"] == error
+
+
+_clean_exact = st.one_of(
+    st.integers(-9, 9),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-9, 9), st.integers(1, 4)),
+)
+_clean_approx = st.one_of(st.integers(-9, 9), st.floats(-10, 10, allow_nan=False))
+_any_entry = st.one_of(
+    _clean_exact,
+    st.integers(-10 ** 30, 10 ** 30),
+    st.floats(),  # inf and nan included
+    st.booleans(),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-50, 50), st.integers(-3, 3)),
+    st.sampled_from(["1e400", "1e-400", "-1.5e3", "abc", "", " 2 ", "1/2/3", "0x10"]),
+    st.none(),
+    st.just([]),
+    st.just({"p": 1}),
+)
+_MATRIX_COMMANDS = [
+    ["jordan"], ["jordan", "--mode", "add", "--setting", "algebra"], ["snsplit"],
+    ["classify"], ["classify", "--setting", "algebra"],
+    ["explog", "exp", "--domain", "nilpotent"], ["explog", "exp", "--domain", "hyperbolic"],
+    ["explog", "log", "--domain", "hyperbolic"], ["explog", "log", "--domain", "exponential"],
+    ["explog", "log", "--domain", "nilpotent"], ["replica"], ["cartan", "kak"], ["cartan", "kan"],
+]
+_ALGEBRA_COMMANDS = [["lie", "close"], ["lie", "radical"], ["lie", "levi"], ["flag", "engel"],
+                     ["flag", "split"], ["cartan", "split"], ["cartan", "roots"]]
+
+
+@st.composite
+def _matrix_json(draw, n):
+    mode = draw(st.sampled_from(["exact", "approx"]))
+    kind = draw(st.sampled_from(["clean", "clean", "any"]))
+    entry = {"exact": _clean_exact, "approx": _clean_approx}[mode] if kind == "clean" else _any_entry
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if n > 1 and draw(st.integers(0, 9)) == 0:
+        rows[-1] = rows[-1][:-1]  # ragged
+    return {"mode": mode, "entries": rows}
+
+
+@st.composite
+def _cli_calls(draw):
+    n = draw(st.integers(1, 3))
+    track = draw(st.sampled_from([[], ["--exact"], ["--approx"]]))
+    if draw(st.booleans()):
+        return track + draw(st.sampled_from(_MATRIX_COMMANDS)), draw(_matrix_json(n))
+    mats = draw(st.lists(_matrix_json(n), min_size=1, max_size=2))
+    key = draw(st.sampled_from(["generators", "basis"]))
+    return track + draw(st.sampled_from(_ALGEBRA_COMMANDS)), {key: mats}
+
+
+@settings(max_examples=400, deadline=None)
+@given(_cli_calls())
+def test_cli_fuzzed_inputs_end_in_json(tmp_path_factory, call):
+    from nashkit.cli import main
+
+    argv, doc = call
+    path = tmp_path_factory.mktemp("fuzz") / "input.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + [str(path)])  # an uncaught exception fails the test here
+    assert code in (0, 2, 3, 4), (argv, doc, out.getvalue())
+    json.loads(out.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -340,6 +340,99 @@ def test_linear_count_real_roots_matches_sympy(c0, c1, lo_kind, hi_kind, gap):
     pick = {"none": None, "root": root, "below": root - gap, "above": root + gap}
     lo, hi = pick[lo_kind], pick[hi_kind]
     assume(lo is None or hi is None or lo <= hi)
+    assert count_real_roots(p, lo, hi) == _sympy_count(p, lo, hi)
+
+
+# -- irreducible_factors and count_real_roots against sympy --------------------------
+
+
+def _sympy_factors(p: Polynomial) -> list[tuple[Polynomial, int]]:
+    _, factors = p.to_sympy().factor_list()
+    out = [(Polynomial.from_sympy(q).monic(), int(e)) for q, e in factors]
+    return sorted(out, key=lambda fe: (fe[0].degree, fe[0].coeffs))
+
+
+def _sympy_count(p: Polynomial, lo, hi) -> int:
     sp_lo = -sympy.oo if lo is None else sympy.Rational(lo.numerator, lo.denominator)
     sp_hi = sympy.oo if hi is None else sympy.Rational(hi.numerator, hi.denominator)
-    assert count_real_roots(p, lo, hi) == int(p.to_sympy().count_roots(sp_lo, sp_hi))
+    return int(p.to_sympy().count_roots(sp_lo, sp_hi))
+
+
+_nonzero = _fractions.filter(bool)
+
+
+@st.composite
+def _factored_polynomials(draw, max_degree):
+    """(product, its rational roots): a constant times random rational factors of
+    degree 1-4 with multiplicities 1-3, sometimes with a root at 0."""
+    p = Polynomial.of([draw(_nonzero)])
+    roots = []
+    for _ in range(draw(st.integers(0, 3))):
+        deg = draw(st.integers(1, 4))
+        q = Polynomial.of([draw(_fractions) for _ in range(deg)] + [draw(_nonzero)])
+        e = draw(st.integers(1, 3))
+        if p.degree + e * deg > max_degree:
+            continue
+        if deg == 1:
+            roots.append(-q.coeffs[0] / q.coeffs[1])
+        for _ in range(e):
+            p = p * q
+    if p.degree < max_degree and draw(st.booleans()):
+        p = p * Polynomial.of([0, 1])
+        roots.append(Fraction(0))
+    return p, roots
+
+
+@settings(max_examples=150, deadline=None)
+@given(_factored_polynomials(max_degree=16))
+def test_irreducible_factors_match_sympy(case):
+    p, _ = case
+    assert irreducible_factors(p) == _sympy_factors(p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_factored_polynomials(max_degree=8), st.data())
+def test_count_real_roots_matches_sympy(case, data):
+    p, roots = case
+    point = st.one_of(st.none(), _fractions, *([st.sampled_from(roots)] if roots else []))
+    lo, hi = data.draw(point), data.draw(point)
+    if data.draw(st.booleans()):
+        hi = lo  # the closed interval of one point
+    if lo is not None and hi is not None and lo > hi:
+        lo, hi = hi, lo
+    assert count_real_roots(p, lo, hi) == _sympy_count(p, lo, hi)
+
+
+def test_count_real_roots_examples():
+    p = Polynomial.of([-1, 0, 1]) * Polynomial.of([-1, 0, 1])  # (t^2 - 1)^2
+    assert count_real_roots(p) == 2
+    assert count_real_roots(p, Fraction(1), Fraction(1)) == 1
+    assert count_real_roots(p, Fraction(-1), Fraction(1)) == 2
+    assert count_real_roots(p, Fraction(1, 2), Fraction(1)) == 1
+    assert count_real_roots(p, None, Fraction(-1)) == 1
+    assert count_real_roots(Polynomial.of([1, 0, 1])) == 0
+    assert count_real_roots(Polynomial.of([3])) == 0
+
+
+def test_irreducible_factors_examples():
+    t = Polynomial.of([0, 1])
+    assert irreducible_factors(Polynomial.of([5])) == []
+    assert irreducible_factors(t * t * t) == [(t, 3)]
+    cubic = Polynomial.of([-2, 0, 0, 1])  # t^3 - 2 has no rational root
+    half = Polynomial.of([Fraction(-1, 2), 1])
+    assert irreducible_factors(cubic * cubic * half.scale(6)) == [(half, 1), (cubic, 2)]
+    # the root 1000 is near the Cauchy bound 1 + 1000 of t^3 - 1000 t^2 + t - 1000, so the
+    # lift must reach a modulus above twice it
+    big, quad = Polynomial.of([-1000, 1]), Polynomial.of([1, 0, 1])
+    assert irreducible_factors(big * quad) == [(big, 1), (quad, 1)]
+    with pytest.raises(ZeroPolynomial):
+        irreducible_factors(Polynomial.of([]))
+
+
+def test_exact_constructors_keep_tol():
+    tol = 1e-3
+    built = [Matrix.identity(2, tol=tol), Matrix.zero(2, tol=tol), Matrix.diagonal([1, 2], tol=tol),
+             Matrix.exact([[1, 2], [3, 4]], tol=tol),
+             matrix_from_json({"mode": "exact", "entries": [["1", "2"], ["3", "4"]]}, tol=tol)]
+    assert all(m.mode == "exact" and m.tol == tol for m in built)
+    assert (Matrix.exact([[1, 1], [0, 1]], tol=tol) ** 3).tol == tol

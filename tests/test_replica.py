@@ -1,12 +1,17 @@
 import itertools
 from fractions import Fraction
+from math import prod
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nashkit.errors import IrrationalSpectrum, NotHyperbolic, NotPositiveRational
 from nashkit.explog import exp_nilpotent
 from nashkit.matrix_core import Matrix, exact_solve
 from nashkit.replica import (
+    _integer_kernel,
     exponent_lattice,
     hom_space_dimension,
     replica,
@@ -41,6 +46,29 @@ def test_exponent_lattice_powers_of_two():
     assert in_lattice_span([1, 1, -1], lat, 3)
     assert in_lattice_span([3, 0, -1], lat, 3)
     assert not in_lattice_span([1, 0, 0], lat, 3)
+
+
+def _factorint_lattice(values):
+    """The relation lattice from prime-exponent rows, by sympy's factorint."""
+    exps = []
+    for v in values:
+        fac = dict(sympy.factorint(v.numerator))
+        for p, e in sympy.factorint(v.denominator).items():
+            fac[p] = fac.get(p, 0) - e
+        exps.append(fac)
+    primes = sorted({p for fac in exps for p in fac})
+    return _integer_kernel([[fac.get(p, 0) for p in primes] for fac in exps], len(values))
+
+
+# products of small numbers sharing factors, so the coprime base must refine
+_smooth = st.lists(st.sampled_from([2, 3, 4, 5, 6, 9, 10, 12, 15, 49, 2 ** 61 - 1]),
+                   max_size=4).map(prod)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.builds(Fraction, _smooth, _smooth), max_size=6))
+def test_exponent_lattice_matches_factorint(values):
+    assert exponent_lattice(values) == _factorint_lattice(values)
 
 
 def test_exponent_lattice_independent_primes():
