@@ -28,6 +28,7 @@ from .matrix_core import (
     EXACT,
     Matrix,
     Polynomial,
+    _deflate,
     char_poly,
     count_real_roots,
     float_rank,
@@ -72,34 +73,9 @@ class JordanTriple:
         return self.e, self.h, self.u
 
 
-# -- polynomial helpers -------------------------------------------------------
-
-
-def poly_ext_gcd(a: Polynomial, b: Polynomial):
-    """(g, u, v) with u*a + v*b = g = gcd(a, b), g monic."""
-    r0, r1 = a, b
-    u0, u1 = Polynomial.of([1]), Polynomial.of([])
-    v0, v1 = Polynomial.of([]), Polynomial.of([1])
-    while not r1.is_zero():
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    if r0.is_zero():
-        return r0, u0, v0
-    lead = r0.coeffs[-1]
-    inv = Fraction(1) / lead
-    return r0.scale(inv), u0.scale(inv), v0.scale(inv)
-
-
-def max_root_multiplicity(p: Polynomial) -> int:
-    """Largest multiplicity among the roots of p."""
-    g = p
-    count = 0
-    while g.degree > 0:
-        g = g.gcd(g.derivative())
-        count += 1
-    return max(count, 1)
+# -- root predicates on a squarefree polynomial -------------------------------
+# Each holds for a product exactly when it holds for each factor, so it is
+# decided on the squarefree part f by Sturm counts and deflation, unfactored.
 
 
 def _rational_sqrt(x: Fraction) -> Fraction | None:
@@ -111,58 +87,53 @@ def _rational_sqrt(x: Fraction) -> Fraction | None:
     return None
 
 
-def _all_roots_real(q: Polynomial) -> bool:
-    return count_real_roots(q) == q.degree
+def _all_roots_real(f: Polynomial, lo=None, hi=None) -> bool:
+    """All roots of the squarefree f real and in [lo, hi] (None: unbounded)."""
+    return count_real_roots(f, lo, hi) == f.degree
 
 
-def _all_roots_positive(q: Polynomial) -> bool:
-    if q.coeffs[0] == 0:
+def _all_roots_positive(f: Polynomial) -> bool:
+    return f.coeffs[0] != 0 and _all_roots_real(f, Fraction(0))
+
+
+def _all_roots_negative(f: Polynomial) -> bool:
+    return f.coeffs[0] != 0 and _all_roots_real(f, None, Fraction(0))
+
+
+def _roots_purely_imaginary(f: Polynomial) -> bool:
+    """All roots of the squarefree monic f on the imaginary axis (0 included)."""
+    if f.coeffs[0] == 0:  # strip the root 0
+        f = Polynomial.of(f.coeffs[1:])
+    if not f.is_even():
         return False
-    return count_real_roots(q, Fraction(0), None) == q.degree
+    # f = r(t^2): the roots of r are the squares of those of f, all real < 0
+    return _all_roots_negative(f.even_part_in_square())
 
 
-def _all_roots_negative(q: Polynomial) -> bool:
-    if q.coeffs[0] == 0:
+def _roots_modulus_one(f: Polynomial) -> bool:
+    """All roots of the squarefree monic f on the unit circle."""
+    for root in (Fraction(1), Fraction(-1)):  # strip the real roots on the circle
+        q, r = _deflate(f.coeffs, root)
+        if r == 0:
+            f = Polynomial.of(q)
+    # the other roots pair up as z, 1/z = conj(z), so f must be palindromic
+    d = f.degree
+    if d % 2 or any(f.coeffs[k] != f.coeffs[d - k] for k in range(d + 1)):
         return False
-    return count_real_roots(q, None, Fraction(0)) == q.degree
-
-
-def _roots_purely_imaginary(q: Polynomial) -> bool:
-    """All roots of the irreducible monic q on the imaginary axis (0 included)."""
-    if q.degree == 1:
-        return q.coeffs[0] == 0  # q = t
-    if not q.is_even():
-        return False
-    r = q.even_part_in_square()  # roots are the squares, must be real < 0
-    return _all_roots_real(r) and count_real_roots(r, Fraction(0), None) == 0
-
-
-def _roots_modulus_one(q: Polynomial) -> bool:
-    """All roots of the irreducible monic q on the unit circle."""
-    d = q.degree
-    if d == 1:
-        return q.coeffs[0] in (Fraction(1), Fraction(-1))
-    if d == 2:
-        b, c = q.coeffs[1], q.coeffs[0]
-        return c == 1 and b * b - 4 * c < 0
-    if d % 2 or q.coeffs[0] != 1:
-        return False
-    if any(q.coeffs[k] != q.coeffs[d - k] for k in range(d + 1)):
-        return False
-    # palindromic: q(t) = t^m Q(t + 1/t); roots on the circle iff Q has m
+    # palindromic: f(t) = t^m Q(t + 1/t); roots on the circle iff Q has m
     # real roots in [-2, 2]
     m = d // 2
     basis = [Polynomial.of([2]), Polynomial.of([0, 1])]  # t^k + t^-k in z
     for _ in range(2, m + 1):
         basis.append(Polynomial.of([0, 1]) * basis[-1] - basis[-2])
-    acc = Polynomial.of([q.coeffs[m]])
+    acc = Polynomial.of([f.coeffs[m]])
     for k in range(1, m + 1):
-        acc = acc + basis[k].scale(q.coeffs[m + k])
+        acc = acc + basis[k].scale(f.coeffs[m + k])
     return count_real_roots(acc, Fraction(-2), Fraction(2)) == m
 
 
 def _shifted_imaginary_part(q: Polynomial) -> Fraction | None:
-    """The common real part a when all roots of q are a + bi; None otherwise."""
+    """The common real part a when all roots of the irreducible q are a + bi; None otherwise."""
     d = q.degree
     a = -q.coeffs[d - 1] / d
     if _roots_purely_imaginary(q.compose_shift(a)):
@@ -176,33 +147,28 @@ def _shifted_imaginary_part(q: Polynomial) -> Fraction | None:
 def sn_split(x: Matrix) -> tuple[Matrix, Matrix]:
     """x = s + n with s semisimple, n nilpotent, both polynomials in x.
 
-    Exact track: Newton iteration on the squarefree part f of the
-    characteristic polynomial, s <- s - f(s) * g(s) with g the inverse of f'
-    modulo f; the defect f(s) squares its nilpotency depth each round.
-    Float track: the same iteration against the squarefree polynomial built
-    from the clustered spectrum, with a matrix inverse in place of g.
+    Exact track: the matrix Newton step s <- s - f(s) f'(s)^-1 (Couty,
+    Esterle and Zarouf 2011) for f the squarefree characteristic polynomial,
+    with the Bareiss inverse on ints.  f'(s) is invertible as f is
+    squarefree, and the nilpotency index of f(s) halves each round.  Float
+    track: the same step for the squarefree polynomial of the clusters.
     """
-    if x.mode == EXACT:
-        p = char_poly(x)
-        f = squarefree_part(p)
-        if f.eval_matrix(x).is_zero():
-            return x, Matrix.zero(x.n, EXACT)
-        g, u, _ = poly_ext_gcd(f.derivative(), f)
-        if g.degree != 0:
-            raise PostconditionFailed("squarefree part shares a root with its derivative")
-        u = u.scale(Fraction(1) / g.coeffs[0])
-        mult = max_root_multiplicity(p)
-        rounds = (mult - 1).bit_length() + 1  # ceil(log2(mult)) + 1
-        s = x
-        for _ in range(rounds):
-            fs = f.eval_matrix(s)
-            if fs.is_zero():
-                break
-            s = s - fs @ u.eval_matrix(s)
-        if not f.eval_matrix(s).is_zero():
-            raise PostconditionFailed("semisimple defect did not vanish")
-        return s, x - s
-    return _sn_split_approx(x)
+    if x.mode != EXACT:
+        return _sn_split_approx(x)
+    f = squarefree_part(char_poly(x))
+    df = f.derivative()
+    s, fs = x, f.eval_matrix(x)
+    for _ in range((x.n - 1).bit_length() + 1):  # ceil(log2 n) + 1 rounds
+        if fs.is_zero():
+            break
+        try:
+            s = s - fs @ df.eval_matrix(s).inv()
+        except NotInvertible:
+            raise PostconditionFailed("f'(s) is singular: f shares a root with f'") from None
+        fs = f.eval_matrix(s)
+    if not fs.is_zero():
+        raise PostconditionFailed("semisimple defect did not vanish")
+    return s, x - s
 
 
 def _squarefree_from_clusters(spec) -> list[float]:
@@ -262,23 +228,41 @@ def eigenprojections(s: Matrix, factors: list[Polynomial]) -> list[Matrix]:
     """Projections onto the kernels of q_j(s) for pairwise coprime monic q_j.
 
     The q_j must multiply to a polynomial killing s (here: its squarefree
-    characteristic polynomial); the projections then sum to the identity and
-    are polynomials in s.
+    characteristic polynomial).  p_j = rest_j(s) u_j(s) for rest_j the
+    product of the other q_i, a prefix times a suffix product of the q_i(s),
+    and u_j its inverse mod q_j: the first column of rest_j(C_j)^-1 for C_j
+    the companion matrix of q_j, as a(C_j) is multiplication by a on
+    Q[t]/(q_j) in the basis 1, t, ...  The p_j sum to the identity.
     """
-    full = Polynomial.of([1])
-    for q in factors:
-        full = full * q
+    k = len(factors)
+    vals = [q.eval_matrix(s) for q in factors]
+    # before[j] = vals[0] ... vals[j-1] and after[j] = vals[j+1] ... vals[k-1]; None if empty
+    before, after = [None] * k, [None] * k
+    for j in range(1, k):
+        before[j] = _times(before[j - 1], vals[j - 1])
+        after[k - 1 - j] = _times(vals[k - j], after[k - j])
     projs = []
-    for q in factors:
-        rest, rem = full.divmod(q)
-        assert rem.is_zero()
-        g, u, _ = poly_ext_gcd(rest % q, q)
-        if g.degree != 0:
-            raise PostconditionFailed("projection factors are not coprime")
-        u = u.scale(Fraction(1) / g.coeffs[0])
-        alpha = (rest * u) % full
-        projs.append(alpha.eval_matrix(s))
+    for j, q in enumerate(factors):
+        d = q.degree
+        c = Matrix.exact([[int(i == m + 1) for m in range(d - 1)] + [-q.coeffs[i]]
+                          for i in range(d)])
+        rest_c = Matrix.identity(d, EXACT, s.tol)
+        for other in factors[:j] + factors[j + 1:]:
+            rest_c = rest_c @ other.eval_matrix(c)
+        try:
+            nums, den = rest_c.inv().ints
+        except NotInvertible:
+            raise PostconditionFailed("projection factors are not coprime") from None
+        u = Polynomial.of([Fraction(row[0], den) for row in nums]).eval_matrix(s)
+        projs.append(_times(_times(before[j], after[j]), u))
     return projs
+
+
+def _times(a: Matrix | None, b: Matrix | None) -> Matrix | None:
+    """a @ b, with None standing for the identity."""
+    if a is None:
+        return b
+    return a if b is None else a @ b
 
 
 def _interp_on_clusters(spec, values) -> list[float]:
@@ -293,28 +277,32 @@ def _interp_on_clusters(spec, values) -> list[float]:
 # -- additive decomposition -------------------------------------------------------
 
 
+def _jordan_factors(x: Matrix) -> list[Polynomial]:
+    """Monic irreducible factors of the squarefree characteristic polynomial of an exact x."""
+    return [q for q, _ in irreducible_factors(squarefree_part(char_poly(x)))]
+
+
 def additive_jordan(x: Matrix) -> JordanTriple:
     """x = e + h + u, commuting; spectra purely imaginary / real / {0}."""
-    if x.mode == EXACT:
-        s, n = sn_split(x)
-        f = squarefree_part(char_poly(x))
-        factors = [q for q, _ in irreducible_factors(f)]
-        plan = []
-        for q in factors:
-            if _all_roots_real(q):
-                plan.append(("real", None))
-                continue
-            a = _shifted_imaginary_part(q)
-            if a is None:
-                return _additive_jordan_approx(x.to_approx())
-            plan.append(("shift", a))
-        projs = eigenprojections(s, factors)
-        h = Matrix.zero(x.n, EXACT)
-        for (kind, a), p in zip(plan, projs):
-            h = h + (s @ p if kind == "real" else p.scale(a))
-        e = s - h
-        return JordanTriple(e, h, n, ADDITIVE)
-    return _additive_jordan_approx(x)
+    if x.mode != EXACT:
+        return _additive_jordan_approx(x)
+    factors = _jordan_factors(x)
+    plan = []
+    for q in factors:
+        if _all_roots_real(q):
+            plan.append(("real", None))
+            continue
+        a = _shifted_imaginary_part(q)
+        if a is None:
+            return _additive_jordan_approx(x.to_approx())
+        plan.append(("shift", a))
+    s, n = sn_split(x)
+    projs = eigenprojections(s, factors)
+    h = Matrix.zero(x.n, EXACT)
+    for (kind, a), p in zip(plan, projs):
+        h = h + (s @ p if kind == "real" else p.scale(a))
+    e = s - h
+    return JordanTriple(e, h, n, ADDITIVE)
 
 
 def _additive_jordan_approx(x: Matrix) -> JordanTriple:
@@ -335,39 +323,38 @@ def multiplicative_jordan(x: Matrix) -> JordanTriple:
     """x = e * h * u, commuting; spectra on the circle / positive / {1}."""
     if not x.is_invertible():
         raise NotInvertible("multiplicative decomposition needs an invertible input")
-    if x.mode == EXACT:
-        s, n = sn_split(x)
-        f = squarefree_part(char_poly(x))
-        factors = [q for q, _ in irreducible_factors(f)]
-        plan = []
-        for q in factors:
-            if q.degree == 2 and q.coeffs[1] ** 2 - 4 * q.coeffs[0] < 0:
-                rho = _rational_sqrt(q.coeffs[0])
-                if rho is None:
-                    return _multiplicative_jordan_approx(x.to_approx())
-                plan.append(("circle", rho))
-            elif _all_roots_positive(q):
-                plan.append(("pos", None))
-            elif _all_roots_negative(q):
-                plan.append(("neg", None))
-            else:
+    if x.mode != EXACT:
+        return _multiplicative_jordan_approx(x)
+    factors = _jordan_factors(x)
+    plan = []
+    for q in factors:
+        if q.degree == 2 and q.coeffs[1] ** 2 - 4 * q.coeffs[0] < 0:
+            rho = _rational_sqrt(q.coeffs[0])
+            if rho is None:
                 return _multiplicative_jordan_approx(x.to_approx())
-        projs = eigenprojections(s, factors)
-        e = Matrix.zero(x.n, EXACT)
-        h = Matrix.zero(x.n, EXACT)
-        for (kind, rho), p in zip(plan, projs):
-            if kind == "pos":
-                e, h = e + p, h + s @ p
-            elif kind == "neg":
-                e, h = e - p, h - s @ p
-            else:
-                e = e + (s @ p).scale(Fraction(1) / rho)
-                h = h + p.scale(rho)
-        u = Matrix.identity(x.n) + s.inv() @ n
-        if not (e @ h @ u).close_to(x):
-            raise PostconditionFailed("multiplicative parts fail to reassemble the input")
-        return JordanTriple(e, h, u, MULTIPLICATIVE)
-    return _multiplicative_jordan_approx(x)
+            plan.append(("circle", rho))
+        elif _all_roots_positive(q):
+            plan.append(("pos", None))
+        elif _all_roots_negative(q):
+            plan.append(("neg", None))
+        else:
+            return _multiplicative_jordan_approx(x.to_approx())
+    s, n = sn_split(x)
+    projs = eigenprojections(s, factors)
+    e = Matrix.zero(x.n, EXACT)
+    h = Matrix.zero(x.n, EXACT)
+    for (kind, rho), p in zip(plan, projs):
+        if kind == "pos":
+            e, h = e + p, h + s @ p
+        elif kind == "neg":
+            e, h = e - p, h - s @ p
+        else:
+            e = e + (s @ p).scale(Fraction(1) / rho)
+            h = h + p.scale(rho)
+    u = Matrix.identity(x.n) + s.inv() @ n
+    if not (e @ h @ u).close_to(x):
+        raise PostconditionFailed("multiplicative parts fail to reassemble the input")
+    return JordanTriple(e, h, u, MULTIPLICATIVE)
 
 
 def _multiplicative_jordan_approx(x: Matrix) -> JordanTriple:
@@ -400,19 +387,17 @@ def classify(x: Matrix, setting: str) -> ElementClass:
     if setting == GROUP and not x.is_invertible():
         raise NotInvertible("group elements must be invertible")
     if x.mode == EXACT:
-        p = char_poly(x)
-        semisimple = squarefree_part(p).eval_matrix(x).is_zero()
-        factors = [q for q, _ in irreducible_factors(p)]
+        f = squarefree_part(char_poly(x))
+        semisimple = f.eval_matrix(x).is_zero()
         if setting == GROUP:
-            unipotent = factors == [Polynomial.of([-1, 1])]
-            elliptic = semisimple and all(_roots_modulus_one(q) for q in factors)
-            hyperbolic = semisimple and all(_all_roots_positive(q) for q in factors)
-            exponential = all(_all_roots_positive(q) for q in factors)
+            unipotent = f == Polynomial.of([-1, 1])
+            exponential = _all_roots_positive(f)
+            elliptic = semisimple and _roots_modulus_one(f)
         else:
-            unipotent = factors == [Polynomial.of([0, 1])]
-            elliptic = semisimple and all(_roots_purely_imaginary(q) for q in factors)
-            hyperbolic = semisimple and all(_all_roots_real(q) for q in factors)
-            exponential = all(_all_roots_real(q) for q in factors)
+            unipotent = f == Polynomial.of([0, 1])
+            exponential = _all_roots_real(f)
+            elliptic = semisimple and _roots_purely_imaginary(f)
+        hyperbolic = semisimple and exponential
         return ElementClass(elliptic, hyperbolic, unipotent, semisimple, exponential)
     return _classify_approx(x, setting)
 

@@ -18,14 +18,18 @@ from its integer output and reduced once.  ``Matrix.data``, the read-only
 array of reduced ``Fraction`` entries that ``entry``/``rows``/``vec``,
 hashing and the JSON wire format read, is built from ``ints`` on first
 access, and ``ints`` from ``data`` for matrices constructed from entries.
-``rref``, ``exact_solve``, ``exact_nullspace`` and the polynomial
+``rref``, ``exact_solve``, ``exact_nullspace`` and ``Polynomial``
 arithmetic stay on ``Fraction``.
 
-Rational roots come from p-adic lifting and real-root counts from Sturm
-sequences, both on Python ints and ``Fraction``.  sympy is imported on the
-first call of ``Polynomial.to_sympy``, which ``irreducible_factors`` makes
-only to factor a remainder that has no rational root and whose squarefree
-part has degree >= 4.
+Rational roots come from p-adic lifting, and squarefree parts and real-root
+counts from one Sturm sequence on Python ints (exact int division, no
+``Fraction`` Euclid).  Spectral predicates are answered on the squarefree
+part without factoring it, so only a Jordan plan (``jordan``'s exact
+``multiplicative_jordan`` and ``additive_jordan``) and exact ``spectrum``
+call ``irreducible_factors``.  sympy is imported on the first call of
+``Polynomial.to_sympy``, which ``irreducible_factors`` makes only to factor
+a remainder that has no rational root and whose squarefree part has degree
+>= 4.
 """
 
 from __future__ import annotations
@@ -529,21 +533,13 @@ class Polynomial:
     def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         if other.is_zero():
             raise ZeroPolynomial("division by the zero polynomial")
-        q = [Fraction(0)] * max(0, len(self.coeffs) - len(other.coeffs) + 1)
-        r = list(self.coeffs)
-        d = other.degree
-        lead = other.coeffs[-1]
-        while len(r) - 1 >= d and any(c != 0 for c in r):
-            while r and r[-1] == 0:
-                r.pop()
-            if len(r) - 1 < d:
-                break
-            f = r[-1] / lead
-            q[len(r) - 1 - d] = f
-            for i, c in enumerate(other.coeffs):
-                r[len(r) - 1 - d + i] -= f * c
-            r.pop()
-        return Polynomial.of(q), Polynomial.of(r)
+        r, d, lead = list(self.coeffs), other.degree, other.coeffs[-1]
+        q = [Fraction(0)] * max(0, len(r) - d)
+        for k in range(len(q) - 1, -1, -1):  # cancel the coefficient of t^(k+d)
+            c = q[k] = r[k + d] / lead
+            for i, x in enumerate(other.coeffs):
+                r[k + i] -= c * x
+        return Polynomial.of(q), Polynomial.of(r[:d])
 
     def __mod__(self, other: "Polynomial") -> "Polynomial":
         return self.divmod(other)[1]
@@ -571,16 +567,19 @@ class Polynomial:
                 acc = acc @ m + ident.scale(c)
             return acc
         # p(N/d) = sum_k (a_k/q) N^k d^-k = (sum_k a_k d^(deg-k) N^k) / (q d^deg),
-        # the sum by integer Horner steps
+        # the sum by integer Horner steps, the first of which is a scaling
         if self.is_zero():
             return Matrix.zero(m.n, EXACT, m.tol)
         nums, d = m.ints
         q = lcm(*[c.denominator for c in self.coeffs])
+        cs = [c.numerator * (q // c.denominator) * d ** k
+              for k, c in enumerate(reversed(self.coeffs))]
         diag = np.arange(m.n)
-        acc = np.zeros((m.n, m.n), dtype=object)
-        for k, c in enumerate(reversed(self.coeffs)):
+        acc = np.zeros((m.n, m.n), dtype=object) if len(cs) == 1 else nums * cs[0]
+        for c in cs[1:-1]:
+            acc[diag, diag] += c
             acc = np.dot(acc, nums)
-            acc[diag, diag] += c.numerator * (q // c.denominator) * d ** k
+        acc[diag, diag] += cs[-1]
         return Matrix.from_ints(acc, q * d ** self.degree, m.tol)
 
     def compose_shift(self, a: Fraction) -> "Polynomial":
@@ -641,9 +640,11 @@ def char_poly(m: Matrix) -> Polynomial:
 
 
 def _int_multiple(p: Polynomial) -> list[int]:
-    """Coefficients of L * p for L > 0 the lcm of their denominators."""
+    """Coefficients of c * p for the c > 0 that makes them coprime ints (primitive)."""
     scale = lcm(*[c.denominator for c in p.coeffs])
-    return [c.numerator * (scale // c.denominator) for c in p.coeffs]
+    ints = [c.numerator * (scale // c.denominator) for c in p.coeffs]
+    g = gcd(*ints)
+    return [x // g for x in ints]
 
 
 def _neg_prem(a: list[int], b: list[int]) -> list[int]:
@@ -671,10 +672,10 @@ def _neg_prem(a: list[int], b: list[int]) -> list[int]:
 def _sturm_sequence(p: Polynomial) -> list[list[int]]:
     """p_0 = p, p_1 = p', p_(k+1) = -(p_(k-1) mod p_k) up to the last nonzero term.
 
-    Each term is an int polynomial (lowest degree first) and a positive
-    multiple of the rational one; the last is gcd(p, p') times a constant.
-    Pseudo-remainders divided by their content keep the ints small where
-    ``Fraction`` remainders grow.
+    Each term is a primitive int polynomial (lowest degree first) and a
+    positive multiple of the rational one; the last is gcd(p, p') times a
+    constant.  Pseudo-remainders divided by their content keep the ints
+    small where ``Fraction`` remainders grow.
     """
     seq = [_int_multiple(p)]
     b = _int_multiple(p.derivative())
@@ -684,21 +685,31 @@ def _sturm_sequence(p: Polynomial) -> list[list[int]]:
     return seq
 
 
-def _squarefree(p: Polynomial) -> Polynomial:
-    """p / gcd(p, p'), monic, for p != 0."""
-    g = _sturm_sequence(p)[-1]
-    if len(g) == 1:
-        return p.monic()
-    q, r = p.divmod(Polynomial.of(g))
-    assert r.is_zero()
-    return q.monic()
+def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b for int polynomials (lowest degree first), b primitive and dividing a.
+
+    By Gauss's lemma b then divides a over the ints, so each step of the long
+    division divides exactly.
+    """
+    r, lead, top = list(a), b[-1], len(b) - 1
+    q = [0] * (len(a) - top)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + top] // lead
+        for i, x in enumerate(b):
+            r[k + i] -= c * x
+    assert not any(r), "the divisor does not divide exactly"
+    return q
 
 
 def squarefree_part(p: Polynomial) -> Polynomial:
-    """p / gcd(p, p'), monic."""
+    """p / gcd(p, p'), monic: the first Sturm term divided by the last."""
     if p.is_zero():
         raise ZeroPolynomial("squarefree part of the zero polynomial")
-    return _squarefree(p)
+    seq = _sturm_sequence(p)
+    if len(seq[-1]) == 1:
+        return p.monic()
+    q = _exact_quotient(seq[0], seq[-1])
+    return Polynomial.of([Fraction(c, q[-1]) for c in q])
 
 
 def _horner(cs: list[int], x: int, m: int = 0) -> int:
@@ -791,7 +802,7 @@ def irreducible_factors(p: Polynomial) -> list[tuple[Polynomial, int]]:
     """
     if p.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
-    f = _squarefree(p)
+    f = squarefree_part(p)
     rest = list(p.coeffs)
     out = []
     for root in _rational_roots(f):
@@ -840,8 +851,7 @@ def count_real_roots(p: Polynomial, lo=None, hi=None) -> int:
         return 0
     seq = _sturm_sequence(p)
     if len(seq[-1]) > 1:  # repeated roots: divide every term by g
-        g = Polynomial.of(seq[-1])
-        seq = [_int_multiple(Polynomial.of(s).divmod(g)[0]) for s in seq]
+        seq = [_exact_quotient(s, seq[-1]) for s in seq]
 
     def signs(x, end: int) -> list[int]:
         if x is None:  # x = end * infinity: the leading term's sign
@@ -858,10 +868,9 @@ def count_real_roots(p: Polynomial, lo=None, hi=None) -> int:
 
 def rational_eigenvalues(m: Matrix) -> list[Fraction] | None:
     """Distinct eigenvalues of an exact matrix, ascending; None unless all are rational."""
-    factors = irreducible_factors(char_poly(m))
-    if any(q.degree > 1 for q, _ in factors):
-        return None
-    return sorted(-q.coeffs[0] for q, _ in factors)
+    f = squarefree_part(char_poly(m))
+    roots = _rational_roots(f)
+    return sorted(roots) if len(roots) == f.degree else None
 
 
 # -- spectra ---------------------------------------------------------------------

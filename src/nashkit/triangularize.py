@@ -26,11 +26,12 @@ from .matrix_core import (
     APPROX,
     EXACT,
     Matrix,
+    _rational_roots,
     char_poly,
     count_real_roots,
     exact_nullspace,
-    irreducible_factors,
     spectrum,
+    squarefree_part,
 )
 
 
@@ -207,11 +208,11 @@ def _joint_eigenspace_exact(flat_ops: list[list[Fraction]], n: int) -> list[list
 
 def _rational_eigenvalue(r: Matrix) -> Fraction:
     """Smallest rational eigenvalue; NotSplit if none is real, promote if irrational."""
-    factors = irreducible_factors(char_poly(r))
-    linear = sorted(-q.coeffs[0] for q, _ in factors if q.degree == 1)
-    if linear:
-        return linear[0]
-    if any(count_real_roots(q) > 0 for q, _ in factors):
+    f = squarefree_part(char_poly(r))
+    roots = _rational_roots(f)
+    if roots:
+        return min(roots)
+    if count_real_roots(f) > 0:
         raise _Irrational
     raise NotSplit("the action has no real eigenvalue at this step")
 
@@ -233,6 +234,7 @@ def _common_eigenvector_float(g: LieAlgebraData):
 
 
 def _joint_eigenspace_float(ops: list[np.ndarray], n: int, tol: float) -> list[np.ndarray]:
+    """Float ``_joint_eigenspace_exact``; tol is absolute for the input rows."""
     rows = np.array([o.ravel() for o in ops]) if ops else np.zeros((0, n * n))
     if rows.size == 0:
         return [np.eye(n)[i] for i in range(n)]
@@ -240,11 +242,12 @@ def _joint_eigenspace_float(ops: list[np.ndarray], n: int, tol: float) -> list[n
     rank = int(np.sum(s > tol))
     if rank == 0:
         return [np.eye(n)[i] for i in range(n)]
+    unit_tol = tol / s[0]  # for the unit-scale rows built from vt, and for r
     basis = [vt[i].reshape(n, n) for i in range(rank)]
     derived = [a @ b - b @ a for a in basis for b in basis]
     drows = np.array([d.ravel() for d in derived])
     dsv = np.linalg.svd(drows, compute_uv=False)
-    drank = int(np.sum(dsv > tol))
+    drank = int(np.sum(dsv > unit_tol))
     if drank >= rank:
         raise NotSolvable("derived span did not shrink")
     # ideal = derived span extended to codimension one; z = the last direction
@@ -253,26 +256,26 @@ def _joint_eigenspace_float(ops: list[np.ndarray], n: int, tol: float) -> list[n
     z = None
     for b in basis:
         cand = np.array([m.ravel() for m in ideal] + [b.ravel()])
-        r = int(np.sum(np.linalg.svd(cand, compute_uv=False) > tol))
+        r = int(np.sum(np.linalg.svd(cand, compute_uv=False) > unit_tol))
         if r > len(ideal):
             if len(ideal) < rank - 1:
                 ideal.append(b)
             else:
                 z = b
                 break
-    if z is None:  # the unit basis rows all fall below tol, which scales with the input norm
+    if z is None:
         raise NumericalFailure("no direction extends the derived span at the working tolerance")
-    w = _joint_eigenspace_float(ideal, n, tol)
+    w = _joint_eigenspace_float(ideal, n, unit_tol)
     q, _ = np.linalg.qr(np.array(w).T)  # orthonormalize the eigenspace
     r = q.T @ z @ q
     vals = np.linalg.eigvals(r)
-    real = sorted((v for v in vals if abs(v.imag) <= tol * (1 + abs(v))),
+    real = sorted((v for v in vals if abs(v.imag) <= unit_tol * (1 + abs(v))),
                   key=lambda v: v.real)
     if not real:
         raise NotSplit("the action has no real eigenvalue at this step")
     lam = real[0].real
     shifted = r - lam * np.eye(r.shape[0])
-    kern = _float_kernel(shifted, max(tol, 1e-12 * (1.0 + np.linalg.norm(r))), r.shape[0])
+    kern = _float_kernel(shifted, max(unit_tol, 1e-12 * (1.0 + np.linalg.norm(r))), r.shape[0])
     if kern.shape[0] == 0:
         raise PostconditionFailed("restricted operator lost its eigenvalue")
     return [q @ kv for kv in kern]
@@ -308,9 +311,9 @@ def algebra_from_float(g: LieAlgebraData) -> LieAlgebraData:
 
 def _check_real_spectrum(b: Matrix):
     if b.mode == EXACT:
-        for q, _ in irreducible_factors(char_poly(b)):
-            if count_real_roots(q) != q.degree:
-                raise NotSplit("a basis element has non-real eigenvalues")
+        f = squarefree_part(char_poly(b))
+        if count_real_roots(f) != f.degree:
+            raise NotSplit("a basis element has non-real eigenvalues")
     else:
         spec = spectrum(b)
         if any(abs(v.imag) > b.abs_tol() for v in spec.values()):

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -119,8 +120,13 @@ def test_exact_calls_leave_sympy_unloaded(tmp_path):
         ["0", "0", "2"], ["1", "0", "0"], ["0", "1", "0"]]})
     rot = write(tmp_path, "rot.json", {"mode": "exact", "entries": [
         ["0", "-2", "0"], ["2", "0", "0"], ["1", "0", "3"]]})
+    # char poly (t^2 + 1)(t^2 + 4): no rational root, squarefree part of degree 4
+    quartic = write(tmp_path, "quartic.json", {"mode": "exact", "entries": [
+        ["0", "-1", "0", "0"], ["1", "0", "1", "0"], ["0", "0", "0", "-2"], ["0", "0", "2", "0"]]})
     calls = [["jordan", tri], ["jordan", "--mode", "add", cubic], ["jordan", rot],
-             ["classify", cubic], ["classify", "--setting", "algebra", rot], ["replica", tri]]
+             ["classify", cubic], ["classify", "--setting", "algebra", rot], ["replica", tri],
+             ["classify", quartic], ["classify", "--setting", "algebra", quartic],
+             ["snsplit", quartic]]
     code = ("import contextlib, io, json, sys\n"
             "from nashkit.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -319,10 +325,6 @@ _FUZZ_FINDINGS = [  # inputs that ended in a traceback before they were handled
     # an eigenvalue of x^T x underflows to 0.0 before its log is taken
     (["--exact", "cartan", "kak"], {"mode": "approx", "entries": [[0, 1], [_TINY, 0]]},
      4, "NumericalFailure"),
-    # the tolerance scales with the norm, so no unit direction extends the derived span
-    (["flag", "split"],
-     {"basis": [{"mode": "exact", "entries": [[-2.0935988701599332e16, -2], [2, -2]]}]},
-     4, "NumericalFailure"),
 ]
 
 
@@ -332,6 +334,24 @@ def test_fuzz_findings_end_in_json(tmp_path, capsys, argv, doc, exit_code, error
 
     assert main(argv + [write(tmp_path, "in.json", doc)]) == exit_code
     assert json.loads(capsys.readouterr().out)["error"] == error
+
+
+@pytest.mark.parametrize("mode", ["exact", "approx"])
+def test_split_flag_of_a_large_norm_element(tmp_path, capsys, mode):
+    # real distinct eigenvalues, so a split flag exists; the rank tests on
+    # unit rows once compared against a tolerance that grows with the norm
+    from nashkit.cli import main
+
+    b = [[-2.0935988701599332e16, -2], [2, -2]]
+    doc = {"basis": [{"mode": mode, "entries": b}]}
+    assert main(["flag", "split", write(tmp_path, "in.json", doc)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    p = np.array(out["change_of_basis"]["entries"], dtype=float)
+    conj = np.linalg.solve(p, np.array(b) @ p)
+    assert abs(conj[1, 0]) <= 1e-8 * np.linalg.norm(b)
+    stages = out["flag"]["stages"]
+    assert out["flag"]["complete"] and [len(stage) for stage in stages] == [1, 2]
+    np.testing.assert_allclose(stages[0][0], p[:, 0])
 
 
 _clean_exact = st.one_of(

@@ -56,6 +56,15 @@ def _block(a, b):
     return Matrix.exact(rows)
 
 
+def _companion(low):
+    """Companion matrix of the monic polynomial t^n + low[n-1] t^(n-1) + ... + low[0]."""
+    n = len(low)
+    rows = [[int(i == j + 1) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        rows[i][n - 1] = -low[i]
+    return Matrix.exact(rows)
+
+
 def _unimodular(n, seed):
     rng = np.random.Generator(np.random.Philox(key=[seed, 7]))
     rows = Matrix.identity(n).rows()
@@ -115,6 +124,25 @@ def _inputs():
         for setting in ("group", "algebra"):
             cases.append((f"classify_{setting}_{name}", ["classify", "--setting", setting],
                           matrix_to_json(m)))
+    # spectra that the squarefree-part predicates decide without factoring
+    rot = Matrix.exact([["3/5", "-4/5"], ["4/5", "3/5"]])
+    spectral = {
+        "signs_rotation": _block(Matrix.diagonal([-1, 1]), rot),
+        "imag_zero": _block(Matrix.zero(1), _block(Matrix.exact([[0, -1], [1, 0]]),
+                                                    Matrix.exact([[0, -2], [2, 0]]))),
+        "repeated_complex": Matrix.exact([[1, -2, 1, 0], [2, 1, 0, 1],  # (t^2 - 2t + 5)^2
+                                          [0, 0, 1, -2], [0, 0, 2, 1]]),
+    }
+    for name, m in spectral.items():
+        c = _unimodular(m.n, 21)
+        spectral[name] = c @ m @ c.inv()
+    spectral["phi10"] = _companion([1, -1, 1, -1])  # t^4 - t^3 + t^2 - t + 1
+    spectral["salem"] = _companion([1, -1, -1, -1])  # t^4 - t^3 - t^2 - t + 1
+    for name, m in spectral.items():
+        for argv in (["jordan", "--mode", "mul"],
+                     ["jordan", "--mode", "add", "--setting", "algebra"],
+                     ["classify", "--setting", "group"], ["classify", "--setting", "algebra"]):
+            cases.append((f"{argv[0]}_{argv[2]}_{name}", argv, matrix_to_json(m)))
     return cases
 
 

@@ -3,19 +3,27 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nashkit.errors import NotAbelian, NotInvertible
 from nashkit.explog import matrix_exp
 from nashkit.jordan import (
     ALGEBRA,
     GROUP,
+    _all_roots_negative,
+    _all_roots_positive,
+    _all_roots_real,
+    _roots_modulus_one,
+    _roots_purely_imaginary,
     abelian_ehu_split,
     additive_jordan,
     classify,
+    eigenprojections,
     multiplicative_jordan,
     sn_split,
 )
-from nashkit.matrix_core import Matrix, char_poly, squarefree_part
+from nashkit.matrix_core import Matrix, Polynomial, char_poly, rational_eigenvalues, squarefree_part
 
 
 def test_sn_split_examples():
@@ -212,3 +220,185 @@ def test_silent_promotion_on_irrational_modulus():
     t = multiplicative_jordan(x)
     assert t.h.mode == "approx"
     assert (t.e @ t.h @ t.u - x.to_approx()).norm() <= 1e-9 * (1 + x.norm())
+
+
+# -- root predicates on the squarefree part against a per-factor reference ---------------
+
+
+_T = Polynomial.of([0, 1])
+_SPECIAL = [
+    _T, Polynomial.of([-1, 1]), Polynomial.of([1, 1]),
+    Polynomial.of([1, 1, 1, 1, 1]),  # Phi_5
+    Polynomial.of([1, -1, 1, -1, 1]),  # Phi_10
+    Polynomial.of([1, -1, -1, -1, 1]),  # Salem: two real roots, two on the circle
+]
+_rat = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+_factor = st.one_of(
+    st.sampled_from(_SPECIAL),
+    _rat.map(lambda a: Polynomial.of([-a, 1])),
+    st.tuples(_rat, _rat).map(lambda cb: Polynomial.of([cb[0], cb[1], 1])),  # real or complex
+    _rat.filter(lambda b: abs(b) < 2).map(lambda b: Polynomial.of([1, b, 1])),  # modulus one
+    _rat.map(lambda c: Polynomial.of([c, 0, 1])),  # even: t^2 + c
+    st.tuples(_rat, _rat).map(lambda cb: Polynomial.of([cb[0], 0, cb[1], 0, 1])),  # r(t^2)
+)
+_products = st.lists(st.tuples(_factor, st.integers(1, 3)), min_size=1, max_size=3)
+
+
+def _product(factors) -> Polynomial:
+    p = Polynomial.of([1])
+    for q, e in factors:
+        for _ in range(e):
+            p = p * q
+    return p
+
+
+def _companion(p: Polynomial) -> Matrix:
+    """Companion matrix of the monic p; its characteristic and minimal polynomials are p."""
+    d = p.degree
+    rows = [[Fraction(int(i == j + 1)) for j in range(d)] for i in range(d)]
+    for i in range(d):
+        rows[i][d - 1] = -p.coeffs[i]
+    return Matrix.exact(rows)
+
+
+def _reference(p: Polynomial) -> dict:
+    """The predicates decided factor by factor over sympy's factorization, on 40-digit roots."""
+    import sympy
+
+    _, factors = p.to_sympy().factor_list()
+    ref = {"real": True, "positive": True, "negative": True, "circle": True,
+           "imaginary": True, "squarefree": all(e == 1 for _, e in factors)}
+    monic = [Polynomial.from_sympy(q).monic() for q, _ in factors]
+    ref["irreducible"] = sorted(monic, key=lambda q: (q.degree, q.coeffs))
+    for q, _ in factors:
+        for z in q.nroots(n=40, maxsteps=200):
+            re, im = sympy.re(z), sympy.im(z)
+            real = bool(abs(im) < 1e-30)
+            ref["real"] &= real
+            ref["positive"] &= real and bool(re > 1e-30)
+            ref["negative"] &= real and bool(re < -1e-30)
+            ref["circle"] &= bool(abs(sympy.sqrt(re ** 2 + im ** 2) - 1) < 1e-30)
+            ref["imaginary"] &= bool(abs(re) < 1e-30)
+    linear = [q for q in monic if q.degree == 1]
+    ref["rational"] = sorted(-q.coeffs[0] for q in linear) if len(linear) == len(monic) else None
+    return ref
+
+
+@settings(max_examples=200, deadline=None)
+@given(_products)
+def test_squarefree_predicates_match_per_factor_reference(factors):
+    p = _product(factors)
+    f = squarefree_part(p)
+    ref = _reference(p)
+    assert _all_roots_real(f) == ref["real"]
+    assert _all_roots_positive(f) == ref["positive"]
+    assert _all_roots_negative(f) == ref["negative"]
+    assert _roots_modulus_one(f) == ref["circle"]
+    assert _roots_purely_imaginary(f) == ref["imaginary"]
+    if p.degree > 10:  # keeps the companion matrices small
+        return
+    x = _companion(p)
+    assert rational_eigenvalues(x) == ref["rational"]
+    semisimple = ref["squarefree"]  # the minimal polynomial of x is p
+    c = classify(x, ALGEBRA)
+    assert (c.elliptic, c.hyperbolic, c.unipotent, c.semisimple, c.exponential) == (
+        semisimple and ref["imaginary"], semisimple and ref["real"],
+        ref["irreducible"] == [_T], semisimple, ref["real"])
+    if p.coeffs[0] == 0:
+        with pytest.raises(NotInvertible):
+            classify(x, GROUP)
+        return
+    c = classify(x, GROUP)
+    assert (c.elliptic, c.hyperbolic, c.unipotent, c.semisimple, c.exponential) == (
+        semisimple and ref["circle"], semisimple and ref["positive"],
+        ref["irreducible"] == [Polynomial.of([-1, 1])], semisimple, ref["positive"])
+
+
+@pytest.mark.parametrize("f, circle, imaginary", [
+    (Polynomial.of([-1, 0, 1]), True, False),  # t^2 - 1: both roots +-1
+    (Polynomial.of([-1, 1]) * Polynomial.of([1, 0, 1]), True, False),  # (t - 1)(t^2 + 1)
+    (Polynomial.of([1, 1]) * Polynomial.of([1, -1, 1]), True, False),  # (t + 1)(t^2 - t + 1)
+    (Polynomial.of([2, 1, 1]), False, False),  # |z|^2 = 2, not palindromic
+    (Polynomial.of([1, -1, -1, -1, 1]), False, False),  # Salem, palindromic
+    (_T * Polynomial.of([1, 0, 1]) * Polynomial.of([4, 0, 1]), False, True),
+    (Polynomial.of([2, 0, 1]) * Polynomial.of([-1, 0, 1]), False, False),  # even, roots +-1 real
+])
+def test_squarefree_predicate_examples(f, circle, imaginary):
+    assert _roots_modulus_one(f) == circle
+    assert _roots_purely_imaginary(f) == imaginary
+
+
+# -- sn_split on Jordan blocks and eigenprojections ---------------------------------
+
+
+def _unimodular(n: int, seed: int) -> Matrix:
+    rng = np.random.default_rng(seed)
+    rows = np.eye(n, dtype=int)
+    for _ in range(3 * n):
+        i, j = rng.choice(n, size=2, replace=False)
+        rows[i] += int(rng.integers(-2, 3)) * rows[j]
+    return Matrix.exact(rows.tolist())
+
+
+def _block_diag(blocks: list[list[list]]) -> list[list]:
+    n = sum(len(b) for b in blocks)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            rows[at + i][at:at + len(b)] = [Fraction(v) for v in row]
+        at += len(b)
+    return rows
+
+
+def _jordan_blocks(spec):
+    """(x, s): a block diagonal of Jordan blocks and its semisimple part.
+
+    Each (d, k) in spec is a block with k copies of the 1x1 or 2x2 block d
+    on its diagonal and identities above them.
+    """
+    xs, ss = [], []
+    for d, k in spec:
+        d = np.array(d, dtype=object)
+        s = np.kron(np.eye(k, dtype=int), d)
+        xs.append(s + np.kron(np.eye(k, k=1, dtype=int), np.eye(len(d), dtype=int)))
+        ss.append(s)
+    return _block_diag(xs), _block_diag(ss)
+
+
+@pytest.mark.parametrize("spec", [
+    [([[2]], 6)],
+    [([[0]], 6)],
+    [([[Fraction(-1, 2)]], 5), ([[3]], 1)],
+    [([[1]], 3), ([[2]], 3)],
+    [([[1]], 4), ([[1]], 2)],
+    [([[1, -2], [2, 1]], 3)],
+    [([[0, -1], [1, 0]], 2), ([[2]], 2)],
+])
+def test_sn_split_on_conjugated_jordan_blocks(spec):
+    x, s_ref = _jordan_blocks(spec)
+    c = _unimodular(len(x), 11)
+    x = c @ Matrix.exact(x) @ c.inv()
+    s, n = sn_split(x)
+    assert s == c @ Matrix.exact(s_ref) @ c.inv()
+    assert n == x - s and (n ** x.n).is_zero()
+
+
+@pytest.mark.parametrize("factors", [
+    [Polynomial.of([-2, 1]), Polynomial.of([1, 0, 1]), Polynomial.of([-2, 0, 1])],
+    [Polynomial.of([1, 1, 1, 1, 1]), Polynomial.of([Fraction(1, 2), 1]), _T,
+     Polynomial.of([-3, 1]), Polynomial.of([5, -2, 1])],
+    [Polynomial.of([1, 1, 1, 1, 1])],
+])
+def test_eigenprojections_split_the_identity(factors):
+    x = Matrix.exact(_block_diag([_companion(q).rows() for q in factors]))
+    c = _unimodular(x.n, 5)
+    s = c @ x @ c.inv()
+    projs = eigenprojections(s, factors)
+    total = Matrix.zero(s.n)
+    for q, p in zip(factors, projs):
+        assert p @ p == p and p @ s == s @ p
+        assert (q.eval_matrix(s) @ p).is_zero()
+        assert p.trace() == q.degree  # the rank of the projection onto ker q(s)
+        total = total + p
+    assert total == Matrix.identity(s.n)
