@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
 from ._span import (
-    Subspace,
     bracket,
     coords_in_span,
     eigenspace,
@@ -34,7 +34,15 @@ from .errors import (
 )
 from .explog import exp_hyperbolic, log_hyperbolic
 from .liealg import LieAlgebraData, algebra_from_basis
-from .matrix_core import APPROX, EXACT, Matrix, exact_nullspace, rational_eigenvalues
+from .matrix_core import (
+    APPROX,
+    EXACT,
+    Matrix,
+    Subspace,
+    _combine,
+    exact_nullspace,
+    rational_eigenvalues,
+)
 
 
 @dataclass(frozen=True)
@@ -100,21 +108,17 @@ def maximal_abelian(split: CartanSplit, seed_index: int = 0) -> list[Matrix]:
 
 
 def _centralizer_in(p: list[Matrix], a: list[Matrix]) -> list[Matrix]:
-    """{x in span(p) : [x, a_i] = 0 for all i}, as matrices."""
+    """{x in span(p) : [x, a_i] = 0 for all i}, as matrices.
+
+    Row block i holds the entries of [p_j, a_i] in column j, all over one
+    denominator; a row block's scale leaves the kernel unchanged.
+    """
     rows = []
-    dim = p[0].n ** 2
     for ai in a:
-        cols = [list(bracket(pj, ai).vec()) for pj in p]
-        for r in range(dim):
-            rows.append([cols[j][r] for j in range(len(p))])
-    out = []
-    for coeffs in exact_nullspace(rows):
-        acc = Matrix.zero(p[0].n)
-        for c, pj in zip(coeffs, p):
-            if c != 0:
-                acc = acc + pj.scale(c)
-        out.append(acc)
-    return out
+        forms = [bracket(pj, ai).ints for pj in p]
+        den = lcm(*(d for _, d in forms))
+        rows += np.array([nums.reshape(-1) * (den // d) for nums, d in forms]).T.tolist()
+    return [_combine(coeffs, p, p[0].n) for coeffs in exact_nullspace(rows)]
 
 
 # -- restricted roots ---------------------------------------------------------------
@@ -136,8 +140,8 @@ def restricted_roots(g: LieAlgebraData, a_basis: list[Matrix]) -> RootDatum:
     d = g.dim
     g_space = Subspace(g.basis)
     ads = [_ad_matrix(g, g_space, a) for a in a_basis]
-    unit = [[Fraction(int(i == j)) for i in range(d)] for j in range(d)]
-    leaves: list[tuple[list[list[Fraction]], tuple[Fraction, ...]]] = [(unit, ())]
+    unit = [[int(i == j) for i in range(d)] for j in range(d)]
+    leaves: list[tuple[list[list], tuple[Fraction, ...]]] = [(unit, ())]
     for m in ads:
         refined = []
         for space, tag in leaves:

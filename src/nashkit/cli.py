@@ -336,9 +336,11 @@ def main(argv: list[str] | None = None) -> int:
         env = os.environ.get("NASHKIT_TOL")
         args.tol = float(env) if env else DEFAULT_TOL
     try:
-        # float steps on entries near the float range overflow to inf and are
-        # handled where they do (see Matrix.norm); numpy's warning adds nothing
-        with np.errstate(over="ignore"):
+        # float steps on entries near the ends of the float range overflow to
+        # inf, or divide by an underflowed 0 into inf and nan; they are handled
+        # where they occur (see Matrix.norm) or end in a NumericalFailure, so
+        # numpy's warnings add nothing
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             return args.func(args)
     except MalformedInput as exc:
         _emit({"error": "MalformedInput", "detail": str(exc)})

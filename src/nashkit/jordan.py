@@ -278,8 +278,8 @@ def _interp_on_clusters(spec, values) -> list[float]:
 
 
 def _jordan_factors(x: Matrix) -> list[Polynomial]:
-    """Monic irreducible factors of the squarefree characteristic polynomial of an exact x."""
-    return [q for q, _ in irreducible_factors(squarefree_part(char_poly(x)))]
+    """Monic irreducible factors of the characteristic polynomial of an exact x."""
+    return [q for q, _ in irreducible_factors(char_poly(x))]
 
 
 def additive_jordan(x: Matrix) -> JordanTriple:

@@ -16,7 +16,6 @@ from math import lcm
 import numpy as np
 
 from ._span import (
-    Subspace,
     bracket,
     coords_in_span,
     float_span_basis,
@@ -37,6 +36,8 @@ from .matrix_core import (
     APPROX,
     EXACT,
     Matrix,
+    Subspace,
+    _combine,
     _scaled,
     exact_nullspace,
     exact_solve,
@@ -352,13 +353,7 @@ def unipotent_radical(g: LieAlgebraData) -> list[Matrix]:
             break
         env = env_space.matrices()
     gram, _ = _trace_pairing(env, env)
-    rad_env = []
-    for v in exact_nullspace(gram.tolist()):
-        acc = Matrix.zero(g.ambient)
-        for i, c in enumerate(v):
-            if c != 0:
-                acc = acc + env[i].scale(c)
-        rad_env.append(acc)
+    rad_env = [_combine(v, env, g.ambient) for v in exact_nullspace(gram.tolist())]
     out = intersect(rad_env, list(g.basis))
     _check_unipotent_radical(g, out)
     return out

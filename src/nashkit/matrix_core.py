@@ -11,15 +11,18 @@ d)``: an object array of Python ints and a positive int ``d``, reduced so
 that ``gcd(d, *nums) == 1`` (``d`` is then the lcm of the entry
 denominators).  The exact kernels run on it: ``+``, ``-``, ``@``, ``scale``,
 ``trace``, ``T``, equality and ``float_array`` here, ``_span.bracket`` and
-``liealg``'s trace forms, ``_span.Subspace`` (integer echelon rows),
-polynomial evaluation, the characteristic polynomial (Faddeev-LeVerrier)
-and fraction-free (Bareiss) ``det``/``inv``.  A kernel's result is built
-from its integer output and reduced once.  ``Matrix.data``, the read-only
-array of reduced ``Fraction`` entries that ``entry``/``rows``/``vec``,
-hashing and the JSON wire format read, is built from ``ints`` on first
-access, and ``ints`` from ``data`` for matrices constructed from entries.
-``rref``, ``exact_solve``, ``exact_nullspace`` and ``Polynomial``
-arithmetic stay on ``Fraction``.
+``liealg``'s trace forms, polynomial evaluation, the characteristic
+polynomial (Faddeev-LeVerrier) and fraction-free (Bareiss) ``det``/``inv``.
+A kernel's result is built from its integer output and reduced once.
+``Matrix.data``, the read-only array of reduced ``Fraction`` entries that
+``entry``/``rows``/``vec``, hashing and the JSON wire format read, is built
+from ``ints`` on first access, and ``ints`` from ``data`` for matrices
+constructed from entries.
+
+``Subspace`` (integer echelon rows) is the one exact row reduction:
+``rref``, ``exact_nullspace`` and ``exact_solve`` read one, and Bareiss
+stays the square determinant and inverse kernel.  ``Polynomial``
+arithmetic stays on ``Fraction``.
 
 Rational roots come from p-adic lifting, and squarefree parts and real-root
 counts from one Sturm sequence on Python ints (exact int division, no
@@ -34,6 +37,7 @@ a remainder that has no rational root and whose squarefree part has degree
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isfinite, isqrt, lcm
@@ -378,61 +382,197 @@ def _sum_ints(a: tuple[np.ndarray, int], b: tuple[np.ndarray, int], sign: int,
     return Matrix.from_ints(na * (d // da) + nb * (sign * (d // db)), d, tol)
 
 
-# -- exact elimination kernels -------------------------------------------------
+# -- exact elimination: the integer echelon Subspace, and Bareiss det/inv ------
 
 
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over the rationals; returns (rows, pivot cols)."""
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
+class Subspace:
+    """Exact span of rational vectors, kept in reduced row echelon form.
+
+    The only exact row reduction: ``rref``, ``exact_nullspace`` and
+    ``exact_solve`` read one.  Row i of ``rows`` has a 1 in column
+    pivots[i] and a 0 in every other pivot column.  Each row is
+    stored as a primitive int vector with a positive pivot entry, so
+    elimination runs on Python ints; a matrix enters by its ``ints`` form
+    and a list of rationals by its numerators over their lcm.  Each row also
+    carries its combination of the added vectors that raised the rank, so
+    ``coords`` reads coordinates in the list the span was built from.
+    Vectors of different lengths raise ``ValueError``.
+    """
+
+    __slots__ = ("pivots", "length", "_rows", "_heads", "_lcm", "_combos", "_dens",
+                 "_picked", "_added")
+
+    def __init__(self, vecs=()):
+        self.pivots: list[int] = []
+        self.length: int | None = None
+        # row i of the echelon form is _rows[i] / _heads[i], _heads[i] = _rows[i, pivots[i]] > 0
+        self._rows = np.empty((0, 0), dtype=object)
+        self._heads: list[int] = []
+        self._lcm = 1  # of the heads
+        # _rows[i] == sum_k _combos[i, k] / _dens[i] * (added vector number _picked[k])
+        self._combos = np.empty((0, 0), dtype=object)
+        self._dens: list[int] = []
+        self._picked: list[int] = []
+        self._added = 0
+        for v in vecs:
+            self.add(v)
+
+    def __len__(self) -> int:
+        return len(self.pivots)
+
+    @property
+    def rows(self) -> list[list[Fraction]]:
+        """The echelon rows as rationals, each with a 1 at its pivot."""
+        return [[Fraction(x, h) for x in r] for r, h in zip(self._rows, self._heads)]
+
+    def _reduce(self, v) -> tuple[np.ndarray, int, np.ndarray, list[int]]:
+        """(a, d, res, coef): v = a / d in ints, and res = lcm(heads) * a - coef . rows.
+
+        coef[i] = a[pivots[i]] * lcm(heads) / heads[i], so res is lcm(heads) * d
+        times v minus its projection along the echelon rows; it is 0 at every pivot.
+        """
+        if isinstance(v, Matrix):
+            nums, d = v.ints
+            a = nums.reshape(-1)
+        else:
+            v = list(v)
+            d = lcm(*(x.denominator for x in v))
+            a = np.array([x.numerator * (d // x.denominator) for x in v], dtype=object)
+        if self.length is not None and len(a) != self.length:
+            raise ValueError(f"a length-{len(a)} vector in a span of length-{self.length} vectors")
+        coef = [a[p] * (self._lcm // h) for p, h in zip(self.pivots, self._heads)]
+        res = self._lcm * a
+        if any(coef):
+            res -= np.dot(np.array(coef, dtype=object), self._rows)
+        return a, d, res, coef
+
+    def add(self, v) -> bool:
+        """Adjoin v to the span; True when the rank rises."""
+        a, d, res, coef = self._reduce(v)
+        if self.length is None:
+            self.length = len(a)
+            self._rows = np.empty((0, self.length), dtype=object)
+        self._added += 1
+        nonzero = res.nonzero()[0]
+        if not len(nonzero):
+            return False
+        p = int(nonzero[0])
+        g = gcd(*res) if res[p] > 0 else -gcd(*res)
+        row = res // g
+        head = row[p]
+        # row = (lcm * d * v - coef . rows) / g, as a combination of the added vectors
+        rank = len(self.pivots)
+        den = lcm(*self._dens)
+        combo = np.zeros(rank + 1, dtype=object)
+        if rank:
+            weights = [c * (den // e) for c, e in zip(coef, self._dens)]
+            combo[:rank] = -np.dot(np.array(weights, dtype=object), self._combos)
+        combo[rank] = self._lcm * d * den
+        combo, cden = _reduced(combo, den * g)
+        # insert the new row at its pivot's place; old combinations get a 0 for the new vector
+        at = bisect(self.pivots, p)
+        rows = np.empty((rank + 1, self.length), dtype=object)
+        rows[:at], rows[at], rows[at + 1:] = self._rows[:at], row, self._rows[at:]
+        combos = np.zeros((rank + 1, rank + 1), dtype=object)
+        combos[:at, :rank], combos[at], combos[at + 1:, :rank] = (
+            self._combos[:at], combo, self._combos[at:])
+        self.pivots.insert(at, p)
+        self._heads.insert(at, head)
+        self._dens.insert(at, cden)
+        # clear column p from the other rows; each stays primitive with a positive head
+        for i in range(rank + 1):
+            f = rows[i, p]
+            if i == at or not f:
+                continue
+            rows[i] = head * rows[i] - f * row
+            gi = gcd(*rows[i])
+            rows[i] //= gi
+            self._heads[i] = rows[i, self.pivots[i]]
+            e = lcm(self._dens[i], cden)
+            combos[i], self._dens[i] = _reduced(
+                head * (e // self._dens[i]) * combos[i] - f * (e // cden) * combo, e * gi)
+        self._rows, self._combos = rows, combos
+        self._lcm = lcm(*self._heads)
+        self._picked.append(self._added - 1)
+        return True
+
+    def __contains__(self, v) -> bool:
+        return not self._reduce(v)[2].any()
+
+    def coords(self, v) -> list[Fraction] | None:
+        """Coordinates of v in the added vectors, or None if v is outside the span.
+
+        Vectors that did not raise the rank get coordinate 0, as the free
+        variables of ``exact_solve`` do.
+        """
+        a, d, res, _ = self._reduce(v)
+        if res.any():
+            return None
+        out = [Fraction(0)] * self._added
+        if not self.pivots:
+            return out
+        # v = sum_i a[p_i] / (d * heads[i]) * rows[i], each row a combination over _dens[i]
+        scales = [h * e for h, e in zip(self._heads, self._dens)]
+        den = lcm(*scales)
+        weights = np.array([a[p] * (den // s) for p, s in zip(self.pivots, scales)], dtype=object)
+        for index, x in zip(self._picked, np.dot(weights, self._combos)):
+            out[index] = Fraction(x, d * den)
+        return out
+
+    def matrices(self) -> list[Matrix]:
+        """The echelon rows as square exact matrices."""
+        n = isqrt(self.length or 0)
+        return [Matrix.from_ints(r.reshape(n, n).copy(), h)
+                for r, h in zip(self._rows, self._heads)]
 
 
-def exact_nullspace(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Basis of the right kernel of a rational matrix (rows of coefficients)."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+def rref(rows: list[list]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over the rationals; returns (rows, pivot cols).
+
+    The rows are those of ``Subspace(rows)``, padded with zero rows to the
+    input's count.
+    """
+    space = Subspace(rows)
+    ncols = len(rows[0]) if rows else 0
+    zeros = [[Fraction(0)] * ncols for _ in range(len(rows) - len(space))]
+    return space.rows + zeros, space.pivots
+
+
+def exact_nullspace(rows: list[list]) -> list[list[Fraction]]:
+    """Basis of the right kernel of a rational matrix (rows of coefficients).
+
+    One vector per free column c of the echelon form: 1 at c, minus the
+    echelon rows' entries in column c at their pivots, 0 elsewhere.
+    """
+    space = Subspace(rows)
+    ncols = len(rows[0]) if rows else 0
     basis = []
-    for fc in free:
+    for c in [c for c in range(ncols) if c not in space.pivots]:
         v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
+        v[c] = Fraction(1)
+        for p, row, head in zip(space.pivots, space._rows, space._heads):
+            v[p] = Fraction(-row[c], head)
         basis.append(v)
     return basis
 
 
-def exact_solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """One solution of A x = b over the rationals, or None if inconsistent."""
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    ncols = len(rows[0]) if rows else 0
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
-    return x
+def exact_solve(rows: list[list], rhs: list) -> list[Fraction] | None:
+    """One solution of A x = b over the rationals, or None if inconsistent.
+
+    The coordinates of b in the columns of A; free variables are 0.
+    """
+    return Subspace(zip(*rows)).coords(rhs)
+
+
+def _combine(coeffs, mats: list[Matrix], n: int) -> Matrix:
+    """sum_i coeffs[i] * mats[i] for rational coeffs and exact n x n mats, as one int sum."""
+    terms = [(Fraction(c), m) for c, m in zip(coeffs, mats) if c]
+    den = lcm(*(c.denominator * m.ints[1] for c, m in terms))
+    acc = np.zeros((n, n), dtype=object)
+    for c, m in terms:
+        nums, d = m.ints
+        acc += nums * (c.numerator * (den // (c.denominator * d)))
+    return Matrix.from_ints(acc, den, max([DEFAULT_TOL] + [m.tol for _, m in terms]))
 
 
 def _bareiss(rows: list[list[int]]) -> tuple[int, int]:
@@ -967,12 +1107,11 @@ def spectrum(m: Matrix) -> Spectrum:
 def nullspace(m: Matrix) -> list[np.ndarray]:
     """Basis of the kernel of m.
 
-    Exact mode uses rational elimination; approx mode thresholds singular
+    Exact mode reads it off the integer echelon form; approx mode thresholds singular
     values at tol * (1 + ||m||).
     """
     if m.mode == EXACT:
-        basis = exact_nullspace([list(r) for r in m.data])
-        return [np.array(v, dtype=object) for v in basis]
+        return [np.array(v, dtype=object) for v in exact_nullspace(m.ints[0].tolist())]
     _, s, vt = np.linalg.svd(m.data)
     thresh = m.abs_tol()
     small = [i for i in range(m.n) if (s[i] if i < len(s) else 0.0) <= thresh]

@@ -7,13 +7,14 @@ byte-for-byte for a fixed seed.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from ._span import bracket, in_span, intersect, span_dim, vec_coords
+from ._span import bracket, in_span, intersect, span_dim
 from .cartan_iwasawa import (
     cartan_split,
     iwasawa_kan,
@@ -32,7 +33,7 @@ from .liealg import (
     levi_complement,
     unipotent_radical,
 )
-from .matrix_core import EXACT, Matrix, char_poly, squarefree_part
+from .matrix_core import EXACT, Matrix, Subspace, char_poly, squarefree_part
 from .replica import exponent_lattice, replica_hyperbolic
 from .triangularize import engel_flag, split_triangularize
 
@@ -384,21 +385,9 @@ def _brute_force_relation_outside(values, lattice):
             prod *= Fraction(v) ** k
         return prod == 1
 
-    def in_span(vec) -> bool:
-        if not any(vec):
-            return True
-        if not lattice:
-            return False
-        cols = [[Fraction(lattice[j][i]) for j in range(len(lattice))] for i in range(m)]
-        from .matrix_core import exact_solve
-
-        return exact_solve(cols, [Fraction(v) for v in vec]) is not None
-
-    ranges = [range(-6, 7)] * m
-    import itertools
-
-    for vec in itertools.product(*ranges):
-        if is_relation(vec) and not in_span(vec):
+    space = Subspace(lattice)
+    for vec in itertools.product(*[range(-6, 7)] * m):
+        if is_relation(vec) and vec not in space:
             return vec
     return None
 
@@ -436,8 +425,7 @@ def _flag_killed(g: LieAlgebraData, flag) -> bool:
         for i in range(1, len(stages)):
             for v in stages[i]:
                 image = [sum(b.entry(r, c) * v[c] for c in range(n)) for r in range(n)]
-                prev = [list(w) for w in stages[i - 1]]
-                if any(x != 0 for x in image) and vec_coords(image, prev) is None:
+                if any(x != 0 for x in image) and image not in Subspace(stages[i - 1]):
                     return False
     return True
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._span import Subspace, bracket, eigenspace, restriction
+from ._span import bracket, eigenspace, restriction
 from .errors import (
     NotNilpotentAlgebra,
     NotSolvable,
@@ -26,7 +26,9 @@ from .matrix_core import (
     APPROX,
     EXACT,
     Matrix,
+    Subspace,
     _rational_roots,
+    _scaled,
     char_poly,
     count_real_roots,
     exact_nullspace,
@@ -52,14 +54,14 @@ def _flag_from_columns(cols: list[list]) -> Flag:
     return Flag(stages, complete=True)
 
 
-def _complete_columns(cols: list[list[Fraction]], n: int) -> list[list[Fraction]]:
-    """Extend the given independent columns with coordinate vectors."""
-    out = [list(c) for c in cols]
+def _complete_columns(cols: list[list[Fraction]], n: int) -> list[list]:
+    """Extend the given independent columns with (int) coordinate vectors."""
+    out = list(cols)
     space = Subspace(out)
     for j in range(n):
         if len(out) == n:
             break
-        unit = [Fraction(int(i == j)) for i in range(n)]
+        unit = [int(i == j) for i in range(n)]
         if space.add(unit):
             out.append(unit)
     return out
@@ -80,9 +82,9 @@ def engel_flag(g: LieAlgebraData) -> Flag:
     return _flag_from_columns(_pulled_back_columns(g, _joint_kernel_vector))
 
 
-def _joint_kernel_vector(blocks: list[list[list[Fraction]]], width: int) -> list[Fraction]:
+def _joint_kernel_vector(blocks: list[np.ndarray], width: int) -> list[Fraction]:
     """First basis vector of the joint kernel of the quotient actions."""
-    stacked = [row for block in blocks for row in block]
+    stacked = [row for block in blocks for row in block.tolist()]
     if not stacked:
         return [Fraction(int(i == 0)) for i in range(width)]
     kernel = exact_nullspace(stacked)
@@ -95,7 +97,8 @@ def _pulled_back_columns(g: LieAlgebraData, pick) -> list[list[Fraction]]:
     """Flag columns, each pulled back from the quotient by the columns so far.
 
     ``pick(blocks, width)`` chooses a vector of the quotient from the
-    actions of the basis elements on it (one width x width block each).
+    actions of the basis elements on it (one width x width block each, a
+    positive int multiple of the action).
     """
     n = g.ambient
     cols: list[list[Fraction]] = []
@@ -106,12 +109,13 @@ def _pulled_back_columns(g: LieAlgebraData, pick) -> list[list[Fraction]]:
         binv = bmat.inv()
         blocks = []
         for b in g.basis:
-            m = (binv @ b @ bmat).rows()
-            if any(m[i][j] != 0 for i in range(k, n) for j in range(k)):
+            m = (binv @ b @ bmat).ints[0]
+            if any(m[k:, :k].flat):
                 raise PostconditionFailed("flag stages are not invariant")
-            blocks.append([row[k:] for row in m[k:]])
-        lift = [Fraction(0)] * k + list(pick(blocks, n - k))
-        cols.append([sum(full[j][i] * lift[j] for j in range(n)) for i in range(n)])
+            blocks.append(m[k:, k:])
+        # pull back: the lift's entries weight the unit columns after the flag so far
+        lift, dl = _scaled(np.array(pick(blocks, n - k), dtype=object))
+        cols.append([Fraction(x, dl) for x in np.dot(lift, np.array(full[k:], dtype=object))])
     return cols
 
 
@@ -154,7 +158,7 @@ def common_eigenvector(g: LieAlgebraData) -> tuple[list, list]:
     """A joint eigenvector v and its character (one eigenvalue per basis element)."""
     if g.is_exact:
         try:
-            w = _joint_eigenspace_exact([list(b.vec()) for b in g.basis], g.ambient)
+            w = _joint_eigenspace_exact(list(g.basis), g.ambient)
             v = w[0]
             return list(v), _character_exact(g, v)
         except _Irrational:
@@ -163,19 +167,19 @@ def common_eigenvector(g: LieAlgebraData) -> tuple[list, list]:
 
 
 def _character_exact(g: LieAlgebraData, v: list[Fraction]) -> list[Fraction]:
-    n = g.ambient
-    pivot = next(i for i, x in enumerate(v) if x != 0)
+    a, _ = _scaled(np.array(v, dtype=object))
+    pivot = next(i for i, x in enumerate(a) if x)
     chars = []
     for b in g.basis:
-        image = [sum(b.entry(i, j) * v[j] for j in range(n)) for i in range(n)]
-        lam = image[pivot] / v[pivot]
-        if any(image[i] != lam * v[i] for i in range(n)):
+        nums, d = b.ints
+        image = np.dot(nums, a)  # d * b a; b v = lam v iff image is parallel to a
+        if any(image * a[pivot] - image[pivot] * a):
             raise PostconditionFailed("common eigenvector candidate is not joint")
-        chars.append(lam)
+        chars.append(Fraction(image[pivot], d * a[pivot]))
     return chars
 
 
-def _joint_eigenspace_exact(flat_ops: list[list[Fraction]], n: int) -> list[list[Fraction]]:
+def _joint_eigenspace_exact(flat_ops: list, n: int) -> list[list[Fraction]]:
     """Basis of a nonzero subspace on which every operator acts as a scalar.
 
     Classic induction: shrink to a codimension-one ideal containing the
@@ -324,8 +328,7 @@ def _split_triangularize_exact(g: LieAlgebraData) -> tuple[Matrix, Flag]:
     n = g.ambient
 
     def eigenvector(blocks, width):
-        flat = [[x for row in block for x in row] for block in blocks]
-        return _joint_eigenspace_exact(flat, width)[0]
+        return _joint_eigenspace_exact([block.reshape(-1) for block in blocks], width)[0]
 
     cols = _pulled_back_columns(g, eigenvector)
     p = Matrix.exact(cols).T

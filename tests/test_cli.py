@@ -151,6 +151,15 @@ def test_overflowing_float_input_prints_no_warning(tmp_path):
     }
 
 
+def test_underflowing_float_input_prints_no_warning(tmp_path):
+    # an eigenvalue of x^T x underflows to 0.0, and its log is -inf before the
+    # NumericalFailure: numpy's divide and invalid warnings must not reach stderr
+    path = write(tmp_path, "tiny.json", {"mode": "approx", "entries": [[0, 1], [_TINY, 0]]})
+    code, out, err = run_cli(["--exact", "cartan", "kak", path])
+    assert code == 4 and err == ""
+    assert json.loads(out)["error"] == "NumericalFailure"
+
+
 def test_cluster_ambiguity_exit_four(tmp_path):
     path = write(tmp_path, "close.json",
                  {"mode": "approx", "entries": [[1.0, 0.0], [0.0, 1.00000004]]})

@@ -8,10 +8,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import gauss_jordan as gj
 from integer_form import check_integer_form
-from nashkit._span import Subspace, bracket
+from nashkit._span import bracket, eigenspace, intersect, restriction
 from nashkit.liealg import ADJOINT, NATURAL, LieAlgebraData, trace_form
-from nashkit.matrix_core import Matrix, exact_solve, rref
+from nashkit.matrix_core import (
+    Matrix,
+    Subspace,
+    exact_nullspace,
+    exact_solve,
+    nullspace,
+    rational_eigenvalues,
+    rref,
+)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -28,7 +37,7 @@ def families(draw, max_vectors=6):
 
 
 def rank(vecs):
-    return len(rref(vecs)[1]) if vecs else 0
+    return len(gj.rref(vecs)[1]) if vecs else 0
 
 
 @settings(max_examples=80, deadline=None)
@@ -36,7 +45,7 @@ def rank(vecs):
 def test_echelon_rows_match_rref(data):
     vecs, _ = data
     space = Subspace(vecs)
-    red, pivots = rref(vecs) if vecs else ([], [])
+    red, pivots = gj.rref(vecs) if vecs else ([], [])
     assert space.rows == red[:len(pivots)]
     assert space.pivots == pivots
     assert len(space) == len(pivots)
@@ -60,7 +69,7 @@ def test_coords_rebuild_the_vector(data):
     for target in (v, combo):
         coords = space.coords(target)
         cols = [[x[i] for x in vecs] for i in range(len(target))]
-        reference = exact_solve(cols, target) if vecs else (
+        reference = gj.solve(cols, target) if vecs else (
             None if any(target) else [])
         assert coords == reference
         if coords is not None:
@@ -164,17 +173,99 @@ def test_subspace_of_matrices_with_large_denominators(data):
     mats, m, weights = data
     vecs = [list(x.vec()) for x in mats]
     space = Subspace(mats)
-    red, pivots = rref(vecs) if vecs else ([], [])
+    red, pivots = gj.rref(vecs) if vecs else ([], [])
     assert space.rows == red[:len(pivots)] and space.pivots == pivots
     for b in space.matrices():
         check_integer_form(b)
     combo = [sum((w * x[i] for w, x in zip(weights, vecs)), Fraction(0)) for i in range(m.n ** 2)]
     for target in (list(m.vec()), combo):
         cols = [[x[i] for x in vecs] for i in range(len(target))]
-        reference = exact_solve(cols, target) if vecs else (None if any(target) else [])
+        reference = gj.solve(cols, target) if vecs else (None if any(target) else [])
         assert space.coords(target) == reference
         assert (target in space) == (reference is not None)
     assert space.coords(m) == space.coords(list(m.vec()))
+
+
+# -- the elimination readers against the Fraction Gauss-Jordan reference ------------
+
+_ENTRY_KINDS = {
+    "small": entries,
+    "int": st.integers(-3, 3),
+    "large": st.one_of(st.just(Fraction(0)), st.builds(
+        Fraction, st.integers(-10 ** 20, 10 ** 20), st.sampled_from([7, 3 ** 40]))),
+    "zero": st.just(0),
+}
+
+
+def _fraction_image(z, v):
+    return [sum((Fraction(x) * y for x, y in zip(row, v)), Fraction(0)) for row in z]
+
+
+def _reference_restriction(z, basis):
+    cols = [[v[i] for v in basis] for i in range(len(z))]
+    coords = [gj.solve(cols, _fraction_image(z, v)) if basis else [] for v in basis]
+    return None if None in coords else Matrix.exact(coords).T
+
+
+def _reference_eigenspace(r, lam, basis):
+    shifted = [[x - lam * (i == j) for j, x in enumerate(row)] for i, row in enumerate(r.rows())]
+    combos = [[sum((k[a] * basis[a][i] for a in range(len(basis))), Fraction(0))
+               for i in range(len(basis[0]))] for k in gj.nullspace(shifted)]
+    return gj.span_rows(combos) if combos else []
+
+
+@st.composite
+def _elimination_inputs(draw):
+    """Rows of one entry kind (empty, all-zero, tall or wide), a right side, and n x n data."""
+    entry = _ENTRY_KINDS[draw(st.sampled_from(sorted(_ENTRY_KINDS)))]
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    x = draw(st.lists(entry, min_size=ncols, max_size=ncols))
+    rhs = draw(st.one_of(st.just(_fraction_image(rows, x)),
+                         st.lists(entry, min_size=nrows, max_size=nrows)))
+    n = draw(st.integers(1, 3))
+    square = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    z = draw(square)
+    a = draw(st.lists(square, min_size=1, max_size=3))
+    b = draw(st.lists(square, max_size=3))
+    if draw(st.booleans()):  # a shared direction
+        b.append([[p + q for p, q in zip(r, s)] for r, s in zip(a[0], a[-1])])
+    vecs = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=n))
+    return rows, rhs, z, a, b, vecs, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_elimination_inputs())
+def test_elimination_readers_match_gauss_jordan(data):
+    rows, rhs, z, a, b, vecs, krylov = data
+    assert rref(rows) == gj.rref(rows)
+    assert exact_nullspace(rows) == gj.nullspace(rows)
+    assert exact_solve(rows, rhs) == gj.solve(rows, rhs)
+    assert [list(v) for v in nullspace(Matrix.exact(z))] == gj.nullspace(z)
+
+    ma, mb = [Matrix.exact(m) for m in a], [Matrix.exact(m) for m in b]
+    va, vb = [list(m.vec()) for m in ma], [list(m.vec()) for m in mb]
+    kernel = gj.nullspace([[v[i] for v in va] + [-v[i] for v in vb]
+                           for i in range(len(z) ** 2)]) if a and b else []
+    common = [[sum((k[j] * va[j][i] for j in range(len(va))), Fraction(0))
+               for i in range(len(z) ** 2)] for k in kernel]
+    assert [list(m.vec()) for m in intersect(ma, mb)] == (gj.span_rows(common) if common else [])
+
+    # an invariant (Krylov) basis, or the echelon rows of random vectors
+    basis = gj.span_rows(vecs) if vecs else []
+    if krylov and basis:
+        basis = [basis[0]]
+        while True:
+            image = _fraction_image(z, basis[-1])
+            if rank(basis + [image]) == len(basis):
+                break
+            basis.append(image)
+    r = restriction(Matrix.exact(z), basis)
+    assert r == _reference_restriction(z, basis)
+    if r is not None and r.n:
+        for lam in (rational_eigenvalues(r) or []) + [Fraction(0)]:
+            assert eigenspace(r, lam, basis) == _reference_eigenspace(r, lam, basis)
 
 
 def test_tracer_self_test_passes():

@@ -2,10 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from nashkit._span import vec_coords
 from nashkit.errors import NotNilpotentAlgebra, NotSolvable, NotSplit
 from nashkit.liealg import algebra_from_basis, lie_closure
-from nashkit.matrix_core import Matrix
+from nashkit.matrix_core import Matrix, Subspace
 from nashkit.selftest import SPLIT_SOLVABLE_MEMBERS, battery
 from nashkit.triangularize import common_eigenvector, engel_flag, split_triangularize
 
@@ -25,7 +24,7 @@ def flag_respected(g, flag, strict=True):
             target = stages[i - 1] if strict else stages[i]
             for v in stages[i]:
                 image = [sum(b.entry(r, c) * v[c] for c in range(n)) for r in range(n)]
-                if any(x != 0 for x in image) and vec_coords(image, target) is None:
+                if any(x != 0 for x in image) and image not in Subspace(target):
                     return False
     return True
 
