@@ -5,12 +5,17 @@ The heavy structure computations (radical, unipotent radical, complement
 lifting) are exact-only: rank decisions compound, and the statements being
 computed are exact.  Closure, series, trace forms and the reductivity test
 also run on the float track with tolerance-based rank.
+
+The radical is read off the structure constants: [g, g] in coordinates,
+paired with the natural trace Gram.  The postcondition checks run on the
+matrix lists they are given, without building a ``LieAlgebraData``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, product
 from math import lcm
 
 import numpy as np
@@ -132,16 +137,13 @@ def _structure_constants(basis: list[Matrix], exact: bool, ideal=()) -> np.ndarr
     sc = np.empty((d, d, d), dtype=object if exact else float)
     sc[:] = Fraction(0) if exact else 0.0
     space = Subspace(basis + list(ideal)) if exact else basis
-    for i in range(d):
-        for j in range(d):
-            if i == j:
-                continue
-            br = bracket(basis[i], basis[j])
-            coords = coords_in_span(br, space) if exact else _f_coords(br, basis)
-            if coords is None:
-                raise ValueError("basis is not bracket closed")
-            for k in range(d):
-                sc[i, j, k] = coords[k]
+    for i, j in combinations(range(d), 2):
+        br = bracket(basis[i], basis[j])
+        coords = coords_in_span(br, space) if exact else _f_coords(br, basis)
+        if coords is None:
+            raise ValueError("basis is not bracket closed")
+        sc[i, j] = coords[:d]
+        sc[j, i] = 0 - sc[i, j]  # not -sc: float zeros stay +0.0, as lstsq gives them
     return sc
 
 
@@ -171,13 +173,12 @@ def lie_closure(generators: list[Matrix], ambient: int | None = None) -> LieAlge
     space = Subspace(basis) if exact else None
     while True:
         new = []
-        for i in range(len(basis)):
-            for j in range(i + 1, len(basis)):
-                br = bracket(basis[i], basis[j])
-                if br.is_zero():
-                    continue
-                if space.add(br) if exact else (_f_coords(br, basis + new) is None):
-                    new.append(br)
+        for a, b in combinations(basis, 2):
+            br = bracket(a, b)
+            if br.is_zero():
+                continue
+            if space.add(br) if exact else (_f_coords(br, basis + new) is None):
+                new.append(br)
         if not new:
             break
         # exact: each new bracket raised the rank, so basis + new stays independent
@@ -188,15 +189,13 @@ def lie_closure(generators: list[Matrix], ambient: int | None = None) -> LieAlge
 # -- series and solvability --------------------------------------------------------
 
 
-def series(g: LieAlgebraData, kind: str) -> list[list[Matrix]]:
-    """Derived or lower central series, from g down to the stable term."""
-    if kind not in (DERIVED, LOWER_CENTRAL):
-        raise ValueError(f"kind must be {DERIVED!r} or {LOWER_CENTRAL!r}")
-    exact = g.is_exact
-    chain = [list(g.basis)]
+def _series(basis: list[Matrix], kind: str) -> list[list[Matrix]]:
+    """Derived or lower central series of span(basis), from basis down to the stable term."""
+    exact = all(m.mode == EXACT for m in basis)
+    chain = [list(basis)]
     while True:
         current = chain[-1]
-        left = current if kind == DERIVED else list(g.basis)
+        left = current if kind == DERIVED else chain[0]
         brackets = [bracket(a, b) for a in left for b in current]
         nonzero = [m for m in brackets if not m.is_zero()]
         nxt = span_basis(nonzero) if exact else float_span_basis(nonzero)
@@ -208,32 +207,54 @@ def series(g: LieAlgebraData, kind: str) -> list[list[Matrix]]:
     return chain
 
 
+def series(g: LieAlgebraData, kind: str) -> list[list[Matrix]]:
+    """Derived or lower central series, from g down to the stable term."""
+    if kind not in (DERIVED, LOWER_CENTRAL):
+        raise ValueError(f"kind must be {DERIVED!r} or {LOWER_CENTRAL!r}")
+    return _series(list(g.basis), kind)
+
+
 def is_solvable(g: LieAlgebraData) -> bool:
-    return not series(g, DERIVED)[-1]
+    return not _series(list(g.basis), DERIVED)[-1]
 
 
 def is_nilpotent(g: LieAlgebraData) -> bool:
-    return not series(g, LOWER_CENTRAL)[-1]
+    return not _series(list(g.basis), LOWER_CENTRAL)[-1]
+
+
+def _brackets_inside(pairs, mats: list[Matrix]) -> bool:
+    """True when [a, b] lies in span(mats) for every pair (a, b)."""
+    space = Subspace(mats)
+    return all(bracket(a, b) in space for a, b in pairs)
 
 
 # -- trace forms ---------------------------------------------------------------------
 
 
-def _trace_pairing(xs: list[Matrix], ys: list[Matrix]) -> tuple[np.ndarray, int]:
-    """Integer form (G, D) of the exact numbers tr(x_i y_j) = G[i, j] / D.
+def _trace_gram(ms: list[Matrix]) -> tuple[np.ndarray, int]:
+    """Integer form (G, D) of the exact natural Gram tr(m_i m_j) = G[i, j] / D.
 
-    tr(X Y) = vec(X) . vec(Y^T), so with every X over the lcm Dx of the xs'
-    denominators and every Y over Dy, all traces are one integer product
-    over Dx * Dy, and no product matrix is built.
+    tr(X Y) = vec(X) . vec(Y^T), so with every m over the lcm L of the
+    denominators, all traces are one integer product over L * L, and no
+    product matrix is built.
     """
-    def stack(ms, transpose):
-        forms = [m.ints for m in ms]
-        den = lcm(*(d for _, d in forms))
-        return np.array([(nums.T if transpose else nums).reshape(-1) * (den // d)
-                         for nums, d in forms], dtype=object), den
+    k, n = len(ms), ms[0].n
+    den = lcm(*(m.ints[1] for m in ms))
+    a = np.array([nums.reshape(-1) * (den // d) for nums, d in (m.ints for m in ms)],
+                 dtype=object)
+    return np.dot(a, a.reshape(k, n, n).transpose(0, 2, 1).reshape(k, n * n).T), den * den
 
-    (a, da), (b, db) = stack(xs, False), stack(ys, True)
-    return np.dot(a, b.T), da * db
+
+def _killing_gram(sc: np.ndarray) -> Matrix:
+    """Exact Killing Gram tr(ad_i ad_j) = sum_{k,l} sc[i,k,l] sc[j,l,k].
+
+    One product of the integer structure constants, flattened over (k, l)
+    and (l, k).
+    """
+    d = len(sc)
+    nums, den = _scaled(sc)
+    gram = np.dot(nums.reshape(d, d * d), nums.transpose(0, 2, 1).reshape(d, d * d).T)
+    return Matrix.from_ints(gram, den * den)
 
 
 def trace_form(g: LieAlgebraData, rep: str = NATURAL) -> TraceFormGram:
@@ -245,14 +266,8 @@ def trace_form(g: LieAlgebraData, rep: str = NATURAL) -> TraceFormGram:
         return TraceFormGram(Matrix.exact([]), rep)
     if g.is_exact:
         if rep == NATURAL:
-            gram, den = _trace_pairing(list(g.basis), list(g.basis))
-        else:
-            # tr(ad_i ad_j) = sum_{k,l} sc[i,k,l] sc[j,l,k]: one product of the
-            # integer structure constants, flattened over (k, l) and (l, k)
-            nums, den = _scaled(g.structure_constants)
-            gram = np.dot(nums.reshape(d, d * d), nums.transpose(0, 2, 1).reshape(d, d * d).T)
-            den *= den
-        return TraceFormGram(Matrix.from_ints(gram, den), rep)
+            return TraceFormGram(Matrix.from_ints(*_trace_gram(list(g.basis))), rep)
+        return TraceFormGram(_killing_gram(g.structure_constants), rep)
     if rep == NATURAL:
         entries = [[(g.basis[i] @ g.basis[j]).trace() for j in range(d)] for i in range(d)]
     else:
@@ -277,49 +292,42 @@ def is_reductive(g: LieAlgebraData) -> bool:
 
 
 def radical(g: LieAlgebraData) -> list[Matrix]:
-    """Largest solvable ideal: the trace-form orthocomplement of [g, g]."""
+    """Largest solvable ideal: the trace-form orthocomplement of [g, g].
+
+    Row (i, j) of sc * G, for the structure constants sc and the natural
+    Gram G, holds tr([b_i, b_j] b_k); its kernel is the radical.  The
+    candidate is certified on matrices by ``_check_radical``.
+    """
     _require_exact(g.basis, "radical")
-    derived = span_basis([bracket(a, b) for a in g.basis for b in g.basis])
-    if not derived:
+    d = g.dim
+    nums, _ = _scaled(g.structure_constants)  # scaling keeps every span and kernel
+    if not nums.any():
         return list(g.basis)
-    pairing, _ = _trace_pairing(derived, list(g.basis))  # scaling keeps the kernel
-    rad = [g.element(v) for v in exact_nullspace(pairing.tolist())]
+    gram, _ = _trace_gram(list(g.basis))
+    rad = [g.element(v) for v in exact_nullspace(np.dot(nums.reshape(d * d, d), gram).tolist())]
     _check_radical(g, rad)
     return rad
 
 
 def _check_radical(g: LieAlgebraData, rad: list[Matrix]):
-    rad_space = Subspace(rad)
-    for b in g.basis:
-        for r in rad:
-            if not in_span(bracket(b, r), rad_space):
-                raise PostconditionFailed("radical candidate is not an ideal")
-    if rad and not is_solvable(algebra_from_basis(span_basis(rad))):
+    if not _brackets_inside(product(g.basis, rad), rad):
+        raise PostconditionFailed("radical candidate is not an ideal")
+    if _series(rad, DERIVED)[-1]:
         raise PostconditionFailed("radical candidate is not solvable")
     quo = _quotient_structure(g, rad)
-    if quo is not None and quo.dim and trace_form(quo, ADJOINT).gram.det() == 0:
+    if quo is not None and _killing_gram(quo).det() == 0:
         raise PostconditionFailed("quotient by the radical has degenerate Killing form")
 
 
-def _quotient_structure(g: LieAlgebraData, ideal: list[Matrix]) -> LieAlgebraData | None:
-    """Structure constants of g modulo an ideal (for Killing-form checks).
-
-    The returned object's basis holds the adjoint matrices of the quotient,
-    so only its structure constants and dimension are meaningful.
-    """
+def _quotient_structure(g: LieAlgebraData, ideal: list[Matrix]) -> np.ndarray | None:
+    """Structure constants of g modulo an ideal, in a complement drawn from g's basis."""
     comp = _complement_mod(list(g.basis), ideal)
     if not comp:
         return None
-    d = len(comp)
     try:
-        sc = _structure_constants(comp, True, ideal)
+        return _structure_constants(comp, True, ideal)
     except ValueError:
         raise PostconditionFailed("quotient brackets fall outside the algebra") from None
-    ads = []
-    for i in range(d):
-        rows = [[sc[i, j, k] for j in range(d)] for k in range(d)]
-        ads.append(Matrix.exact(rows))
-    return LieAlgebraData(d, tuple(ads), sc)
 
 
 def _complement_mod(whole: list[Matrix], sub: list[Matrix]) -> list[Matrix]:
@@ -352,7 +360,7 @@ def unipotent_radical(g: LieAlgebraData) -> list[Matrix]:
         if len(env_space) == size:
             break
         env = env_space.matrices()
-    gram, _ = _trace_pairing(env, env)
+    gram, _ = _trace_gram(env)
     rad_env = [_combine(v, env, g.ambient) for v in exact_nullspace(gram.tolist())]
     out = intersect(rad_env, list(g.basis))
     _check_unipotent_radical(g, out)
@@ -360,18 +368,13 @@ def unipotent_radical(g: LieAlgebraData) -> list[Matrix]:
 
 
 def _check_unipotent_radical(g: LieAlgebraData, out: list[Matrix]):
-    for u in out:
-        if not u.is_nilpotent():
-            raise PostconditionFailed("unipotent radical contains a non-nilpotent element")
-    out_space = Subspace(out)
-    for b in g.basis:
-        for u in out:
-            if not in_span(bracket(b, u), out_space):
-                raise PostconditionFailed("unipotent radical is not an ideal")
+    if not all(u.is_nilpotent() for u in out):
+        raise PostconditionFailed("unipotent radical contains a non-nilpotent element")
+    if not _brackets_inside(product(g.basis, out), out):
+        raise PostconditionFailed("unipotent radical is not an ideal")
     rad = Subspace(radical(g))
-    for u in out:
-        if not in_span(u, rad):
-            raise PostconditionFailed("unipotent radical is not inside the radical")
+    if not all(u in rad for u in out):
+        raise PostconditionFailed("unipotent radical is not inside the radical")
 
 
 # -- reductive complement -------------------------------------------------------------
@@ -392,16 +395,13 @@ def levi_complement(g: LieAlgebraData) -> LeviDecomp:
         _check_levi(g, decomp)
         return decomp
     levi = _complement_mod(list(g.basis), unip)
-    chain = series(algebra_from_basis(span_basis(unip)), LOWER_CENTRAL)
+    chain = _series(unip, LOWER_CENTRAL)  # unip is a reduced basis already (from intersect)
     if chain[-1]:
         raise PostconditionFailed("unipotent radical is not nilpotent")
     for stage in range(len(chain) - 1):
         levi = _correct_stage(levi, chain[stage], chain[stage + 1])
-    levi_space = Subspace(levi)
-    for i in range(len(levi)):
-        for j in range(i + 1, len(levi)):
-            if not in_span(bracket(levi[i], levi[j]), levi_space):
-                raise LiftFailed("complement is not bracket closed after the last stage")
+    if not _brackets_inside(combinations(levi, 2), levi):
+        raise LiftFailed("complement is not bracket closed after the last stage")
     decomp = LeviDecomp(tuple(levi), tuple(unip))
     _check_levi(g, decomp)
     return decomp
@@ -458,19 +458,15 @@ def _correct_stage(levi: list[Matrix], uj: list[Matrix], uj1: list[Matrix]) -> l
 
 def _check_levi(g: LieAlgebraData, decomp: LeviDecomp):
     levi, unip = list(decomp.levi_basis), list(decomp.unip_basis)
-    if span_dim(levi + unip) != g.dim or intersect(levi, unip):
+    # both lists together form a basis of g
+    if len(levi) + len(unip) != g.dim or span_dim(levi + unip) != g.dim:
         raise PostconditionFailed("complement and unipotent radical do not split the algebra")
-    levi_space, unip_space = Subspace(levi), Subspace(unip)
-    for i in range(len(levi)):
-        for j in range(i + 1, len(levi)):
-            if not in_span(bracket(levi[i], levi[j]), levi_space):
-                raise PostconditionFailed("complement is not a subalgebra")
-    if levi and not is_reductive(algebra_from_basis(span_basis(levi))):
+    if not _brackets_inside(combinations(levi, 2), levi):
+        raise PostconditionFailed("complement is not a subalgebra")
+    if levi and Matrix.from_ints(*_trace_gram(levi)).det() == 0:
         raise PostconditionFailed("complement is not reductive")
-    for a in levi:
-        for b in unip:
-            if not in_span(bracket(a, b), unip_space):
-                raise PostconditionFailed("unipotent radical is not stable under the complement")
+    if not _brackets_inside(product(levi, unip), unip):
+        raise PostconditionFailed("unipotent radical is not stable under the complement")
 
 
 # -- element predicates -------------------------------------------------------------

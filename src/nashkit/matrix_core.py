@@ -436,8 +436,9 @@ class Subspace:
             a = nums.reshape(-1)
         else:
             v = list(v)
-            d = lcm(*(x.denominator for x in v))
-            a = np.array([x.numerator * (d // x.denominator) for x in v], dtype=object)
+            # int(): numpy integer entries would wrap on overflow
+            d = lcm(*(int(x.denominator) for x in v))
+            a = np.array([int(x.numerator) * (d // int(x.denominator)) for x in v], dtype=object)
         if self.length is not None and len(a) != self.length:
             raise ValueError(f"a length-{len(a)} vector in a span of length-{self.length} vectors")
         coef = [a[p] * (self._lcm // h) for p, h in zip(self.pivots, self._heads)]

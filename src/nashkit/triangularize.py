@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -190,7 +191,7 @@ def _joint_eigenspace_exact(flat_ops: list, n: int) -> list[list[Fraction]]:
     if not ops:
         return [[Fraction(int(i == j)) for i in range(n)] for j in range(n)]
     mats = ops.matrices()
-    ideal = Subspace(bracket(a, b) for a in mats for b in mats)  # the derived span
+    ideal = Subspace(bracket(a, b) for a, b in combinations(mats, 2))  # the derived span
     if len(ideal) >= len(ops):
         raise NotSolvable("derived span did not shrink")
     # any codimension-one subspace containing the derived span is an ideal

@@ -10,7 +10,8 @@ from fractions import Fraction
 
 def rref(rows):
     """Reduced row echelon form over the rationals; returns (rows, pivot cols)."""
-    m = [[Fraction(x) for x in r] for r in rows]
+    # int(): numpy integer entries would wrap on overflow inside a Fraction
+    m = [[Fraction(int(x.numerator), int(x.denominator)) for x in r] for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     pivots = []

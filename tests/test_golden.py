@@ -143,6 +143,19 @@ def _inputs():
                      ["jordan", "--mode", "add", "--setting", "algebra"],
                      ["classify", "--setting", "group"], ["classify", "--setting", "algebra"]):
             cases.append((f"{argv[0]}_{argv[2]}_{name}", argv, matrix_to_json(m)))
+    # the other lie operations, on the exact algebras and on float copies of them
+    lie_ops = {
+        "series_derived": ["series", "--kind", "derived"],
+        "series_lower_central": ["series", "--kind", "lower-central"],
+        "trace_form_natural": ["trace-form", "--rep", "natural"],
+        "trace_form_adjoint": ["trace-form", "--rep", "adjoint"],
+        "reductive": ["reductive"],
+        "unipotent_radical": ["unipotent-radical"],
+    }
+    approx = {name + "_approx": [m.to_approx() for m in gens] for name, gens in algebras.items()}
+    for name, gens in {**algebras, **approx}.items():
+        for op, argv in lie_ops.items():
+            cases.append((f"lie_{op}_{name}", ["lie"] + argv, _generators(gens)))
     return cases
 
 

@@ -1,15 +1,22 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nashkit._span import bracket, in_span, span_dim
-from nashkit.errors import ExactModeRequired, NotInAlgebra
+import gauss_jordan as gj
+from nashkit import liealg
+from nashkit._span import bracket, in_span, span_basis, span_dim
+from nashkit.errors import ExactModeRequired, LiftFailed, NotInAlgebra, PostconditionFailed
 from nashkit.liealg import (
     ADJOINT,
     DERIVED,
     LOWER_CENTRAL,
     NATURAL,
+    LeviDecomp,
+    LieAlgebraData,
     algebra_from_basis,
     is_nilpotent,
     is_reductive,
@@ -23,7 +30,7 @@ from nashkit.liealg import (
     unipotent_radical,
 )
 from nashkit.matrix_core import Matrix
-from nashkit.selftest import REDUCTIVE_MEMBERS, battery, reductive_corpus
+from nashkit.selftest import REDUCTIVE_MEMBERS, _random_unimodular, battery, reductive_corpus
 
 
 def unit(i, j, n=2):
@@ -233,3 +240,130 @@ def test_battery_membership(bat):
     assert set(bat) == {"zero", "diag2", "sl2", "so3", "gl2", "ut2", "ut3",
                         "heis3", "gl2_semi"}
     assert all(bat[name].dim > 0 for name in REDUCTIVE_MEMBERS if name != "zero")
+
+
+# -- each postcondition check fires on a hand-made bad candidate ------------------------
+
+
+def _gl2():
+    return algebra_from_basis([unit(0, 0), unit(0, 1), unit(1, 0), unit(1, 1)])
+
+
+def _sl2_basis():
+    return [Matrix.diagonal([1, -1]), unit(0, 1), unit(1, 0)]
+
+
+def test_check_radical_fires(bat):
+    with pytest.raises(PostconditionFailed, match="^radical candidate is not an ideal$"):
+        liealg._check_radical(_gl2(), [unit(0, 1)])
+    with pytest.raises(PostconditionFailed, match="^radical candidate is not solvable$"):
+        liealg._check_radical(_gl2(), _sl2_basis())
+    with pytest.raises(PostconditionFailed,
+                       match="^quotient by the radical has degenerate Killing form$"):
+        liealg._check_radical(bat["heis3"], [])
+    # a basis that is not bracket closed: [E12, E21] = H is outside its span
+    open_pair = LieAlgebraData(2, (unit(0, 1), unit(1, 0)), np.zeros((2, 2, 2), dtype=object))
+    with pytest.raises(PostconditionFailed, match="^quotient brackets fall outside the algebra$"):
+        liealg._check_radical(open_pair, [])
+
+
+def test_check_unipotent_radical_fires(bat, monkeypatch):
+    with pytest.raises(PostconditionFailed,
+                       match="^unipotent radical contains a non-nilpotent element$"):
+        liealg._check_unipotent_radical(_gl2(), [unit(0, 0)])
+    with pytest.raises(PostconditionFailed, match="^unipotent radical is not an ideal$"):
+        liealg._check_unipotent_radical(_gl2(), [unit(0, 1)])
+    # a nilpotent ideal always lies in the true radical, so the radical is stubbed
+    monkeypatch.setattr(liealg, "radical", lambda g: [])
+    with pytest.raises(PostconditionFailed,
+                       match="^unipotent radical is not inside the radical$"):
+        liealg._check_unipotent_radical(bat["heis3"], [unit(0, 2, 3)])
+
+
+def test_check_levi_fires(bat):
+    e = unit
+    with pytest.raises(PostconditionFailed,
+                       match="^complement and unipotent radical do not split the algebra$"):
+        liealg._check_levi(bat["ut2"], LeviDecomp((e(0, 0),), (e(0, 1),)))
+    with pytest.raises(PostconditionFailed,
+                       match="^complement and unipotent radical do not split the algebra$"):
+        liealg._check_levi(bat["ut2"], LeviDecomp((e(0, 0), e(0, 0), e(1, 1)), (e(0, 1),)))
+    with pytest.raises(PostconditionFailed, match="^complement is not a subalgebra$"):
+        liealg._check_levi(bat["ut2"], LeviDecomp((e(0, 0), e(1, 1) + e(0, 1)), (e(0, 1),)))
+    with pytest.raises(PostconditionFailed, match="^complement is not reductive$"):
+        liealg._check_levi(bat["heis3"], LeviDecomp((e(0, 1, 3),), (e(0, 2, 3), e(1, 2, 3))))
+    # the diagonal is reductive, but [E11, E21 + E11] = -E21 leaves span(E12, E21 + E11)
+    with pytest.raises(PostconditionFailed,
+                       match="^unipotent radical is not stable under the complement$"):
+        liealg._check_levi(_gl2(), LeviDecomp((e(0, 0), e(1, 1)), (e(0, 1), e(1, 0) + e(0, 0))))
+
+
+def test_levi_closing_check_fires(monkeypatch):
+    # the algebra of test_levi_needs_actual_correction, with the correction stages skipped
+    rows = [[[1, 0, 1], [0, 0, 0], [0, 0, 0]], [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
+            [[0, 0, 0], [1, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, 1, 0], [0, 0, 0]],
+            [[0, 0, 1], [0, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 1], [0, 0, 0]]]
+    g = algebra_from_basis([Matrix.exact(r) for r in rows])
+    monkeypatch.setattr(liealg, "_correct_stage", lambda levi, uj, uj1: levi)
+    with pytest.raises(LiftFailed,
+                       match="^complement is not bracket closed after the last stage$"):
+        levi_complement(g)
+
+
+# -- structure constants and the radical against bracket-derived references -----------
+
+
+@lru_cache(maxsize=None)
+def _members():
+    return {name: g for name, g in battery().items() if g.dim}
+
+
+def _reference_structure_constants(basis, exact):
+    """Both orders of every pair bracketed and coordinatized on their own."""
+    d = len(basis)
+    sc = np.empty((d, d, d), dtype=object if exact else float)
+    sc[:] = Fraction(0) if exact else 0.0
+    for i in range(d):
+        for j in range(d):
+            if i != j:
+                br = bracket(basis[i], basis[j])
+                coords = (gj.solve([list(col) for col in zip(*(b.vec() for b in basis))],
+                                   list(br.vec())) if exact else liealg._f_coords(br, basis))
+                sc[i, j] = coords
+    return sc
+
+
+def _reference_radical(g):
+    """Span of all [b_i, b_j], then the trace pairing with the basis, then its kernel."""
+    derived = span_basis([bracket(a, b) for a in g.basis for b in g.basis])
+    if not derived:
+        return list(g.basis)
+    pairing = [[(c @ b).trace() for b in g.basis] for c in derived]
+    return [g.element(v) for v in gj.nullspace(pairing)]
+
+
+_conjugates = st.tuples(st.sampled_from(sorted(_members())), st.integers(0, 2 ** 32 - 1))
+
+
+def _conjugate_basis(name, seed):
+    g = _members()[name]
+    c = _random_unimodular(np.random.default_rng(seed), g.ambient)
+    return [c @ b @ c.inv() for b in g.basis]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_conjugates)
+def test_structure_constants_match_both_orders_reference(member):
+    basis = _conjugate_basis(*member)
+    got = liealg._structure_constants(basis, True)
+    assert (got == _reference_structure_constants(basis, True)).all()
+    floats = [b.to_approx() for b in basis]
+    got = liealg._structure_constants(floats, False)
+    assert got.tobytes() == _reference_structure_constants(floats, False).tobytes()  # bit for bit
+
+
+@settings(max_examples=60, deadline=None)
+@given(_conjugates)
+def test_radical_matches_bracket_reference(member):
+    g = algebra_from_basis(_conjugate_basis(*member))
+    assert radical(g) == _reference_radical(g)

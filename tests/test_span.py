@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import gauss_jordan as gj
@@ -235,8 +235,14 @@ def _elimination_inputs(draw):
     return rows, rhs, z, a, b, vecs, draw(st.booleans())
 
 
+# numpy int64 rows whose products overflow 64 bits
+_INT64_ROWS = [list(np.array([2 ** 62, 3, 1], dtype=np.int64)),
+               list(np.array([5, 2 ** 62, 7], dtype=np.int64))]
+
+
 @settings(max_examples=150, deadline=None)
 @given(_elimination_inputs())
+@example((_INT64_ROWS, [1, 2], [[1]], [[[1]]], [], [[1]], False))
 def test_elimination_readers_match_gauss_jordan(data):
     rows, rhs, z, a, b, vecs, krylov = data
     assert rref(rows) == gj.rref(rows)
