@@ -2,10 +2,11 @@
 
 ``Subspace`` (in ``matrix_core``, next to Bareiss) holds the reduced row
 echelon basis of the span of some rational vectors, a matrix counting as
-its row-major entries.  Built once, it answers membership and coordinate
-questions with one reduction of the query vector each, and grows with
-``add``.  The list-taking helpers below build one per call; callers that
-ask many questions of one span pass a prebuilt ``Subspace`` instead.
+its row-major entries.  It grows with ``add`` and answers membership with
+one reduction of the query vector; coordinates come from the inverse of
+the added vectors' pivot-column block, computed on demand.  The helpers
+below build one per call; callers that ask many questions of one span
+pass a prebuilt ``Subspace`` instead.
 ``bracket``, ``intersect``, ``restriction`` and ``eigenspace`` run on the
 integer forms (``Matrix.ints`` and vectors over a common denominator).
 ``float_span_basis`` is the float track's span: an SVD basis cut at the

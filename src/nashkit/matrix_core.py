@@ -393,14 +393,14 @@ class Subspace:
     pivots[i] and a 0 in every other pivot column.  Each row is
     stored as a primitive int vector with a positive pivot entry, so
     elimination runs on Python ints; a matrix enters by its ``ints`` form
-    and a list of rationals by its numerators over their lcm.  Each row also
-    carries its combination of the added vectors that raised the rank, so
-    ``coords`` reads coordinates in the list the span was built from.
+    and a list of rationals by its numerators over their lcm.  The added
+    vectors that raised the rank are kept as they came; ``coords`` reads
+    coordinates in them through the inverse of their block on the pivot
+    columns, computed (Bareiss) on the first call after the rank last rose.
     Vectors of different lengths raise ``ValueError``.
     """
 
-    __slots__ = ("pivots", "length", "_rows", "_heads", "_lcm", "_combos", "_dens",
-                 "_picked", "_added")
+    __slots__ = ("pivots", "length", "_rows", "_heads", "_lcm", "_picked", "_added", "_inv")
 
     def __init__(self, vecs=()):
         self.pivots: list[int] = []
@@ -409,11 +409,10 @@ class Subspace:
         self._rows = np.empty((0, 0), dtype=object)
         self._heads: list[int] = []
         self._lcm = 1  # of the heads
-        # _rows[i] == sum_k _combos[i, k] / _dens[i] * (added vector number _picked[k])
-        self._combos = np.empty((0, 0), dtype=object)
-        self._dens: list[int] = []
-        self._picked: list[int] = []
+        # (index, nums, d): added vector number index was nums / d and raised the rank
+        self._picked: list[tuple[int, np.ndarray, int]] = []
         self._added = 0
+        self._inv: tuple[np.ndarray, int] | None = None  # of the picked block, see coords
         for v in vecs:
             self.add(v)
 
@@ -425,11 +424,9 @@ class Subspace:
         """The echelon rows as rationals, each with a 1 at its pivot."""
         return [[Fraction(x, h) for x in r] for r, h in zip(self._rows, self._heads)]
 
-    def _reduce(self, v) -> tuple[np.ndarray, int, np.ndarray, list[int]]:
-        """(a, d, res, coef): v = a / d in ints, and res = lcm(heads) * a - coef . rows.
-
-        coef[i] = a[pivots[i]] * lcm(heads) / heads[i], so res is lcm(heads) * d
-        times v minus its projection along the echelon rows; it is 0 at every pivot.
+    def _reduce(self, v) -> tuple[np.ndarray, int, np.ndarray]:
+        """(a, d, res): v = a / d in ints, and res = lcm(heads) * a minus its
+        projection along the echelon rows; res is 0 at every pivot.
         """
         if isinstance(v, Matrix):
             nums, d = v.ints
@@ -445,11 +442,11 @@ class Subspace:
         res = self._lcm * a
         if any(coef):
             res -= np.dot(np.array(coef, dtype=object), self._rows)
-        return a, d, res, coef
+        return a, d, res
 
     def add(self, v) -> bool:
         """Adjoin v to the span; True when the rank rises."""
-        a, d, res, coef = self._reduce(v)
+        a, d, res = self._reduce(v)
         if self.length is None:
             self.length = len(a)
             self._rows = np.empty((0, self.length), dtype=object)
@@ -461,40 +458,25 @@ class Subspace:
         g = gcd(*res) if res[p] > 0 else -gcd(*res)
         row = res // g
         head = row[p]
-        # row = (lcm * d * v - coef . rows) / g, as a combination of the added vectors
+        # insert the new row at its pivot's place
         rank = len(self.pivots)
-        den = lcm(*self._dens)
-        combo = np.zeros(rank + 1, dtype=object)
-        if rank:
-            weights = [c * (den // e) for c, e in zip(coef, self._dens)]
-            combo[:rank] = -np.dot(np.array(weights, dtype=object), self._combos)
-        combo[rank] = self._lcm * d * den
-        combo, cden = _reduced(combo, den * g)
-        # insert the new row at its pivot's place; old combinations get a 0 for the new vector
         at = bisect(self.pivots, p)
         rows = np.empty((rank + 1, self.length), dtype=object)
         rows[:at], rows[at], rows[at + 1:] = self._rows[:at], row, self._rows[at:]
-        combos = np.zeros((rank + 1, rank + 1), dtype=object)
-        combos[:at, :rank], combos[at], combos[at + 1:, :rank] = (
-            self._combos[:at], combo, self._combos[at:])
         self.pivots.insert(at, p)
         self._heads.insert(at, head)
-        self._dens.insert(at, cden)
         # clear column p from the other rows; each stays primitive with a positive head
         for i in range(rank + 1):
             f = rows[i, p]
             if i == at or not f:
                 continue
             rows[i] = head * rows[i] - f * row
-            gi = gcd(*rows[i])
-            rows[i] //= gi
+            rows[i] //= gcd(*rows[i])
             self._heads[i] = rows[i, self.pivots[i]]
-            e = lcm(self._dens[i], cden)
-            combos[i], self._dens[i] = _reduced(
-                head * (e // self._dens[i]) * combos[i] - f * (e // cden) * combo, e * gi)
-        self._rows, self._combos = rows, combos
+        self._rows = rows
         self._lcm = lcm(*self._heads)
-        self._picked.append(self._added - 1)
+        self._picked.append((self._added - 1, a, d))
+        self._inv = None
         return True
 
     def __contains__(self, v) -> bool:
@@ -504,20 +486,23 @@ class Subspace:
         """Coordinates of v in the added vectors, or None if v is outside the span.
 
         Vectors that did not raise the rank get coordinate 0, as the free
-        variables of ``exact_solve`` do.
+        variables of ``exact_solve`` do.  The picked vectors nums_k / d_k are
+        independent, and so is their block B[k, i] = nums_k[pivots[i]]; then
+        v = sum_k c_k nums_k / d_k gives c_k = d_k (v[pivots] B^-1)_k.
         """
-        a, d, res, _ = self._reduce(v)
+        a, d, res = self._reduce(v)
         if res.any():
             return None
         out = [Fraction(0)] * self._added
         if not self.pivots:
             return out
-        # v = sum_i a[p_i] / (d * heads[i]) * rows[i], each row a combination over _dens[i]
-        scales = [h * e for h, e in zip(self._heads, self._dens)]
-        den = lcm(*scales)
-        weights = np.array([a[p] * (den // s) for p, s in zip(self.pivots, scales)], dtype=object)
-        for index, x in zip(self._picked, np.dot(weights, self._combos)):
-            out[index] = Fraction(x, d * den)
+        if self._inv is None:
+            block = [[nums[p] for p in self.pivots] for _, nums, _ in self._picked]
+            self._inv = _inv_exact(block, 1).ints  # B^-1 = inv / den
+        inv, den = self._inv
+        x = np.dot(np.array([a[p] for p in self.pivots], dtype=object), inv)
+        for (index, _, dk), xk in zip(self._picked, x):
+            out[index] = Fraction(dk * xk, d * den)
         return out
 
     def matrices(self) -> list[Matrix]:

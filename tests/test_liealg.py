@@ -267,17 +267,18 @@ def test_check_radical_fires(bat):
         liealg._check_radical(open_pair, [])
 
 
-def test_check_unipotent_radical_fires(bat, monkeypatch):
+def test_check_unipotent_radical_fires(bat):
     with pytest.raises(PostconditionFailed,
                        match="^unipotent radical contains a non-nilpotent element$"):
         liealg._check_unipotent_radical(_gl2(), [unit(0, 0)])
     with pytest.raises(PostconditionFailed, match="^unipotent radical is not an ideal$"):
         liealg._check_unipotent_radical(_gl2(), [unit(0, 1)])
-    # a nilpotent ideal always lies in the true radical, so the radical is stubbed
-    monkeypatch.setattr(liealg, "radical", lambda g: [])
+    # sl2 has a basis of nilpotent matrices ([[1, 1], [-1, -1]] squares to 0); it is an
+    # ideal of itself but not solvable, so it is not inside the radical
+    nilpotent_basis = [unit(0, 1), unit(1, 0), Matrix.exact([[1, 1], [-1, -1]])]
     with pytest.raises(PostconditionFailed,
                        match="^unipotent radical is not inside the radical$"):
-        liealg._check_unipotent_radical(bat["heis3"], [unit(0, 2, 3)])
+        liealg._check_unipotent_radical(bat["sl2"], nilpotent_basis)
 
 
 def test_check_levi_fires(bat):
@@ -367,3 +368,50 @@ def test_structure_constants_match_both_orders_reference(member):
 def test_radical_matches_bracket_reference(member):
     g = algebra_from_basis(_conjugate_basis(*member))
     assert radical(g) == _reference_radical(g)
+
+
+# -- the unipotent radical against an all-pairs envelope reference ---------------------
+
+
+def _reference_unipotent_radical(basis):
+    """Close span(basis) under every product of two elements, then take the trace
+    radical of that envelope and meet it with span(basis), on Fraction vectors."""
+    n = basis[0].n
+    env = span_basis(list(basis))
+    while True:
+        grown = span_basis(env + [a @ b for a in env for b in env])
+        if len(grown) == len(env):
+            break
+        env = grown
+    gram = [[(a @ b).trace() for b in env] for a in env]
+    rad_env = [[sum((c * m.vec()[i] for c, m in zip(v, env)), Fraction(0)) for i in range(n * n)]
+               for v in gj.nullspace(gram)]
+    vb = [list(b.vec()) for b in basis]
+    kernel = gj.nullspace([[v[i] for v in rad_env] + [-v[i] for v in vb]
+                           for i in range(n * n)]) if rad_env else []
+    common = [[sum((k[j] * rad_env[j][i] for j in range(len(rad_env))), Fraction(0))
+               for i in range(n * n)] for k in kernel]
+    return gj.span_rows(common) if common else []
+
+
+# the 5-cycle C spans a Lie algebra whose envelope span(C, .., C^5 = I) has no trace
+# radical; tr(C^k) = 0 for 0 < k < 5, so an envelope cut before the words of length 4
+# has one that meets span(C)
+_CYCLE5 = Matrix.exact([[int(j == (i + 1) % 5) for j in range(5)] for i in range(5)])
+
+
+def _conjugated_cycle(seed):
+    c = _random_unimodular(np.random.default_rng(seed), 5)
+    return [c @ _CYCLE5 @ c.inv()]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(_conjugates.map(lambda member: _conjugate_basis(*member)),
+                 st.integers(0, 2 ** 32 - 1).map(_conjugated_cycle)))
+def test_unipotent_radical_matches_all_pairs_envelope(basis):
+    got = unipotent_radical(algebra_from_basis(basis))
+    assert [list(u.vec()) for u in got] == _reference_unipotent_radical(basis)
+
+
+def test_unipotent_radical_of_the_5_cycle_is_zero():
+    assert unipotent_radical(algebra_from_basis([_CYCLE5])) == []

@@ -274,6 +274,51 @@ def test_elimination_readers_match_gauss_jordan(data):
             assert eigenspace(r, lam, basis) == _reference_eigenspace(r, lam, basis)
 
 
+_INTERLEAVED_KINDS = dict(_ENTRY_KINDS, int64=st.integers(-2 ** 62, 2 ** 62).map(np.int64))
+
+
+@st.composite
+def _interleaved_steps(draw):
+    """A run of ("add", v) and ("query", v) steps on vectors of one entry kind; a vector is
+    fresh, a repeat of an earlier one, or a combination of earlier ones."""
+    entry = _INTERLEAVED_KINDS[draw(st.sampled_from(sorted(_INTERLEAVED_KINDS)))]
+    length = draw(st.integers(1, 5))
+    seen, steps = [], []
+    for _ in range(draw(st.integers(1, 12))):
+        how = draw(st.sampled_from(["fresh", "repeat", "combination"]) if seen else
+                   st.just("fresh"))
+        if how == "fresh":
+            v = draw(st.lists(entry, min_size=length, max_size=length))
+        elif how == "repeat":
+            v = draw(st.sampled_from(seen))
+        else:
+            weights = draw(st.lists(entries, min_size=len(seen), max_size=len(seen)))
+            v = [sum((w * Fraction(int(x.numerator), int(x.denominator))
+                      for w, x in zip(weights, (u[i] for u in seen))), Fraction(0))
+                 for i in range(length)]
+        seen.append(v)
+        steps.append((draw(st.sampled_from(["add", "query"])), v))
+    return steps
+
+
+@settings(max_examples=150, deadline=None)
+@given(_interleaved_steps())
+def test_coords_between_adds_match_gauss_jordan(steps):
+    # coords reuses the inverse of the picked block between adds; every rank-raising
+    # add must drop it, or the next coords answers in the old span
+    space, added = Subspace(), []
+    for kind, v in steps:
+        if kind == "add":
+            assert space.add(v) == (rank(added + [v]) > rank(added))
+            added.append(v)
+            continue
+        cols = [[x[i] for x in added] for i in range(len(v))]
+        reference = gj.solve(cols, v) if added else (None if any(v) else [])
+        assert space.coords(v) == reference
+        if added:
+            assert exact_solve(cols, v) == reference
+
+
 def test_tracer_self_test_passes():
     # the benchmark's tracer wraps _span and liealg functions by name
     proc = subprocess.run([sys.executable, os.path.join("perfbench", "check_tracer.py")],
