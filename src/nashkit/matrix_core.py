@@ -425,8 +425,10 @@ class Subspace:
         return [[Fraction(x, h) for x in r] for r, h in zip(self._rows, self._heads)]
 
     def _reduce(self, v) -> tuple[np.ndarray, int, np.ndarray]:
-        """(a, d, res): v = a / d in ints, and res = lcm(heads) * a minus its
-        projection along the echelon rows; res is 0 at every pivot.
+        """(a, d, res): v = a / d in ints, and res = lcm(heads) * a - coef . rows.
+
+        coef[i] = a[pivots[i]] * lcm(heads) / heads[i], so res is lcm(heads) * d
+        times v minus its projection along the echelon rows; it is 0 at every pivot.
         """
         if isinstance(v, Matrix):
             nums, d = v.ints
@@ -487,8 +489,8 @@ class Subspace:
 
         Vectors that did not raise the rank get coordinate 0, as the free
         variables of ``exact_solve`` do.  The picked vectors nums_k / d_k are
-        independent, and so is their block B[k, i] = nums_k[pivots[i]]; then
-        v = sum_k c_k nums_k / d_k gives c_k = d_k (v[pivots] B^-1)_k.
+        independent, so their block B[k, i] = nums_k[pivots[i]] is invertible,
+        and v = sum_k c_k nums_k / d_k gives c_k = d_k (v[pivots] B^-1)_k.
         """
         a, d, res = self._reduce(v)
         if res.any():

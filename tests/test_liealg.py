@@ -3,7 +3,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gauss_jordan as gj
@@ -408,10 +408,7 @@ def _conjugated_cycle(seed):
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(_conjugates.map(lambda member: _conjugate_basis(*member)),
                  st.integers(0, 2 ** 32 - 1).map(_conjugated_cycle)))
+@example([_CYCLE5])
 def test_unipotent_radical_matches_all_pairs_envelope(basis):
     got = unipotent_radical(algebra_from_basis(basis))
     assert [list(u.vec()) for u in got] == _reference_unipotent_radical(basis)
-
-
-def test_unipotent_radical_of_the_5_cycle_is_zero():
-    assert unipotent_radical(algebra_from_basis([_CYCLE5])) == []
