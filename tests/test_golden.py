@@ -1,9 +1,11 @@
-"""Golden CLI output: byte-identical stdout for a fixed set of exact calls.
+"""Golden CLI output: byte-identical stdout for a fixed set of CLI calls.
 
-``tests/data/golden_cli.json`` holds, per case, the argv, the input JSON and
-the stdout of in-process ``cli.main``.  The inputs are stored, not rebuilt,
-so the file pins the output of the code that wrote it.  Regenerate it (only
-when an output change is intended) with
+The cases cover exact calls, float copies of the Lie-algebra calls, and
+calls that end in an error exit.  ``tests/data/golden_cli.json`` holds, per
+case, the argv, the input JSON, the stdout of in-process ``cli.main`` and
+its exit code.  The inputs are stored, not rebuilt, so the file pins the
+output of the code that wrote it.  Regenerate it (only when an output change
+is intended, or to add cases) with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -156,6 +158,31 @@ def _inputs():
     for name, gens in {**algebras, **approx}.items():
         for op, argv in lie_ops.items():
             cases.append((f"lie_{op}_{name}", ["lie"] + argv, _generators(gens)))
+    # replicas: relation lattices of rational hyperbolic elements, and a unipotent one
+    replicas = {
+        "diag_2_4_8": Matrix.diagonal([2, 4, 8]),
+        "diag_2_3_6": Matrix.diagonal([2, 3, 6]),
+        "diag_half_2_3_6": Matrix.diagonal(["1/2", 2, 3, 6]),
+        "unipotent": Matrix.exact([[1, 2, -1], [0, 1, 3], [0, 0, 1]]),
+    }
+    for seed, (name, m) in enumerate(replicas.items()):
+        c = _unimodular(m.n, 30 + seed)
+        cases.append((f"replica_{name}", ["replica"], matrix_to_json(c @ m @ c.inv())))
+    # Engel and split flags on a nilpotent and a split solvable algebra, and conjugates
+    flag_algebras = {"heis3": [e(0, 1, 3), e(1, 2, 3), e(0, 2, 3)], "ut4": algebras["ut4"]}
+    for seed, name in enumerate(list(flag_algebras)):
+        c = _unimodular(flag_algebras[name][0].n, 40 + seed)
+        flag_algebras[name + "_conj"] = [c @ m @ c.inv() for m in flag_algebras[name]]
+    for name, gens in flag_algebras.items():
+        for op in ("engel", "split"):
+            cases.append((f"flag_{op}_{name}", ["flag", op], _generators(gens)))
+    # restricted roots of split sl2 and sl4
+    for n in (2, 4):
+        sl = [Matrix.diagonal([int(k == i) - int(k == i + 1) for k in range(n)])
+              for i in range(n - 1)]
+        sl += [e(i, j, n) for i in range(n) for j in range(n) if i != j]
+        cases.append((f"cartan_roots_sl{n}", ["cartan", "roots"],
+                      {"basis": [matrix_to_json(m) for m in sl]}))
     return cases
 
 
