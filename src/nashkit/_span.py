@@ -5,8 +5,9 @@ echelon basis of the span of some rational vectors, a matrix counting as
 its row-major entries.  It grows with ``add`` and answers membership with
 one reduction of the query vector; coordinates come from the inverse of
 the added vectors' pivot-column block, computed on demand.  The helpers
-below build one per call; callers that ask many questions of one span
-pass a prebuilt ``Subspace`` instead.
+below build one per call; ``coords_in_span`` takes a prebuilt one.
+``independent_subset`` is the one basis extension: of a given span, by
+elements of a list (a complement, a completed flag, an independent sublist).
 ``bracket``, ``intersect``, ``restriction`` and ``eigenspace`` run on the
 integer forms (``Matrix.ints`` and vectors over a common denominator).
 ``float_span_basis`` is the float track's span: an SVD basis cut at the
@@ -27,15 +28,13 @@ def span_basis(mats: list[Matrix]) -> list[Matrix]:
     return Subspace(mats).matrices()
 
 
-def independent_subset(mats: list[Matrix]) -> list[Matrix]:
-    """Maximal linearly independent sublist, keeping the original elements."""
-    space = Subspace()
+def independent_subset(mats: list, given=()) -> list:
+    """The elements of mats (matrices or vectors) that extend a basis of span(given)."""
+    space = Subspace(given)
     return [m for m in mats if space.add(m)]
 
 
-def coords_in_span(m: Matrix, space: Subspace | list[Matrix]) -> list[Fraction] | None:
-    if not isinstance(space, Subspace):
-        space = Subspace(space)
+def coords_in_span(m: Matrix, space: Subspace) -> list[Fraction] | None:
     return space.coords(m)
 
 

@@ -20,9 +20,9 @@ from ._span import (
     coords_in_span,
     eigenspace,
     in_span,
+    independent_subset,
     restriction,
     span_basis,
-    span_dim,
 )
 from .errors import (
     ExactModeRequired,
@@ -99,12 +99,12 @@ def maximal_abelian(split: CartanSplit, seed_index: int = 0) -> list[Matrix]:
     if any(m.mode != EXACT for m in p):
         raise ExactModeRequired("maximal abelian subspaces need the exact track")
     a = [p[seed_index % len(p)]]
-    space = Subspace(a)
     while True:
-        central = _centralizer_in(p, a)
-        if span_dim(central) == len(space):
+        # the centralizer contains a; its elements outside span(a) extend it
+        new = independent_subset(_centralizer_in(p, a), a)
+        if not new:
             return a
-        a.append(next(m for m in central if space.add(m)))
+        a.append(new[0])
 
 
 def _centralizer_in(p: list[Matrix], a: list[Matrix]) -> list[Matrix]:

@@ -154,7 +154,7 @@ def sn_split(x: Matrix) -> tuple[Matrix, Matrix]:
     track: the same step for the squarefree polynomial of the clusters.
     """
     if x.mode != EXACT:
-        return _sn_split_approx(x)
+        return _sn_split_approx(x, spectrum(x))
     f = squarefree_part(char_poly(x))
     df = f.derivative()
     s, fs = x, f.eval_matrix(x)
@@ -193,8 +193,8 @@ def _apply_poly_float(coeffs: list[float], a: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _sn_split_approx(x: Matrix) -> tuple[Matrix, Matrix]:
-    spec = spectrum(x)
+def _sn_split_approx(x: Matrix, spec) -> tuple[Matrix, Matrix]:
+    """The float Newton step, for the clusters of spec = spectrum(x)."""
     coeffs = _squarefree_from_clusters(spec)
     dcoeffs = [k * c for k, c in enumerate(coeffs)][1:]
     a = x.float_array()
@@ -306,8 +306,8 @@ def additive_jordan(x: Matrix) -> JordanTriple:
 
 
 def _additive_jordan_approx(x: Matrix) -> JordanTriple:
-    s, n = sn_split(x)
     spec = spectrum(x)
+    s, n = _sn_split_approx(x, spec)
     if len(spec.clusters) == 1:
         h = Matrix(spec.clusters[0][0].real * np.eye(x.n), APPROX, x.tol)
     else:
@@ -360,8 +360,8 @@ def multiplicative_jordan(x: Matrix) -> JordanTriple:
 def _multiplicative_jordan_approx(x: Matrix) -> JordanTriple:
     if not x.is_invertible():  # an exact input promoted here may be singular in floats
         raise NotInvertible("matrix is singular at the working tolerance")
-    s, n = sn_split(x)
     spec = spectrum(x)
+    s, n = _sn_split_approx(x, spec)
     if len(spec.clusters) == 1:
         rho = abs(spec.clusters[0][0])
         h = Matrix(rho * np.eye(x.n), APPROX, x.tol)

@@ -196,7 +196,9 @@ def _series(basis: list[Matrix], kind: str) -> list[list[Matrix]]:
     while True:
         current = chain[-1]
         left = current if kind == DERIVED else chain[0]
-        brackets = [bracket(a, b) for a in left for b in current]
+        # an exact span needs each unordered pair once; the float one is the SVD of all pairs
+        pairs = combinations(current, 2) if exact and left is current else product(left, current)
+        brackets = [bracket(a, b) for a, b in pairs]
         nonzero = [m for m in brackets if not m.is_zero()]
         nxt = span_basis(nonzero) if exact else float_span_basis(nonzero)
         if len(nxt) >= len(current):
@@ -321,19 +323,13 @@ def _check_radical(g: LieAlgebraData, rad: list[Matrix]):
 
 def _quotient_structure(g: LieAlgebraData, ideal: list[Matrix]) -> np.ndarray | None:
     """Structure constants of g modulo an ideal, in a complement drawn from g's basis."""
-    comp = _complement_mod(list(g.basis), ideal)
+    comp = independent_subset(list(g.basis), ideal)
     if not comp:
         return None
     try:
         return _structure_constants(comp, True, ideal)
     except ValueError:
         raise PostconditionFailed("quotient brackets fall outside the algebra") from None
-
-
-def _complement_mod(whole: list[Matrix], sub: list[Matrix]) -> list[Matrix]:
-    """Elements of `whole` extending a basis of span(sub) to span(whole)."""
-    space = Subspace(sub)
-    return [m for m in whole if space.add(m)]
 
 
 # -- unipotent radical ------------------------------------------------------------------
@@ -391,7 +387,7 @@ def levi_complement(g: LieAlgebraData) -> LeviDecomp:
         decomp = LeviDecomp(tuple(g.basis), ())
         _check_levi(g, decomp)
         return decomp
-    levi = _complement_mod(list(g.basis), unip)
+    levi = independent_subset(list(g.basis), unip)
     chain = _series(unip, LOWER_CENTRAL)  # unip is a reduced basis already (from intersect)
     if chain[-1]:
         raise PostconditionFailed("unipotent radical is not nilpotent")
@@ -405,11 +401,17 @@ def levi_complement(g: LieAlgebraData) -> LeviDecomp:
 
 
 def _correct_stage(levi: list[Matrix], uj: list[Matrix], uj1: list[Matrix]) -> list[Matrix]:
-    """One lifting stage: move bracket defects from span(uj) into span(uj1)."""
-    w = _complement_mod(uj, uj1)  # basis of uj modulo uj1
-    if not w:
-        return levi
+    """One lifting stage: move bracket defects from span(uj) into span(uj1).
+
+    With [l_i, l_j] = sum_k c_k l_k + d modulo uj1, each l_i gets
+    m_i = sum_a t[i][a] w_a (w: uj modulo uj1) with, for each pair,
+    d + [m_i, l_j] + [l_i, m_j] - sum_k c_k m_k = 0 modulo uj1.  The w-part
+    of [w_a, l_k] is read once per (a, k); that of [l_k, w_a] is its negative.
+    """
+    w = independent_subset(uj, uj1)
     p, dl = len(w), len(levi)
+    if not w or dl < 2:
+        return levi
     mixed = Subspace(levi + w + uj1)
 
     def split(m: Matrix) -> tuple[list[Fraction], list[Fraction]]:
@@ -418,39 +420,26 @@ def _correct_stage(levi: list[Matrix], uj: list[Matrix], uj1: list[Matrix]) -> l
             raise LiftFailed("bracket defect left the expected filtration stage")
         return coords[:dl], coords[dl:dl + p]
 
-    nunk = dl * p  # unknowns t[i][a]: levi[i] gets + sum_a t[i][a] w[a]
-    rows: list[list[Fraction]] = []
+    x = [[split(bracket(wa, lk))[1] for lk in levi] for wa in w]
+    rows: list[list[Fraction]] = []  # unknown t[i][a] in column i * p + a
     rhs: list[Fraction] = []
-    for i in range(dl):
-        for j in range(i + 1, dl):
-            c, d = split(bracket(levi[i], levi[j]))
-            # want: d + [m_i, l_j] + [l_i, m_j] - sum_k c_k m_k = 0 mod span(uj1)
-            coeff = [[Fraction(0)] * nunk for _ in range(p)]
+    for i, j in combinations(range(dl), 2):
+        c, d = split(bracket(levi[i], levi[j]))
+        for b in range(p):  # the w_b component
+            row = [Fraction(0)] * (dl * p)
             for a in range(p):
-                for b_idx, val in enumerate(split(bracket(w[a], levi[j]))[1]):
-                    coeff[b_idx][i * p + a] += val
-                for b_idx, val in enumerate(split(bracket(levi[i], w[a]))[1]):
-                    coeff[b_idx][j * p + a] += val
-                for k in range(dl):
-                    if c[k] != 0:
-                        coeff[a][k * p + a] -= c[k]
-            for b_idx in range(p):
-                rows.append(coeff[b_idx])
-                rhs.append(-d[b_idx])
-    if rows:
-        sol = exact_solve(rows, rhs)
-        if sol is None:
-            raise LiftFailed("correction system is inconsistent")
-    else:
-        sol = [Fraction(0)] * nunk
-    out = []
-    for i in range(dl):
-        m = levi[i]
-        for a in range(p):
-            if sol[i * p + a] != 0:
-                m = m + w[a].scale(sol[i * p + a])
-        out.append(m)
-    return out
+                row[i * p + a] += x[a][j][b]
+                row[j * p + a] -= x[a][i][b]
+            for k in range(dl):
+                row[k * p + b] -= c[k]
+            rows.append(row)
+            rhs.append(-d[b])
+    sol = exact_solve(rows, rhs)
+    if sol is None:
+        raise LiftFailed("correction system is inconsistent")
+    # m + ..., term by term, keeps each element's own tol
+    return [sum((wa.scale(t) for wa, t in zip(w, sol[i * p:(i + 1) * p]) if t), m)
+            for i, m in enumerate(levi)]
 
 
 def _check_levi(g: LieAlgebraData, decomp: LeviDecomp):

@@ -2,10 +2,11 @@
 
 For a hyperbolic element with rational eigenvalues the subgroup is cut out
 of the diagonal torus by the multiplicative relation lattice of the
-eigenvalues; rational relations among logs of positive rationals reduce to
-integer linear algebra on exponent vectors over a coprime base of their
-numerators and denominators.  For a unipotent element it is the
-one-parameter group through the logarithm.
+eigenvalues.  Relations among positive rationals are integer relations
+among their exponent vectors over a coprime base of the numerators and
+denominators, and one Hermite reduction (``_row_hnf``) of the exponent rows
+next to an identity block returns them.  For a unipotent element the
+subgroup is the one-parameter group through the logarithm.
 """
 
 from __future__ import annotations
@@ -36,36 +37,15 @@ class ReplicaDatum:
 
 
 def _integer_kernel(rows: list[list[int]], m: int) -> list[list[int]]:
-    """Basis of {k in Z^m : k * rows = 0} via unimodular row reduction.
+    """Hermite basis of {k in Z^m : k * rows = 0}.
 
-    Row-reduces the exponent matrix while carrying the transformation; the
-    transformation rows matching zero rows of the echelon form are a basis
-    of the (saturated) kernel lattice.
+    The rows of [rows | I] span the lattice of pairs (k * rows, k).  Its
+    Hermite form ends with the rows that vanish on the first block; their
+    second blocks form the Hermite form of the kernel, which is unique.
     """
-    h = [list(r) for r in rows]
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    ncols = len(h[0]) if h and h[0] else 0
-    r = 0
-    for c in range(ncols):
-        while True:
-            pivots = [i for i in range(r, m) if h[i][c] != 0]
-            if not pivots:
-                break
-            i0 = min(pivots, key=lambda i: abs(h[i][c]))
-            h[r], h[i0] = h[i0], h[r]
-            u[r], u[i0] = u[i0], u[r]
-            done = True
-            for i in range(r + 1, m):
-                if h[i][c] != 0:
-                    q = h[i][c] // h[r][c]
-                    h[i] = [a - q * b for a, b in zip(h[i], h[r])]
-                    u[i] = [a - q * b for a, b in zip(u[i], u[r])]
-                    if h[i][c] != 0:
-                        done = False
-            if done:
-                r += 1
-                break
-    return _row_hnf([u[i] for i in range(r, m)])
+    width = len(rows[0]) if rows else 0
+    aug = [list(r) + [int(i == j) for j in range(m)] for i, r in enumerate(rows)]
+    return [h[width:] for h in _row_hnf(aug) if not any(h[:width])]
 
 
 def _row_hnf(rows: list[list[int]]) -> list[list[int]]:

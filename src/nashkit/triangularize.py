@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ._span import bracket, eigenspace, restriction
+from ._span import bracket, eigenspace, independent_subset, restriction
 from .errors import (
     NotNilpotentAlgebra,
     NotSolvable,
@@ -55,19 +55,6 @@ def _flag_from_columns(cols: list[list]) -> Flag:
     return Flag(stages, complete=True)
 
 
-def _complete_columns(cols: list[list[Fraction]], n: int) -> list[list]:
-    """Extend the given independent columns with (int) coordinate vectors."""
-    out = list(cols)
-    space = Subspace(out)
-    for j in range(n):
-        if len(out) == n:
-            break
-        unit = [int(i == j) for i in range(n)]
-        if space.add(unit):
-            out.append(unit)
-    return out
-
-
 def engel_flag(g: LieAlgebraData) -> Flag:
     """Complete flag with b.V_i inside V_{i-1} for every basis element.
 
@@ -103,9 +90,10 @@ def _pulled_back_columns(g: LieAlgebraData, pick) -> list[list[Fraction]]:
     """
     n = g.ambient
     cols: list[list[Fraction]] = []
+    units = [[int(i == j) for i in range(n)] for j in range(n)]
     while len(cols) < n:
         k = len(cols)
-        full = _complete_columns(cols, n)
+        full = cols + independent_subset(units, cols)
         bmat = Matrix.exact(full).T  # columns: the flag so far, then unit vectors
         binv = bmat.inv()
         blocks = []

@@ -71,6 +71,41 @@ def test_exponent_lattice_matches_factorint(values):
     assert exponent_lattice(values) == _factorint_lattice(values)
 
 
+def _in_hermite_lattice(v, hermite):
+    """Whether v is an integer combination of echelon rows with positive pivots."""
+    v = list(v)
+    for k in hermite:
+        p = next(i for i, x in enumerate(k) if x)
+        q, r = divmod(v[p], k[p])
+        if r:
+            return False
+        v = [a - q * b for a, b in zip(v, k)]
+    return not any(v)
+
+
+_exponent_rows = st.tuples(st.integers(1, 4), st.integers(0, 3)).flatmap(
+    lambda mw: st.lists(st.lists(st.integers(-4, 4), min_size=mw[1], max_size=mw[1]),
+                        min_size=mw[0], max_size=mw[0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_exponent_rows)
+def test_integer_kernel_is_the_hermite_basis_of_the_relations(rows):
+    # checked against its definition, not against another call of it
+    m, width = len(rows), len(rows[0])
+    kernel = _integer_kernel(rows, m)
+    for k in kernel:  # each row is a relation
+        assert all(sum(ki * r[c] for ki, r in zip(k, rows)) == 0 for c in range(width))
+    pivots = [next(i for i, x in enumerate(k) if x) for k in kernel]
+    assert pivots == sorted(set(pivots))  # increasing pivots
+    for r, (k, p) in enumerate(zip(kernel, pivots)):
+        assert k[p] > 0 and all(0 <= above[p] < k[p] for above in kernel[:r])
+    assert len(kernel) == m - (sympy.Matrix(rows).rank() if width else 0)
+    for v in itertools.product(range(-3, 4), repeat=m):
+        if all(sum(vi * r[c] for vi, r in zip(v, rows)) == 0 for c in range(width)):
+            assert _in_hermite_lattice(v, kernel), v
+
+
 def test_exponent_lattice_independent_primes():
     assert exponent_lattice([Fraction(2), Fraction(3)]) == []
 
