@@ -107,6 +107,9 @@ def _load_algebra(path: str, args):
         raise MalformedInput(str(exc))
     mats = [_coerce_track(m, args) for m in mats]
     ambient = obj.get("ambient")
+    if "ambient" in obj and (type(ambient) is not int or ambient < 0
+                             or any(m.n != ambient for m in mats)):
+        raise MalformedInput("'ambient' must be an int >= 0, the size of the matrices")
     try:
         if key == "generators":
             return lie_closure(mats, ambient=ambient)

@@ -324,7 +324,7 @@ def test_tol_env_override(tmp_path, monkeypatch):
 # -- input fuzzing: every input ends in JSON on stdout and exit 0, 2, 3 or 4 -------------
 
 _TINY = 2.190906124428017e-234
-_FUZZ_FINDINGS = [  # inputs that ended in a traceback before they were handled
+_FUZZ_FINDINGS = [  # inputs that ended in a traceback, or were accepted, before they were handled
     # exactly invertible, singular in floats once promoted
     (["--exact", "jordan"], {"mode": "approx", "entries": [[0, 1], [_TINY, 1]]},
      3, "NotInvertible"),
@@ -334,6 +334,11 @@ _FUZZ_FINDINGS = [  # inputs that ended in a traceback before they were handled
     # an eigenvalue of x^T x underflows to 0.0 before its log is taken
     (["--exact", "cartan", "kak"], {"mode": "approx", "entries": [[0, 1], [_TINY, 0]]},
      4, "NumericalFailure"),
+    # an ambient size that is not an int
+    (["flag", "engel"], {"basis": [], "ambient": "x"}, 2, "MalformedInput"),
+    # an ambient size other than the matrices' size
+    (["flag", "split"], {"basis": [{"mode": "exact", "entries": [[1, 0], [0, 2]]}], "ambient": 5},
+     2, "MalformedInput"),
 ]
 
 
@@ -407,9 +412,13 @@ def _cli_calls(draw):
     track = draw(st.sampled_from([[], ["--exact"], ["--approx"]]))
     if draw(st.booleans()):
         return track + draw(st.sampled_from(_MATRIX_COMMANDS)), draw(_matrix_json(n))
-    mats = draw(st.lists(_matrix_json(n), min_size=1, max_size=2))
-    key = draw(st.sampled_from(["generators", "basis"]))
-    return track + draw(st.sampled_from(_ALGEBRA_COMMANDS)), {key: mats}
+    doc = {draw(st.sampled_from(["generators", "basis"])):
+           draw(st.lists(_matrix_json(n), max_size=2))}
+    if draw(st.booleans()):  # no large int: an empty basis of a valid size n builds n x n flags
+        doc["ambient"] = draw(st.one_of(
+            st.integers(-1, 3), st.booleans(), st.floats(), st.text(max_size=3), st.none(),
+            st.lists(st.integers(-1, 3), max_size=2)))
+    return track + draw(st.sampled_from(_ALGEBRA_COMMANDS)), doc
 
 
 @settings(max_examples=400, deadline=None)
