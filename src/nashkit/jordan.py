@@ -28,7 +28,6 @@ from .matrix_core import (
     EXACT,
     Matrix,
     Polynomial,
-    _deflate,
     char_poly,
     count_real_roots,
     float_rank,
@@ -113,9 +112,9 @@ def _roots_purely_imaginary(f: Polynomial) -> bool:
 def _roots_modulus_one(f: Polynomial) -> bool:
     """All roots of the squarefree monic f on the unit circle."""
     for root in (Fraction(1), Fraction(-1)):  # strip the real roots on the circle
-        q, r = _deflate(f.coeffs, root)
-        if r == 0:
-            f = Polynomial.of(q)
+        q, r = f.divmod(Polynomial.of([-root, 1]))
+        if r.is_zero():
+            f = q
     # the other roots pair up as z, 1/z = conj(z), so f must be palindromic
     d = f.degree
     if d % 2 or any(f.coeffs[k] != f.coeffs[d - k] for k in range(d + 1)):

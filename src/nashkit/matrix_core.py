@@ -29,17 +29,20 @@ counts from one Sturm sequence on Python ints (exact int division, no
 ``Fraction`` Euclid).  Spectral predicates are answered on the squarefree
 part without factoring it, so only a Jordan plan (``jordan``'s exact
 ``multiplicative_jordan`` and ``additive_jordan``) and exact ``spectrum``
-call ``irreducible_factors``.  sympy is imported on the first call of
-``Polynomial.to_sympy``, which ``irreducible_factors`` makes only to factor
-a remainder that has no rational root and whose squarefree part has degree
->= 4.
+call ``irreducible_factors``.  It factors over the rationals on the same
+int form: rational roots by p-adic lifting, then Zassenhaus's method
+(factoring mod a prime, Musser's degree-set test, a Hensel lift and
+recombination) for a rest of degree >= 4.  The library never imports
+sympy; only ``Polynomial.to_sympy`` and ``from_sympy`` need it.
 """
 
 from __future__ import annotations
 
+import random
 from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, isfinite, isqrt, lcm
 from typing import Iterable, Sequence
 
@@ -711,14 +714,12 @@ class Polynomial:
         return Matrix.from_ints(acc, q * d ** self.degree, m.tol)
 
     def compose_shift(self, a: Fraction) -> "Polynomial":
-        """Coefficients of p(t + a)."""
-        out = Polynomial.of([])
-        shift = Polynomial.of([a, 1])
-        power = Polynomial.of([1])
-        for c in self.coeffs:
-            out = out + power.scale(c)
-            power = power * shift
-        return out
+        """Coefficients of p(t + a): a Taylor shift by repeated Horner steps."""
+        a, cs = _as_fraction(a), list(self.coeffs)
+        for i in range(len(cs) - 1):
+            for j in range(len(cs) - 2, i - 1, -1):
+                cs[j] += a * cs[j + 1]
+        return Polynomial.of(cs)
 
     def is_even(self) -> bool:
         return all(c == 0 for c in self.coeffs[1::2])
@@ -730,12 +731,14 @@ class Polynomial:
         return Polynomial.of(self.coeffs[0::2])
 
     def to_sympy(self):
+        """This polynomial as a ``sympy.Poly`` in t over QQ; needs sympy installed."""
         import sympy  # loaded on first use only: it costs about 0.45 s to import
 
         return sympy.Poly(list(reversed(self.coeffs)), sympy.Symbol("t"), domain="QQ")
 
     @staticmethod
     def from_sympy(p) -> "Polynomial":
+        """The polynomial of a rational ``sympy.Poly`` (the sympy package is needed to make one)."""
         cs = [Fraction(c.p, c.q) for c in reversed(p.all_coeffs())]
         return Polynomial.of(cs)
 
@@ -806,27 +809,30 @@ def _sturm_sequence(p: Polynomial) -> list[list[int]]:
     small where ``Fraction`` remainders grow.
     """
     seq = [_int_multiple(p)]
-    b = _int_multiple(p.derivative())
+    b = [k * c for k, c in enumerate(seq[0])][1:]  # p' on ints, then made primitive
+    content = gcd(*b)
+    b = [c // content for c in b]
     while b:
         seq.append(b)
         b = _neg_prem(seq[-2], b)
     return seq
 
 
-def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
-    """a / b for int polynomials (lowest degree first), b primitive and dividing a.
+def _exact_quotient(a: list[int], b: list[int]) -> list[int] | None:
+    """a / b for int polynomials (lowest degree first), b primitive; None unless b divides a.
 
-    By Gauss's lemma b then divides a over the ints, so each step of the long
-    division divides exactly.
+    By Gauss's lemma a b that divides a over the rationals divides it over
+    the ints, so each step of the long division must divide exactly.
     """
     r, lead, top = list(a), b[-1], len(b) - 1
     q = [0] * (len(a) - top)
     for k in range(len(q) - 1, -1, -1):
-        c = q[k] = r[k + top] // lead
+        q[k], rem = divmod(r[k + top], lead)
+        if rem:
+            return None
         for i, x in enumerate(b):
-            r[k + i] -= c * x
-    assert not any(r), "the divisor does not divide exactly"
-    return q
+            r[k + i] -= q[k] * x
+    return q if q and not any(r) else None
 
 
 def squarefree_part(p: Polynomial) -> Polynomial:
@@ -890,63 +896,202 @@ def _integer_roots(q: list[int]) -> list[int]:
     return roots
 
 
-def _rational_roots(f: Polynomial) -> list[Fraction]:
-    """Rational roots of a monic squarefree polynomial f of degree n.
+def _rational_roots(f: list[int]) -> list[Fraction]:
+    """Rational roots of a squarefree int polynomial f (lowest degree first) of degree n.
 
-    For L the lcm of the coefficient denominators, q(s) = L^n f(s/L) is
-    monic with int coefficients, so its rational roots are integers, and
-    they are L times those of f.
+    For L = lc(f), q(s) = L^(n-1) f(s/L) is monic with int coefficients, so
+    its rational roots are integers, and they are L times those of f.
     """
-    n = f.degree
-    if n < 1:
-        return []
-    scale = lcm(*[c.denominator for c in f.coeffs])
-    q = [c.numerator * (scale // c.denominator) * scale ** (n - 1 - i)
-         for i, c in enumerate(f.coeffs[:-1])] + [1]
-    return [Fraction(s, scale) for s in _integer_roots(q)]
+    n, lead = len(f) - 1, f[-1]
+    q = [c * lead ** (n - 1 - i) for i, c in enumerate(f[:-1])] + [1]
+    return [Fraction(s, lead) for s in _integer_roots(q)] if n > 0 else []
 
 
-def _deflate(coeffs: Sequence[Fraction], root: Fraction) -> tuple[list[Fraction], Fraction]:
-    """Quotient coefficients and remainder of the division by t - root (synthetic division)."""
+# -- Zassenhaus factorization: int polynomials mod m, lowest degree first, no zero top -
+
+
+def _trim(a: list[int], m: int) -> list[int]:
+    """a mod m, without zero top coefficients."""
+    a = [x % m for x in a]
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _padd(a: list[int], b: list[int], m: int, c: int = 1) -> list[int]:
+    """a + c * b mod m."""
+    a = a + [0] * (len(b) - len(a))
+    return _trim([x + c * y for x, y in zip(a, b)] + a[len(b):], m)
+
+
+def _pmul(a: list[int], b: list[int], m: int) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b, i):
+            out[j] += x * y
+    return _trim(out, m)
+
+
+def _pdivmod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by b, whose leading coefficient is a unit mod m."""
+    r, top, inv = list(a), len(b) - 1, pow(b[-1], -1, m)
+    q = [0] * max(0, len(a) - top)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + top] * inv % m
+        for i, x in enumerate(b, k):
+            r[i] -= c * x
+    return q, _trim(r[:top], m)
+
+
+def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """The monic gcd over Z/p, p prime."""
+    while b:
+        a, b = b, _pdivmod(a, b, p)[1]
+    return _pdivmod(a, [a[-1]], p)[0]
+
+
+def _ppow(a: list[int], e: int, f: list[int], m: int) -> list[int]:
+    """a^e mod (f, m) for e >= 1, by squaring."""
+    if e == 1:
+        return _pdivmod(a, f, m)[1]
+    h = _ppow(a, e // 2, f, m)
+    h = _pdivmod(_pmul(h, h, m), f, m)[1]
+    return _pdivmod(_pmul(h, a, m), f, m)[1] if e % 2 else h
+
+
+def _ddf(f: list[int], p: int) -> list[tuple[int, list[int]]]:
+    """Distinct-degree factorization of a monic squarefree f over Z/p: (d, product of its
+    degree-d factors) for each d that occurs (Cantor and Zassenhaus 1981)."""
+    out, h, d = [], [0, 1], 0
+    while 2 * (d + 1) < len(f):  # h = x^(p^d) mod f
+        d += 1
+        h = _ppow(h, p, f, p) if d > 1 else _pdivmod([0] * p + [1], f, p)[1]
+        g = _pgcd(f, _padd(h, [0, 1], p, -1), p)
+        if len(g) > 1:
+            out.append((d, g))
+            f = _pdivmod(f, g, p)[0]
+    return out + [(len(f) - 1, f)] * (len(f) > 1)
+
+
+def _edf(f: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
+    """The monic degree-d factors over Z/p, p odd, of their product f (equal-degree split)."""
+    while len(f) - 1 > d:
+        a = _trim([rng.randrange(p) for _ in range(len(f) - 1)], p)
+        g = _pgcd(f, _padd(_ppow(a, (p ** d - 1) // 2, f, p), [1], p, -1), p)
+        if 1 < len(g) < len(f):
+            return _edf(g, d, p, rng) + _edf(_pdivmod(f, g, p)[0], d, p, rng)
+    return [f]
+
+
+def _hensel(f: list[int], us: list[list[int]], p: int, top: int) -> list[list[int]]:
+    """Monic lifts mod top = p^(2^k) of the monic factors us of f mod p, f squarefree mod p.
+
+    Each factor h is lifted alone, with g = f div h and s = 1/g mod h: a
+    step from mod m to mod m^2 divides f = g h + e, so e = 0 mod m, and adds
+    s e mod h to h; Newton's s <- s (2 - s g) mod h keeps s good enough (von
+    zur Gathen and Gerhard, Modern Computer Algebra, section 15.4).
+    """
     out = []
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * root + c
-        out.append(acc)
-    rem = out.pop()
-    return out[::-1], rem
+    for h in us:
+        # extended Euclid: rows (r, s) with s g = r mod (h, p), down to a constant r
+        (r0, s0), (r1, s1) = (h, []), (_pdivmod(_pdivmod(f, h, p)[0], h, p)[1], [1])
+        while r1:
+            q, r = _pdivmod(r0, r1, p)
+            (r0, s0), (r1, s1) = (r1, s1), (r, _padd(s0, _pmul(q, s1, p), p, -1))
+        s, m = _pdivmod(s0, r0, p)[0], p
+        while m < top:
+            m *= m
+            g, e = _pdivmod(f, h, m)
+            if m > p * p:  # s from the Euclid is good mod p, enough for the first step
+                s = _pdivmod(_pmul(s, _padd([2], _pmul(s, g, m), m, -1), m), h, m)[1]
+            h = _padd(h, _pdivmod(_pmul(s, e, m), h, m)[1], m)
+        out.append(h)
+    return out
+
+
+def _zassenhaus(g: list[int]) -> list[list[int]]:
+    """Irreducible factors (primitive, lc > 0) of a squarefree primitive int g of degree n
+    >= 4 with lc(g) > 0 and no rational root.
+
+    Musser (1978): a factor's degree is a sum of degrees of the factors mod
+    each good prime p (odd, not dividing lc(g), g squarefree mod p), so the
+    allowed degrees are the intersection of those subset sums over up to
+    three primes, 1 and n - 1 excluded; an empty set proves g
+    irreducible.  Else the factors mod the prime with the fewest are lifted
+    past twice lc(g) times Mignotte's bound 2^n ||g||_2 on the coefficients
+    of a factor, and subsets of allowed degree are recombined, smallest
+    first: lc(g) times their product in symmetric residues, made primitive,
+    is a factor when it divides g exactly.
+    """
+    n = len(g) - 1
+    allowed, best, primes = sum(1 << d for d in range(2, n - 1)), None, 3
+    for p in (q for q in _primes() if q > 2 and g[-1] % q):
+        f = _pdivmod(_trim(g, p), [g[-1]], p)[0]
+        if len(_pgcd(f, _trim([i * c for i, c in enumerate(f)][1:], p), p)) > 1:
+            continue  # g is not squarefree mod p
+        split, sums = _ddf(f, p), 1
+        for d, fd in split:
+            for _ in range((len(fd) - 1) // d):
+                sums |= sums << d
+        if not (allowed := allowed & sums):
+            return [g]
+        count = sum((len(fd) - 1) // d for d, fd in split)
+        if best is None or count < best[0]:
+            best = (count, p, split)
+        primes -= 1
+        if not primes or best[0] <= 2:  # two factors leave one candidate: lift them
+            break
+    _, p, split = best
+    rng = random.Random(0)  # a fixed seed: the factorization is deterministic
+    us = [u for d, fd in split for u in _edf(fd, d, p, rng)]
+    bound, m = 2 * g[-1] * 2 ** n * (isqrt(sum(c * c for c in g)) + 1), p
+    while m <= bound:
+        m *= m
+    us, out, size = _hensel(g, us, p, m), [], 1
+    while 2 * size <= len(us):
+        for subset in combinations(range(len(us)), size):
+            if allowed >> sum(len(us[i]) - 1 for i in subset) & 1:
+                c = [g[-1]]
+                for i in subset:
+                    c = _pmul(c, us[i], m)
+                c = [x - m if 2 * x > m else x for x in c]
+                c = [x // gcd(*c) for x in c]
+                if c[0] and g[0] % c[0] == 0 and (q := _exact_quotient(g, c)):
+                    out.append(c)
+                    g, us = q, [u for i, u in enumerate(us) if i not in subset]
+                    break
+        else:
+            size += 1
+    return out + [g]
 
 
 def irreducible_factors(p: Polynomial) -> list[tuple[Polynomial, int]]:
     """Monic irreducible factors over the rationals with multiplicities.
 
-    Sorted by (degree, coeffs).  The rational roots are those of the
-    squarefree part f (``_rational_roots``); each linear factor is divided
-    out of p with its multiplicity.  What is left has no rational root, so
-    when its squarefree part has degree <= 3 that part is irreducible and
-    the remainder is a power of it; only a remainder whose squarefree part
-    has degree >= 4 is factored by sympy's ``factor_list``.  Factorization
-    is unique, so the result is sympy's on p, made monic.
+    Sorted by (degree, coeffs).  The work runs on the primitive int form of
+    p: its squarefree part f is the first Sturm term divided by the last;
+    each rational root a/b of f divides out b t - a, and the rest of f is
+    irreducible up to degree 3 and factored by ``_zassenhaus`` from degree
+    4.  Multiplicities come from exact division of p's int form.
     """
     if p.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
-    f = squarefree_part(p)
-    rest = list(p.coeffs)
-    out = []
-    for root in _rational_roots(f):
-        e = 0
-        q, r = _deflate(rest, root)
-        while r == 0:
-            rest, e = q, e + 1
-            q, r = _deflate(rest, root)
-        out.append((Polynomial.of([-root, 1]), e))
-        f = Polynomial.of(_deflate(f.coeffs, root)[0])
-    rest = Polynomial.of(rest)
-    if f.degree >= 4:
-        _, factors = rest.to_sympy().factor_list()
-        out += [(Polynomial.from_sympy(q).monic(), int(e)) for q, e in factors]
-    elif f.degree > 0:
-        out.append((f, rest.degree // f.degree))
+    seq = _sturm_sequence(p)
+    f = _exact_quotient(seq[0], seq[-1]) if len(seq[-1]) > 1 else seq[0]
+    f, factors = [c if f[-1] > 0 else -c for c in f], []
+    for r in _rational_roots(f):
+        factors.append([-r.numerator, r.denominator])
+        f = _exact_quotient(f, factors[-1])
+    if len(f) > 1:  # no rational root: irreducible up to degree 3
+        factors += _zassenhaus(f) if len(f) > 4 else [f]
+    out, rest = [], seq[0]
+    for q in factors:
+        e = 1
+        if len(seq[-1]) > 1:  # repeated factors: divide them out of p
+            e = 0
+            while quot := _exact_quotient(rest, q):
+                e, rest = e + 1, quot
+        out.append((Polynomial.of([Fraction(c, q[-1]) for c in q]), e))
     out.sort(key=lambda fe: (fe[0].degree, fe[0].coeffs))
     return out
 
@@ -997,7 +1142,7 @@ def count_real_roots(p: Polynomial, lo=None, hi=None) -> int:
 def rational_eigenvalues(m: Matrix) -> list[Fraction] | None:
     """Distinct eigenvalues of an exact matrix, ascending; None unless all are rational."""
     f = squarefree_part(char_poly(m))
-    roots = _rational_roots(f)
+    roots = _rational_roots(_int_multiple(f))
     return sorted(roots) if len(roots) == f.degree else None
 
 

@@ -28,6 +28,7 @@ from .matrix_core import (
     EXACT,
     Matrix,
     Subspace,
+    _int_multiple,
     _rational_roots,
     _scaled,
     char_poly,
@@ -202,7 +203,7 @@ def _joint_eigenspace_exact(flat_ops: list, n: int) -> list[list[Fraction]]:
 def _rational_eigenvalue(r: Matrix) -> Fraction:
     """Smallest rational eigenvalue; NotSplit if none is real, promote if irrational."""
     f = squarefree_part(char_poly(r))
-    roots = _rational_roots(f)
+    roots = _rational_roots(_int_multiple(f))
     if roots:
         return min(roots)
     if count_real_roots(f) > 0:
