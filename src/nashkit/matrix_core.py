@@ -738,7 +738,7 @@ class Polynomial:
 
     @staticmethod
     def from_sympy(p) -> "Polynomial":
-        """The polynomial of a rational ``sympy.Poly`` (the sympy package is needed to make one)."""
+        """The polynomial of a ``sympy.Poly`` with rational coefficients; needs sympy installed."""
         cs = [Fraction(c.p, c.q) for c in reversed(p.all_coeffs())]
         return Polynomial.of(cs)
 

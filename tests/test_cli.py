@@ -123,10 +123,18 @@ def test_exact_calls_leave_sympy_unloaded(tmp_path):
     # char poly (t^2 + 1)(t^2 + 4): no rational root, squarefree part of degree 4
     quartic = write(tmp_path, "quartic.json", {"mode": "exact", "entries": [
         ["0", "-1", "0", "0"], ["1", "0", "1", "0"], ["0", "0", "0", "-2"], ["0", "0", "2", "0"]]})
+    # an exact random 6x6 invertible whose char poly has an irreducible factor of degree >= 4
+    from nashkit.matrix_core import char_poly, irreducible_factors, matrix_to_json
+    from nashkit.selftest import _random_invertible, _rng
+
+    x = _random_invertible(_rng(0, 99), 6)
+    assert max(q.degree for q, _ in irreducible_factors(char_poly(x))) >= 4
+    six = write(tmp_path, "six.json", matrix_to_json(x))
     calls = [["jordan", tri], ["jordan", "--mode", "add", cubic], ["jordan", rot],
              ["classify", cubic], ["classify", "--setting", "algebra", rot], ["replica", tri],
              ["classify", quartic], ["classify", "--setting", "algebra", quartic],
-             ["snsplit", quartic]]
+             ["snsplit", quartic], ["jordan", quartic], ["jordan", "--mode", "add", quartic],
+             ["jordan", six], ["--seed", "0", "selftest"]]
     code = ("import contextlib, io, json, sys\n"
             "from nashkit.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"

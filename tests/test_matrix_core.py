@@ -390,6 +390,118 @@ def test_irreducible_factors_match_sympy(case):
     assert irreducible_factors(p) == _sympy_factors(p)
 
 
+def _swinnerton_dyer(k: int) -> Polynomial:
+    """The minimal polynomial of sqrt(2) + sqrt(3) + ... over the first k primes:
+    irreducible of degree 2^k, and a product of factors of degree <= 2 mod every prime."""
+    t = sympy.Symbol("t")
+    alpha = sum(sympy.sqrt(q) for q in sympy.primerange(2, sympy.prime(k) + 1))
+    return Polynomial.from_sympy(sympy.Poly(sympy.minimal_polynomial(alpha, t), t, domain="QQ"))
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_irreducible_factors_swinnerton_dyer(k):
+    sd = _swinnerton_dyer(k)
+    assert sd.degree == 2 ** k
+    assert irreducible_factors(sd) == [(sd.monic(), 1)]
+    # shifted and scaled, times a quadratic that also splits mod some primes
+    p = sd.compose_shift(Fraction(1, 3)) * Polynomial.of([-7, 0, 5])
+    assert irreducible_factors(p) == _sympy_factors(p)
+
+
+_quadratics = st.builds(lambda b, c: Polynomial.of([c, b, 1]),
+                        st.integers(-6, 6), st.integers(-6, 6)) | st.builds(
+    lambda a, b, c: Polynomial.of([c, b, a]), st.sampled_from([2, 3, 9, 35]),
+    st.builds(Fraction, st.integers(-20, 20), st.integers(1, 5)), st.integers(1, 30))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_quadratics, min_size=2, max_size=6))
+def test_irreducible_factors_products_of_quadratics(qs):
+    p = Polynomial.of([1])
+    for q in qs:
+        p = p * q
+    assert irreducible_factors(p) == _sympy_factors(p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 30), min_size=1, max_size=4),
+       st.lists(st.integers(1, 2), min_size=4, max_size=4))
+def test_irreducible_factors_cyclotomic_products(ns, exps):
+    t = sympy.Symbol("t")
+    p = Polynomial.of([1])
+    for n, e in zip(ns, exps):
+        phi = Polynomial.from_sympy(sympy.Poly(sympy.cyclotomic_poly(n, t), t, domain="QQ"))
+        for _ in range(e):
+            p = p * phi
+    assume(p.degree <= 48)
+    assert irreducible_factors(p) == _sympy_factors(p)
+
+
+_huge = st.builds(Fraction, st.integers(-3 ** 40, 3 ** 40), st.sampled_from([1, 2, 3 ** 17, 3 ** 40]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(_huge, min_size=2, max_size=4), min_size=2, max_size=3),
+       st.sampled_from([1, 3 ** 40, Fraction(1, 3 ** 40)]))
+def test_irreducible_factors_huge_coefficients(factors, scale):
+    # leading coefficients and denominators up to 3^40 (each factor's leading
+    # coefficient is its constant term): a large Hensel bound, and factors whose
+    # coefficients come near it
+    p = Polynomial.of([scale])
+    for cs in factors:
+        q = Polynomial.of(cs + [cs[0] or 1])
+        p = p * q
+    assert irreducible_factors(p) == _sympy_factors(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-4, 4), min_size=3, max_size=4),
+       st.lists(st.integers(-4, 4), min_size=1, max_size=5), st.integers(1, 3))
+def test_irreducible_factors_skip_bad_primes(h, k, lead):
+    # for M = 3 5 7 11 13, g = h^2 + M k is a square mod every prime dividing M, and
+    # M^lead t^(deg g + 1) + g has a leading coefficient they divide: those primes
+    # must be skipped
+    big = 3 * 5 * 7 * 11 * 13
+    hp = Polynomial.of(h + [1])
+    g = hp * hp + Polynomial.of([big * c for c in k])
+    for p in (g, g * Polynomial.of([1, 1, 1]), Polynomial.of([0] * (g.degree + 1) + [big ** lead]) + g):
+        assert irreducible_factors(p) == _sympy_factors(p)
+
+
+def test_irreducible_factors_selftest_char_polys():
+    # every characteristic polynomial of selftest criterion 1 (jordan_reconstruction) at seed 0
+    from nashkit.selftest import _random_invertible, _rng
+
+    rng = _rng(0, 1)
+    for _ in range(500):
+        p = char_poly(_random_invertible(rng, 4))
+        assert irreducible_factors(p) == _sympy_factors(p)
+
+
+def test_degree_sets_certify_irreducibility_without_a_lift(monkeypatch):
+    # allowed factor degrees mod 3, 5 and 11 are {2, 3, 4}, {2, 4} and {3}: no single prime
+    # proves this sextic irreducible, but the intersection of the three is empty
+    import nashkit.matrix_core as mc
+
+    p = Polynomial.of([3, -1, 3, -2, -3, -3, 1])
+    assert _sympy_factors(p) == [(p, 1)]
+    lifts, hensel = [], mc._hensel
+    monkeypatch.setattr(mc, "_hensel", lambda *args: lifts.append(args) or hensel(*args))
+    assert irreducible_factors(p) == [(p, 1)]
+    assert lifts == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_fractions, max_size=8), _fractions)
+def test_compose_shift_matches_the_expanded_powers(coeffs, a):
+    p = Polynomial.of(coeffs)
+    expected, power = Polynomial.of([]), Polynomial.of([1])
+    for c in p.coeffs:  # sum of c_k (t + a)^k
+        expected = expected + power.scale(c)
+        power = power * Polynomial.of([a, 1])
+    assert p.compose_shift(a) == expected
+
+
 @settings(max_examples=200, deadline=None)
 @given(_factored_polynomials(max_degree=8), st.data())
 def test_count_real_roots_matches_sympy(case, data):
