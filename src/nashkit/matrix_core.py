@@ -44,6 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isfinite, isqrt, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -394,8 +395,9 @@ class Subspace:
     The only exact row reduction: ``rref``, ``exact_nullspace`` and
     ``exact_solve`` read one.  Row i of ``rows`` has a 1 in column
     pivots[i] and a 0 in every other pivot column.  Each row is
-    stored as a primitive int vector with a positive pivot entry, so
-    elimination runs on Python ints; a matrix enters by its ``ints`` form
+    stored as a primitive list of Python ints with a positive pivot entry,
+    so elimination runs on Python ints (which never wrap) without numpy's
+    per-call cost on these short rows; a matrix enters by its ``ints`` form
     and a list of rationals by its numerators over their lcm.  The added
     vectors that raised the rank are kept as they came; ``coords`` reads
     coordinates in them through the inverse of their block on the pivot
@@ -408,14 +410,14 @@ class Subspace:
     def __init__(self, vecs=()):
         self.pivots: list[int] = []
         self.length: int | None = None
-        # row i of the echelon form is _rows[i] / _heads[i], _heads[i] = _rows[i, pivots[i]] > 0
-        self._rows = np.empty((0, 0), dtype=object)
+        # row i of the echelon form is _rows[i] / _heads[i], _heads[i] = _rows[i][pivots[i]] > 0
+        self._rows: list[list[int]] = []
         self._heads: list[int] = []
         self._lcm = 1  # of the heads
         # (index, nums, d): added vector number index was nums / d and raised the rank
-        self._picked: list[tuple[int, np.ndarray, int]] = []
+        self._picked: list[tuple[int, list[int], int]] = []
         self._added = 0
-        self._inv: tuple[np.ndarray, int] | None = None  # of the picked block, see coords
+        self._inv: tuple[list[list[int]], int] | None = None  # of the picked block, see coords
         for v in vecs:
             self.add(v)
 
@@ -427,26 +429,29 @@ class Subspace:
         """The echelon rows as rationals, each with a 1 at its pivot."""
         return [[Fraction(x, h) for x in r] for r, h in zip(self._rows, self._heads)]
 
-    def _reduce(self, v) -> tuple[np.ndarray, int, np.ndarray]:
+    def _reduce(self, v) -> tuple[list[int], int, list[int]]:
         """(a, d, res): v = a / d in ints, and res = lcm(heads) * a - coef . rows.
 
         coef[i] = a[pivots[i]] * lcm(heads) / heads[i], so res is lcm(heads) * d
         times v minus its projection along the echelon rows; it is 0 at every pivot.
+        A row with coefficient 0 is skipped: each row is 0 at the other pivots.
         """
         if isinstance(v, Matrix):
-            nums, d = v.ints
-            a = nums.reshape(-1)
+            a, d = v.ints[0].reshape(-1).tolist(), v.ints[1]
         else:
             v = list(v)
             # int(): numpy integer entries would wrap on overflow
             d = lcm(*(int(x.denominator) for x in v))
-            a = np.array([int(x.numerator) * (d // int(x.denominator)) for x in v], dtype=object)
+            a = [int(x.numerator) * (d // int(x.denominator)) for x in v]
         if self.length is not None and len(a) != self.length:
             raise ValueError(f"a length-{len(a)} vector in a span of length-{self.length} vectors")
-        coef = [a[p] * (self._lcm // h) for p, h in zip(self.pivots, self._heads)]
-        res = self._lcm * a
-        if any(coef):
-            res -= np.dot(np.array(coef, dtype=object), self._rows)
+        big = self._lcm
+        res = [big * x for x in a] if big != 1 else a
+        for p, h, row in zip(self.pivots, self._heads, self._rows):
+            c = a[p]
+            if c:
+                c *= big // h
+                res = [x - c * y for x, y in zip(res, row)]
         return a, d, res
 
     def add(self, v) -> bool:
@@ -454,38 +459,33 @@ class Subspace:
         a, d, res = self._reduce(v)
         if self.length is None:
             self.length = len(a)
-            self._rows = np.empty((0, self.length), dtype=object)
         self._added += 1
-        nonzero = res.nonzero()[0]
-        if not len(nonzero):
+        p = next((i for i, x in enumerate(res) if x), None)
+        if p is None:
             return False
-        p = int(nonzero[0])
         g = gcd(*res) if res[p] > 0 else -gcd(*res)
-        row = res // g
+        row = [x // g for x in res]
         head = row[p]
-        # insert the new row at its pivot's place
-        rank = len(self.pivots)
+        # clear column p from the rows above, the only ones with an entry there;
+        # each stays primitive with a positive head
         at = bisect(self.pivots, p)
-        rows = np.empty((rank + 1, self.length), dtype=object)
-        rows[:at], rows[at], rows[at + 1:] = self._rows[:at], row, self._rows[at:]
+        for i in range(at):
+            f = self._rows[i][p]
+            if f:
+                r = [head * x - f * y for x, y in zip(self._rows[i], row)]
+                g = gcd(*r)
+                self._rows[i] = r = [x // g for x in r]
+                self._heads[i] = r[self.pivots[i]]
+        self._rows.insert(at, row)
         self.pivots.insert(at, p)
         self._heads.insert(at, head)
-        # clear column p from the other rows; each stays primitive with a positive head
-        for i in range(rank + 1):
-            f = rows[i, p]
-            if i == at or not f:
-                continue
-            rows[i] = head * rows[i] - f * row
-            rows[i] //= gcd(*rows[i])
-            self._heads[i] = rows[i, self.pivots[i]]
-        self._rows = rows
         self._lcm = lcm(*self._heads)
         self._picked.append((self._added - 1, a, d))
         self._inv = None
         return True
 
     def __contains__(self, v) -> bool:
-        return not self._reduce(v)[2].any()
+        return not any(self._reduce(v)[2])
 
     def coords(self, v) -> list[Fraction] | None:
         """Coordinates of v in the added vectors, or None if v is outside the span.
@@ -496,24 +496,25 @@ class Subspace:
         and v = sum_k c_k nums_k / d_k gives c_k = d_k (v[pivots] B^-1)_k.
         """
         a, d, res = self._reduce(v)
-        if res.any():
+        if any(res):
             return None
         out = [Fraction(0)] * self._added
         if not self.pivots:
             return out
         if self._inv is None:
             block = [[nums[p] for p in self.pivots] for _, nums, _ in self._picked]
-            self._inv = _inv_exact(block, 1).ints  # B^-1 = inv / den
-        inv, den = self._inv
-        x = np.dot(np.array([a[p] for p in self.pivots], dtype=object), inv)
-        for (index, _, dk), xk in zip(self._picked, x):
-            out[index] = Fraction(dk * xk, d * den)
+            inv, den = _inv_exact(block, 1).ints  # B^-1 = inv / den
+            self._inv = inv.T.tolist(), den
+        cols, den = self._inv
+        at = [a[p] for p in self.pivots]
+        for (index, _, dk), col in zip(self._picked, cols):
+            out[index] = Fraction(dk * sum(map(mul, at, col)), d * den)
         return out
 
     def matrices(self) -> list[Matrix]:
         """The echelon rows as square exact matrices."""
         n = isqrt(self.length or 0)
-        return [Matrix.from_ints(r.reshape(n, n).copy(), h)
+        return [Matrix.from_ints(np.array(r, dtype=object).reshape(n, n), h)
                 for r, h in zip(self._rows, self._heads)]
 
 
