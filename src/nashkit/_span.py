@@ -2,25 +2,26 @@
 
 ``Subspace`` (in ``matrix_core``, next to Bareiss) holds the reduced row
 echelon basis of the span of some rational vectors, a matrix counting as
-its row-major entries.  It grows with ``add`` and answers membership with
-one reduction of the query vector; coordinates come from the inverse of
-the added vectors' pivot-column block, computed on demand.  The helpers
-below build one per call; ``coords_in_span`` takes a prebuilt one.
-``independent_subset`` is the one basis extension: of a given span, by
-elements of a list (a complement, a completed flag, an independent sublist).
-``bracket``, ``intersect``, ``restriction`` and ``eigenspace`` run on the
-integer forms (``Matrix.ints`` and vectors over a common denominator).
+its row-major entries, as primitive rows of Python ints.  It grows with
+``add`` and answers membership with one reduction of the query vector;
+coordinates come from the inverse of the added vectors' pivot-column block,
+computed on demand.  The exact helpers hand each other ``Subspace``s and
+int rows, not ``Fraction``s: ``coords_in_span`` gives int coordinates in a
+prebuilt ``Subspace``, ``intersect`` and ``eigenspace`` read int kernel rows
+(``matrix_core._kernel``), and ``restriction`` and ``eigenspace`` work in
+the basis of a ``Subspace``'s int echelon rows.  ``independent_subset`` is
+the one basis extension: of a given span (a ``Subspace`` is extended in
+place), by elements of a list (a complement, a completed flag, an
+independent sublist).  ``bracket`` runs on ``Matrix.ints``.
 ``float_span_basis`` is the float track's span: an SVD basis cut at the
 inputs' own absolute tolerance.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
-from .matrix_core import APPROX, EXACT, Matrix, Subspace, _scaled, exact_nullspace
+from .matrix_core import APPROX, EXACT, Matrix, Subspace, _kernel
 
 
 def span_basis(mats: list[Matrix]) -> list[Matrix]:
@@ -29,13 +30,17 @@ def span_basis(mats: list[Matrix]) -> list[Matrix]:
 
 
 def independent_subset(mats: list, given=()) -> list:
-    """The elements of mats (matrices or vectors) that extend a basis of span(given)."""
-    space = Subspace(given)
+    """The elements of mats (matrices or vectors) that extend a basis of span(given).
+
+    A ``Subspace`` given is extended in place by them.
+    """
+    space = given if isinstance(given, Subspace) else Subspace(given)
     return [m for m in mats if space.add(m)]
 
 
-def coords_in_span(m: Matrix, space: Subspace) -> list[Fraction] | None:
-    return space.coords(m)
+def coords_in_span(m: Matrix, space: Subspace) -> tuple[list[int], int] | None:
+    """(x, den): m = sum_k x[k] / den times the k-th vector that raised the rank of space."""
+    return space._solve(m)
 
 
 def in_span(m: Matrix, space: Subspace | list[Matrix]) -> bool:
@@ -47,18 +52,18 @@ def intersect(a: list[Matrix], b: list[Matrix]) -> list[Matrix]:
 
     A kernel vector k of the columns [a_1 .. a_p, b_1 .. b_q] gives the
     common vector sum_{j <= p} k_j a_j = -sum_{j > p} k_j b_(j-p).  Each
-    matrix enters by its numerators, a multiple of it, which leaves the
-    spans unchanged.
+    matrix enters by its numerators, a multiple of it, and each kernel
+    vector by an int multiple, which leaves the spans unchanged.
     """
     if not a or not b:
         return []
-    va = np.array([m.ints[0].reshape(-1) for m in a])
-    vb = np.array([m.ints[0].reshape(-1) for m in b])
-    kernel = exact_nullspace(np.concatenate([va, vb]).T.tolist())
+    va = [m.ints[0].reshape(-1).tolist() for m in a]
+    vb = [m.ints[0].reshape(-1).tolist() for m in b]
+    kernel, _ = _kernel(list(zip(*va, *vb)))
     if not kernel:
         return []
-    ks, _ = _scaled(np.array(kernel, dtype=object)[:, :len(a)])
-    return Subspace(np.dot(ks, va)).matrices()
+    ks = np.array([k[:len(a)] for k in kernel], dtype=object)
+    return Subspace(np.dot(ks, np.array(va, dtype=object)).tolist()).matrices()
 
 
 def span_dim(mats: list[Matrix]) -> int:
@@ -73,28 +78,28 @@ def bracket(a: Matrix, b: Matrix) -> Matrix:
     return a @ b - b @ a
 
 
-def restriction(z: Matrix, basis: list[list]) -> Matrix | None:
-    """Matrix of z on span(basis) in that (independent) basis; None if not invariant."""
-    space = Subspace(basis)
+def restriction(z: Matrix, space: Subspace) -> Matrix | None:
+    """Matrix of z on span(space) in the basis of its int echelon rows; None if not invariant.
+
+    Each row is 0 at the other rows' pivots, so an image w in the span has
+    coordinate w[pivot] / head along a row.
+    """
     nz, dz = z.ints
-    vs, dv = _scaled(np.array(basis, dtype=object).reshape(len(basis), z.n))
-    cols = []
-    for image in np.dot(vs, nz.T):  # dz * dv * (z v) for each basis vector v
-        coords = space.coords(image)
-        if coords is None:
-            return None
-        cols.append(coords)
-    return Matrix.exact(cols).T.scale(Fraction(1, dz * dv))
+    k, big = len(space), space._lcm
+    images = np.dot(np.array(space._rows, dtype=object).reshape(k, z.n), nz.T).tolist()
+    if any(w not in space for w in images):
+        return None
+    r = [[w[p] * (big // h) for w in images] for p, h in zip(space.pivots, space._heads)]
+    return Matrix.from_ints(np.array(r, dtype=object).reshape(k, k), dz * big)
 
 
-def eigenspace(r: Matrix, lam, basis: list[list]) -> list[list[Fraction]]:
-    """Reduced basis of the lam-eigenspace of r = restriction(z, basis), as vectors."""
-    kernel = exact_nullspace((r - Matrix.identity(r.n).scale(lam)).ints[0].tolist())
+def eigenspace(r: Matrix, lam, space: Subspace) -> Subspace:
+    """The lam-eigenspace of r = restriction(z, space), spanned by int rows."""
+    kernel, _ = _kernel((r - Matrix.identity(r.n).scale(lam)).ints[0].tolist())
     if not kernel:
-        return []
-    ks, _ = _scaled(np.array(kernel, dtype=object))
-    vs, _ = _scaled(np.array(basis, dtype=object))
-    return Subspace(np.dot(ks, vs)).rows
+        return Subspace()
+    return Subspace(np.dot(np.array(kernel, dtype=object),
+                           np.array(space._rows, dtype=object)).tolist())
 
 
 def float_span_basis(mats: list[Matrix]) -> list[Matrix]:

@@ -40,7 +40,7 @@ from .matrix_core import (
     Matrix,
     Subspace,
     _combine,
-    exact_nullspace,
+    _kernel,
     rational_eigenvalues,
 )
 
@@ -118,7 +118,8 @@ def _centralizer_in(p: list[Matrix], a: list[Matrix]) -> list[Matrix]:
         forms = [bracket(pj, ai).ints for pj in p]
         den = lcm(*(d for _, d in forms))
         rows += np.array([nums.reshape(-1) * (den // d) for nums, d in forms]).T.tolist()
-    return [_combine(coeffs, p, p[0].n) for coeffs in exact_nullspace(rows)]
+    kernel, den = _kernel(rows)
+    return [_combine(k, p, p[0].n, den) for k in kernel]
 
 
 # -- restricted roots ---------------------------------------------------------------
@@ -140,8 +141,8 @@ def restricted_roots(g: LieAlgebraData, a_basis: list[Matrix]) -> RootDatum:
     d = g.dim
     g_space = Subspace(g.basis)
     ads = [_ad_matrix(g, g_space, a) for a in a_basis]
-    unit = [[int(i == j) for i in range(d)] for j in range(d)]
-    leaves: list[tuple[list[list], tuple[Fraction, ...]]] = [(unit, ())]
+    unit = Subspace([int(i == j) for i in range(d)] for j in range(d))
+    leaves: list[tuple[Subspace, tuple[Fraction, ...]]] = [(unit, ())]
     for m in ads:
         refined = []
         for space, tag in leaves:
@@ -151,7 +152,8 @@ def restricted_roots(g: LieAlgebraData, a_basis: list[Matrix]) -> RootDatum:
     roots, root_spaces = [], []
     zero_space: tuple[Matrix, ...] = ()
     for space, tag in leaves:
-        mats = tuple(g.element(v) for v in space)
+        # each int echelon row over its head: the coordinates of one basis element
+        mats = tuple(_combine(v, g.basis, g.ambient, h) for v, h in zip(space._rows, space._heads))
         if all(c == 0 for c in tag):
             zero_space = mats
         else:
@@ -182,10 +184,12 @@ def _ad_matrix(g: LieAlgebraData, space: Subspace, a: Matrix) -> Matrix:
         if coords is None:
             raise NotSimultaneouslyDiagonalizable("ad image left the algebra")
         cols.append(coords)
-    return Matrix.exact(cols).T
+    den = lcm(*(d for _, d in cols))
+    nums = np.array([[x * (den // d) for x in xs] for xs, d in cols], dtype=object)
+    return Matrix.from_ints(nums.reshape(g.dim, g.dim).T.copy(), den)
 
 
-def _eigensplit_exact(m: Matrix, space: list[list[Fraction]]):
+def _eigensplit_exact(m: Matrix, space: Subspace):
     """Split an invariant subspace into eigenspaces of m; rational, complete."""
     r = restriction(m, space)
     if r is None:

@@ -43,8 +43,8 @@ from .matrix_core import (
     Matrix,
     Subspace,
     _combine,
+    _kernel,
     _scaled,
-    exact_nullspace,
     exact_solve,
     float_rank,
 )
@@ -131,19 +131,35 @@ def _f_coords(m: Matrix, basis: list[Matrix]) -> list[float] | None:
 # -- construction ---------------------------------------------------------------
 
 
-def _structure_constants(basis: list[Matrix], exact: bool, ideal=()) -> np.ndarray:
-    """sc[i, j, k]: coefficient of basis[k] in [basis[i], basis[j]] modulo span(ideal)."""
+def _structure_constants(basis: list[Matrix], exact: bool, space: Subspace | None = None
+                         ) -> np.ndarray:
+    """sc[i, j, k]: coefficient of basis[k] in [basis[i], basis[j]].
+
+    Exact: ``space`` (by default span(basis)) is a Subspace whose last
+    rank-raising vectors are basis; coordinates along its earlier ones, an
+    ideal's, are dropped, so sc is then taken modulo that ideal.
+    """
     d = len(basis)
     sc = np.empty((d, d, d), dtype=object if exact else float)
-    sc[:] = Fraction(0) if exact else 0.0
-    space = Subspace(basis + list(ideal)) if exact else basis
+    if exact:
+        space = Subspace(basis) if space is None else space
+        sc[:] = Fraction(0)
+    else:
+        sc[:] = 0.0
     for i, j in combinations(range(d), 2):
         br = bracket(basis[i], basis[j])
         coords = coords_in_span(br, space) if exact else _f_coords(br, basis)
         if coords is None:
             raise ValueError("basis is not bracket closed")
-        sc[i, j] = coords[:d]
-        sc[j, i] = 0 - sc[i, j]  # not -sc: float zeros stay +0.0, as lstsq gives them
+        if not exact:
+            sc[i, j] = coords
+            sc[j, i] = 0 - sc[i, j]  # not -sc: float zeros stay +0.0, as lstsq gives them
+            continue
+        xs, den = coords
+        for k, x in enumerate(xs[len(xs) - d:]):
+            if x:
+                sc[i, j, k] = f = Fraction(x, den)
+                sc[j, i, k] = -f
     return sc
 
 
@@ -152,15 +168,17 @@ def algebra_from_basis(basis: list[Matrix], ambient: int | None = None) -> LieAl
     if not basis:
         return LieAlgebraData(ambient or 0, (), np.empty((0, 0, 0), dtype=object))
     exact = all(b.mode == EXACT for b in basis)
+    space = None
     if exact:
-        if span_dim(list(basis)) != len(basis):
+        space = Subspace(basis)
+        if len(space) != len(basis):
             raise ValueError("basis is linearly dependent")
     else:
         rows = np.array([b.float_array().ravel() for b in basis])
         if float_rank(rows, _f_tol(list(basis))) != len(basis):
             raise ValueError("basis is numerically dependent")
     return LieAlgebraData(basis[0].n, tuple(basis),
-                          _structure_constants(list(basis), exact))
+                          _structure_constants(list(basis), exact, space))
 
 
 def lie_closure(generators: list[Matrix], ambient: int | None = None) -> LieAlgebraData:
@@ -169,8 +187,8 @@ def lie_closure(generators: list[Matrix], ambient: int | None = None) -> LieAlge
     if not gens:
         return algebra_from_basis([], ambient)
     exact = all(m.mode == EXACT for m in gens)
-    basis = independent_subset(gens) if exact else _f_independent(gens)
-    space = Subspace(basis) if exact else None
+    space = Subspace() if exact else None
+    basis = independent_subset(gens, space) if exact else _f_independent(gens)
     while True:
         new = []
         for a, b in combinations(basis, 2):
@@ -183,6 +201,8 @@ def lie_closure(generators: list[Matrix], ambient: int | None = None) -> LieAlge
             break
         # exact: each new bracket raised the rank, so basis + new stays independent
         basis = basis + new if exact else _f_independent(basis + new)
+    if exact:  # basis is exactly the vectors that raised the rank of space
+        return LieAlgebraData(basis[0].n, tuple(basis), _structure_constants(basis, True, space))
     return algebra_from_basis(basis)
 
 
@@ -306,7 +326,8 @@ def radical(g: LieAlgebraData) -> list[Matrix]:
     if not nums.any():
         return list(g.basis)
     gram, _ = _trace_gram(list(g.basis))
-    rad = [g.element(v) for v in exact_nullspace(np.dot(nums.reshape(d * d, d), gram).tolist())]
+    kernel, den = _kernel(np.dot(nums.reshape(d * d, d), gram).tolist())
+    rad = [_combine(k, g.basis, g.ambient, den) for k in kernel]
     _check_radical(g, rad)
     return rad
 
@@ -323,11 +344,12 @@ def _check_radical(g: LieAlgebraData, rad: list[Matrix]):
 
 def _quotient_structure(g: LieAlgebraData, ideal: list[Matrix]) -> np.ndarray | None:
     """Structure constants of g modulo an ideal, in a complement drawn from g's basis."""
-    comp = independent_subset(list(g.basis), ideal)
+    space = Subspace(ideal)
+    comp = independent_subset(list(g.basis), space)
     if not comp:
         return None
     try:
-        return _structure_constants(comp, True, ideal)
+        return _structure_constants(comp, True, space)
     except ValueError:
         raise PostconditionFailed("quotient brackets fall outside the algebra") from None
 
@@ -354,7 +376,7 @@ def unipotent_radical(g: LieAlgebraData) -> list[Matrix]:
         frontier = [w for w in (b @ f for b in g.basis for f in frontier) if env_space.add(w)]
     env = env_space.matrices()
     gram, _ = _trace_gram(env)
-    rad_env = [_combine(v, env, g.ambient) for v in exact_nullspace(gram.tolist())]
+    rad_env = [_combine(k, env, g.ambient) for k in _kernel(gram.tolist())[0]]
     out = intersect(rad_env, list(g.basis))
     _check_unipotent_radical(g, out)
     return out
@@ -393,10 +415,9 @@ def levi_complement(g: LieAlgebraData) -> LeviDecomp:
         raise PostconditionFailed("unipotent radical is not nilpotent")
     for stage in range(len(chain) - 1):
         levi = _correct_stage(levi, chain[stage], chain[stage + 1])
-    if not _brackets_inside(combinations(levi, 2), levi):
-        raise LiftFailed("complement is not bracket closed after the last stage")
     decomp = LeviDecomp(tuple(levi), tuple(unip))
-    _check_levi(g, decomp)
+    # the check's closure test is the lift's own last test
+    _check_levi(g, decomp, LiftFailed("complement is not bracket closed after the last stage"))
     return decomp
 
 
@@ -414,26 +435,33 @@ def _correct_stage(levi: list[Matrix], uj: list[Matrix], uj1: list[Matrix]) -> l
         return levi
     mixed = Subspace(levi + w + uj1)
 
-    def split(m: Matrix) -> tuple[list[Fraction], list[Fraction]]:
+    def split(m: Matrix) -> tuple[list[int], int]:
+        """(x, den): the levi and then the w coordinates of m are x / den."""
         coords = coords_in_span(m, mixed)
         if coords is None:
             raise LiftFailed("bracket defect left the expected filtration stage")
-        return coords[:dl], coords[dl:dl + p]
+        xs, den = coords
+        return xs[:dl + p], den
 
-    x = [[split(bracket(wa, lk))[1] for lk in levi] for wa in w]
-    rows: list[list[Fraction]] = []  # unknown t[i][a] in column i * p + a
-    rhs: list[Fraction] = []
+    # x[a][k][b] / dx: the w_b coordinate of [w_a, l_k]
+    parts = [[split(bracket(wa, lk)) for lk in levi] for wa in w]
+    dx = lcm(*(den for row in parts for _, den in row))
+    x = [[[v * (dx // den) for v in xs[dl:]] for xs, den in row] for row in parts]
+    rows: list[list[int]] = []  # unknown t[i][a] in column i * p + a; each row over one scale
+    rhs: list[int] = []
     for i, j in combinations(range(dl), 2):
-        c, d = split(bracket(levi[i], levi[j]))
+        xs, den = split(bracket(levi[i], levi[j]))
+        big = lcm(dx, den)
+        fx, fc = big // dx, big // den
         for b in range(p):  # the w_b component
-            row = [Fraction(0)] * (dl * p)
+            row = [0] * (dl * p)
             for a in range(p):
-                row[i * p + a] += x[a][j][b]
-                row[j * p + a] -= x[a][i][b]
+                row[i * p + a] += x[a][j][b] * fx
+                row[j * p + a] -= x[a][i][b] * fx
             for k in range(dl):
-                row[k * p + b] -= c[k]
+                row[k * p + b] -= xs[k] * fc
             rows.append(row)
-            rhs.append(-d[b])
+            rhs.append(-xs[dl + b] * fc)
     sol = exact_solve(rows, rhs)
     if sol is None:
         raise LiftFailed("correction system is inconsistent")
@@ -442,13 +470,15 @@ def _correct_stage(levi: list[Matrix], uj: list[Matrix], uj1: list[Matrix]) -> l
             for i, m in enumerate(levi)]
 
 
-def _check_levi(g: LieAlgebraData, decomp: LeviDecomp):
+def _check_levi(g: LieAlgebraData, decomp: LeviDecomp, not_closed: Exception | None = None):
+    """Certify a Levi decomposition; ``not_closed`` replaces the error for a complement
+    that is not bracket closed."""
     levi, unip = list(decomp.levi_basis), list(decomp.unip_basis)
     # both lists together form a basis of g
     if len(levi) + len(unip) != g.dim or span_dim(levi + unip) != g.dim:
         raise PostconditionFailed("complement and unipotent radical do not split the algebra")
     if not _brackets_inside(combinations(levi, 2), levi):
-        raise PostconditionFailed("complement is not a subalgebra")
+        raise not_closed or PostconditionFailed("complement is not a subalgebra")
     if levi and Matrix.from_ints(*_trace_gram(levi)).det() == 0:
         raise PostconditionFailed("complement is not reductive")
     if not _brackets_inside(product(levi, unip), unip):

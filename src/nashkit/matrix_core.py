@@ -308,7 +308,7 @@ class Matrix:
         return Matrix(np.dot(a._data, b._data), APPROX, tol)
 
     def scale(self, c) -> "Matrix":
-        if self.mode == EXACT and isinstance(c, (int, Fraction)):
+        if self.mode == EXACT and isinstance(c, (int, np.integer, Fraction)):
             c = _as_fraction(c)
             nums, d = self.ints
             return Matrix.from_ints(nums * c.numerator, d * c.denominator, self.tol)
@@ -487,28 +487,41 @@ class Subspace:
     def __contains__(self, v) -> bool:
         return not any(self._reduce(v)[2])
 
-    def coords(self, v) -> list[Fraction] | None:
-        """Coordinates of v in the added vectors, or None if v is outside the span.
+    def _solve(self, v) -> tuple[list[int], int] | None:
+        """(x, den): v = sum_k x[k] / den times the k-th added vector that raised the rank.
 
-        Vectors that did not raise the rank get coordinate 0, as the free
-        variables of ``exact_solve`` do.  The picked vectors nums_k / d_k are
+        None if v is outside the span.  The picked vectors nums_k / d_k are
         independent, so their block B[k, i] = nums_k[pivots[i]] is invertible,
         and v = sum_k c_k nums_k / d_k gives c_k = d_k (v[pivots] B^-1)_k.
         """
         a, d, res = self._reduce(v)
         if any(res):
             return None
-        out = [Fraction(0)] * self._added
         if not self.pivots:
-            return out
+            return [], d
         if self._inv is None:
             block = [[nums[p] for p in self.pivots] for _, nums, _ in self._picked]
-            inv, den = _inv_exact(block, 1).ints  # B^-1 = inv / den
-            self._inv = inv.T.tolist(), den
+            inv, den = _inv_exact(block, 1).ints
+            # column k of B^-1 / den, times d_k
+            self._inv = [[dk * x for x in col] for col, (_, _, dk) in
+                         zip(inv.T.tolist(), self._picked)], den
         cols, den = self._inv
         at = [a[p] for p in self.pivots]
-        for (index, _, dk), col in zip(self._picked, cols):
-            out[index] = Fraction(dk * sum(map(mul, at, col)), d * den)
+        return [sum(map(mul, at, col)) for col in cols], d * den
+
+    def coords(self, v) -> list[Fraction] | None:
+        """Coordinates of v in the added vectors, or None if v is outside the span.
+
+        Vectors that did not raise the rank get coordinate 0, as the free
+        variables of ``exact_solve`` do.
+        """
+        solved = self._solve(v)
+        if solved is None:
+            return None
+        out = [Fraction(0)] * self._added
+        xs, den = solved
+        for (index, _, _), x in zip(self._picked, xs):
+            out[index] = Fraction(x, den)
         return out
 
     def matrices(self) -> list[Matrix]:
@@ -530,22 +543,33 @@ def rref(rows: list[list]) -> tuple[list[list[Fraction]], list[int]]:
     return space.rows + zeros, space.pivots
 
 
+def _kernel(rows) -> tuple[list[list[int]], int]:
+    """(K, L): the right kernel of a rational matrix is spanned by the int rows K[j] / L.
+
+    L is the lcm of the echelon heads.  One vector per free column c of the
+    echelon form: L at c, -L * row[c] / head at each echelon row's pivot, 0
+    elsewhere.
+    """
+    space = Subspace(rows)
+    big = space._lcm
+    kernel = []
+    for c in (c for c in range(space.length or 0) if c not in space.pivots):
+        v = [0] * space.length
+        v[c] = big
+        for p, row, head in zip(space.pivots, space._rows, space._heads):
+            v[p] = -row[c] * (big // head)
+        kernel.append(v)
+    return kernel, big
+
+
 def exact_nullspace(rows: list[list]) -> list[list[Fraction]]:
     """Basis of the right kernel of a rational matrix (rows of coefficients).
 
     One vector per free column c of the echelon form: 1 at c, minus the
     echelon rows' entries in column c at their pivots, 0 elsewhere.
     """
-    space = Subspace(rows)
-    ncols = len(rows[0]) if rows else 0
-    basis = []
-    for c in [c for c in range(ncols) if c not in space.pivots]:
-        v = [Fraction(0)] * ncols
-        v[c] = Fraction(1)
-        for p, row, head in zip(space.pivots, space._rows, space._heads):
-            v[p] = Fraction(-row[c], head)
-        basis.append(v)
-    return basis
+    kernel, big = _kernel(rows)
+    return [[Fraction(x, big) for x in v] for v in kernel]
 
 
 def exact_solve(rows: list[list], rhs: list) -> list[Fraction] | None:
@@ -556,15 +580,15 @@ def exact_solve(rows: list[list], rhs: list) -> list[Fraction] | None:
     return Subspace(zip(*rows)).coords(rhs)
 
 
-def _combine(coeffs, mats: list[Matrix], n: int) -> Matrix:
-    """sum_i coeffs[i] * mats[i] for rational coeffs and exact n x n mats, as one int sum."""
-    terms = [(Fraction(c), m) for c, m in zip(coeffs, mats) if c]
-    den = lcm(*(c.denominator * m.ints[1] for c, m in terms))
+def _combine(coeffs: Sequence[int], mats: list[Matrix], n: int, den: int = 1) -> Matrix:
+    """sum_i coeffs[i] * mats[i] / den for int coeffs and exact n x n mats, as one int sum."""
+    terms = [(c, m) for c, m in zip(coeffs, mats) if c]
+    d = lcm(*(m.ints[1] for _, m in terms))
     acc = np.zeros((n, n), dtype=object)
     for c, m in terms:
-        nums, d = m.ints
-        acc += nums * (c.numerator * (den // (c.denominator * d)))
-    return Matrix.from_ints(acc, den, max([DEFAULT_TOL] + [m.tol for _, m in terms]))
+        nums, dm = m.ints
+        acc += nums * (c * (d // dm))
+    return Matrix.from_ints(acc, d * den, max([DEFAULT_TOL] + [m.tol for _, m in terms]))
 
 
 def _bareiss(rows: list[list[int]]) -> tuple[int, int]:

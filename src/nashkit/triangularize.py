@@ -29,11 +29,10 @@ from .matrix_core import (
     Matrix,
     Subspace,
     _int_multiple,
+    _kernel,
     _rational_roots,
-    _scaled,
     char_poly,
     count_real_roots,
-    exact_nullspace,
     spectrum,
     squarefree_part,
 )
@@ -71,23 +70,23 @@ def engel_flag(g: LieAlgebraData) -> Flag:
     return _flag_from_columns(_pulled_back_columns(g, _joint_kernel_vector))
 
 
-def _joint_kernel_vector(blocks: list[np.ndarray], width: int) -> list[Fraction]:
-    """First basis vector of the joint kernel of the quotient actions."""
+def _joint_kernel_vector(blocks: list[np.ndarray], width: int) -> tuple[list[int], int]:
+    """(v, den): v / den is the first basis vector of the joint kernel of the quotient actions."""
     stacked = [row for block in blocks for row in block.tolist()]
     if not stacked:
-        return [Fraction(int(i == 0)) for i in range(width)]
-    kernel = exact_nullspace(stacked)
+        return [int(i == 0) for i in range(width)], 1
+    kernel, den = _kernel(stacked)
     if not kernel:
         raise NotNilpotentAlgebra("joint kernel vanished before the flag completed")
-    return kernel[0]  # lexicographically smallest free column
+    return kernel[0], den  # lexicographically smallest free column
 
 
 def _pulled_back_columns(g: LieAlgebraData, pick) -> list[list[Fraction]]:
     """Flag columns, each pulled back from the quotient by the columns so far.
 
-    ``pick(blocks, width)`` chooses a vector of the quotient from the
-    actions of the basis elements on it (one width x width block each, a
-    positive int multiple of the action).
+    ``pick(blocks, width)`` chooses a vector v / den of the quotient, as int
+    v and den, from the actions of the basis elements on it (one width x
+    width block each, a positive int multiple of the action).
     """
     n = g.ambient
     cols: list[list[Fraction]] = []
@@ -104,8 +103,8 @@ def _pulled_back_columns(g: LieAlgebraData, pick) -> list[list[Fraction]]:
                 raise PostconditionFailed("flag stages are not invariant")
             blocks.append(m[k:, k:])
         # pull back: the lift's entries weight the unit columns after the flag so far
-        lift, dl = _scaled(np.array(pick(blocks, n - k), dtype=object))
-        cols.append([Fraction(x, dl) for x in np.dot(lift, np.array(full[k:], dtype=object))])
+        lift, den = pick(blocks, n - k)
+        cols.append([Fraction(x, den) for x in np.dot(lift, np.array(full[k:], dtype=object))])
     return cols
 
 
@@ -148,48 +147,48 @@ def common_eigenvector(g: LieAlgebraData) -> tuple[list, list]:
     """A joint eigenvector v and its character (one eigenvalue per basis element)."""
     if g.is_exact:
         try:
-            w = _joint_eigenspace_exact(list(g.basis), g.ambient)
-            v = w[0]
-            return list(v), _character_exact(g, v)
+            w = _joint_eigenspace_exact(Subspace(g.basis), g.ambient)
+            return w.rows[0], _character_exact(g, w._rows[0])
         except _Irrational:
             pass
     return _common_eigenvector_float(g)
 
 
-def _character_exact(g: LieAlgebraData, v: list[Fraction]) -> list[Fraction]:
-    a, _ = _scaled(np.array(v, dtype=object))
+def _character_exact(g: LieAlgebraData, v: list[int]) -> list[Fraction]:
+    a = np.array(v, dtype=object)
     pivot = next(i for i, x in enumerate(a) if x)
     chars = []
     for b in g.basis:
         nums, d = b.ints
-        image = np.dot(nums, a)  # d * b a; b v = lam v iff image is parallel to a
+        image = np.dot(nums, a)  # d * b a; b a = lam a iff image is parallel to a
         if any(image * a[pivot] - image[pivot] * a):
             raise PostconditionFailed("common eigenvector candidate is not joint")
         chars.append(Fraction(image[pivot], d * a[pivot]))
     return chars
 
 
-def _joint_eigenspace_exact(flat_ops: list, n: int) -> list[list[Fraction]]:
-    """Basis of a nonzero subspace on which every operator acts as a scalar.
+def _joint_eigenspace_exact(ops: Subspace, n: int) -> Subspace:
+    """A nonzero subspace of Q^n on which every operator in span(ops) acts as a scalar.
 
-    Classic induction: shrink to a codimension-one ideal containing the
-    derived span, recurse, then split one remaining operator over the
-    recursive eigenspace by a rational eigenvalue.
+    ``ops`` holds the operators flattened row-major.  Classic induction:
+    shrink to a codimension-one ideal containing the derived span, recurse,
+    then split one remaining operator over the recursive eigenspace by a
+    rational eigenvalue.
     """
-    ops = Subspace(flat_ops)
     if not ops:
-        return [[Fraction(int(i == j)) for i in range(n)] for j in range(n)]
+        return Subspace([int(i == j) for i in range(n)] for j in range(n))
     mats = ops.matrices()
     ideal = Subspace(bracket(a, b) for a, b in combinations(mats, 2))  # the derived span
     if len(ideal) >= len(ops):
         raise NotSolvable("derived span did not shrink")
-    # any codimension-one subspace containing the derived span is an ideal
-    for m in mats:
-        if len(ideal) == len(ops) - 1:
+    # any codimension-one subspace containing the derived span is an ideal: extend
+    # the derived span by mats in turn to that dimension; z is the first one left out
+    for z in mats:
+        if len(ideal) < len(ops) - 1:
+            ideal.add(z)
+        elif z not in ideal:
             break
-        ideal.add(m)
-    z = next(m for m in mats if m not in ideal)
-    w = _joint_eigenspace_exact(ideal.rows, n)
+    w = _joint_eigenspace_exact(ideal, n)
     # restrict z to the recursive eigenspace (invariant in characteristic zero)
     r = restriction(z, w)
     if r is None:
@@ -318,7 +317,8 @@ def _split_triangularize_exact(g: LieAlgebraData) -> tuple[Matrix, Flag]:
     n = g.ambient
 
     def eigenvector(blocks, width):
-        return _joint_eigenspace_exact([block.reshape(-1) for block in blocks], width)[0]
+        space = _joint_eigenspace_exact(Subspace(block.reshape(-1) for block in blocks), width)
+        return space._rows[0], space._heads[0]
 
     cols = _pulled_back_columns(g, eigenvector)
     p = Matrix.exact(cols).T
