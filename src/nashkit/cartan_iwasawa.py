@@ -19,7 +19,6 @@ from ._span import (
     bracket,
     coords_in_span,
     eigenspace,
-    in_span,
     independent_subset,
     restriction,
     span_basis,
@@ -80,7 +79,7 @@ def cartan_split(g: LieAlgebraData) -> CartanSplit:
     for b in g.basis:
         skew, sym = _half(b - b.T), _half(b + b.T)
         for part in (skew, sym):
-            if not part.is_zero() and not in_span(part, space):
+            if not part.is_zero() and part not in space:
                 raise NotThetaStable("algebra is not stable under negative-transpose")
         skews.append(skew)
         syms.append(sym)

@@ -135,31 +135,27 @@ def _structure_constants(basis: list[Matrix], exact: bool, space: Subspace | Non
                          ) -> np.ndarray:
     """sc[i, j, k]: coefficient of basis[k] in [basis[i], basis[j]].
 
-    Exact: ``space`` (by default span(basis)) is a Subspace whose last
-    rank-raising vectors are basis; coordinates along its earlier ones, an
-    ideal's, are dropped, so sc is then taken modulo that ideal.
+    Exact coordinates come from ``space`` (by default span(basis)), a
+    Subspace whose last rank-raising vectors are basis; those along its
+    earlier ones, an ideal's, are dropped, so sc is taken modulo that ideal.
     """
     d = len(basis)
     sc = np.empty((d, d, d), dtype=object if exact else float)
-    if exact:
-        space = Subspace(basis) if space is None else space
-        sc[:] = Fraction(0)
-    else:
-        sc[:] = 0.0
+    sc[:] = Fraction(0) if exact else 0.0
+    if exact and space is None:
+        space = Subspace(basis)
     for i, j in combinations(range(d), 2):
         br = bracket(basis[i], basis[j])
         coords = coords_in_span(br, space) if exact else _f_coords(br, basis)
         if coords is None:
             raise ValueError("basis is not bracket closed")
-        if not exact:
+        if exact:
+            xs, den = coords
+            sc[i, j] = [Fraction(x, den) for x in xs[len(xs) - d:]]
+            sc[j, i] = -sc[i, j]
+        else:
             sc[i, j] = coords
             sc[j, i] = 0 - sc[i, j]  # not -sc: float zeros stay +0.0, as lstsq gives them
-            continue
-        xs, den = coords
-        for k, x in enumerate(xs[len(xs) - d:]):
-            if x:
-                sc[i, j, k] = f = Fraction(x, den)
-                sc[j, i, k] = -f
     return sc
 
 
@@ -436,32 +432,29 @@ def _correct_stage(levi: list[Matrix], uj: list[Matrix], uj1: list[Matrix]) -> l
     mixed = Subspace(levi + w + uj1)
 
     def split(m: Matrix) -> tuple[list[int], int]:
-        """(x, den): the levi and then the w coordinates of m are x / den."""
         coords = coords_in_span(m, mixed)
         if coords is None:
             raise LiftFailed("bracket defect left the expected filtration stage")
-        xs, den = coords
-        return xs[:dl + p], den
+        return coords
 
-    # x[a][k][b] / dx: the w_b coordinate of [w_a, l_k]
-    parts = [[split(bracket(wa, lk)) for lk in levi] for wa in w]
-    dx = lcm(*(den for row in parts for _, den in row))
-    x = [[[v * (dx // den) for v in xs[dl:]] for xs, den in row] for row in parts]
-    rows: list[list[int]] = []  # unknown t[i][a] in column i * p + a; each row over one scale
+    # every coordinate over one denominator: levi's, then w's, of [w_a, l_k] and [l_i, l_j]
+    wl = [[split(bracket(wa, lk)) for lk in levi] for wa in w]
+    ll = [split(bracket(levi[i], levi[j])) for i, j in combinations(range(dl), 2)]
+    den = lcm(*(d for _, d in ll), *(d for row in wl for _, d in row))
+    x = [[[v * (den // d) for v in xs[dl:dl + p]] for xs, d in row] for row in wl]
+    rows: list[list[int]] = []  # unknown t[i][a] in column i * p + a
     rhs: list[int] = []
-    for i, j in combinations(range(dl), 2):
-        xs, den = split(bracket(levi[i], levi[j]))
-        big = lcm(dx, den)
-        fx, fc = big // dx, big // den
+    for (i, j), (xs, d) in zip(combinations(range(dl), 2), ll):
+        c = [v * (den // d) for v in xs]
         for b in range(p):  # the w_b component
             row = [0] * (dl * p)
             for a in range(p):
-                row[i * p + a] += x[a][j][b] * fx
-                row[j * p + a] -= x[a][i][b] * fx
+                row[i * p + a] += x[a][j][b]
+                row[j * p + a] -= x[a][i][b]
             for k in range(dl):
-                row[k * p + b] -= xs[k] * fc
+                row[k * p + b] -= c[k]
             rows.append(row)
-            rhs.append(-xs[dl + b] * fc)
+            rhs.append(-c[dl + b])
     sol = exact_solve(rows, rhs)
     if sol is None:
         raise LiftFailed("correction system is inconsistent")

@@ -437,7 +437,8 @@ class Subspace:
         A row with coefficient 0 is skipped: each row is 0 at the other pivots.
         """
         if isinstance(v, Matrix):
-            a, d = v.ints[0].reshape(-1).tolist(), v.ints[1]
+            nums, d = v.ints
+            a = nums.reshape(-1).tolist()
         else:
             v = list(v)
             # int(): numpy integer entries would wrap on overflow
@@ -519,9 +520,8 @@ class Subspace:
         if solved is None:
             return None
         out = [Fraction(0)] * self._added
-        xs, den = solved
-        for (index, _, _), x in zip(self._picked, xs):
-            out[index] = Fraction(x, den)
+        for (index, _, _), x in zip(self._picked, solved[0]):
+            out[index] = Fraction(x, solved[1])
         return out
 
     def matrices(self) -> list[Matrix]:

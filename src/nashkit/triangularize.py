@@ -72,10 +72,8 @@ def engel_flag(g: LieAlgebraData) -> Flag:
 
 def _joint_kernel_vector(blocks: list[np.ndarray], width: int) -> tuple[list[int], int]:
     """(v, den): v / den is the first basis vector of the joint kernel of the quotient actions."""
-    stacked = [row for block in blocks for row in block.tolist()]
-    if not stacked:
-        return [int(i == 0) for i in range(width)], 1
-    kernel, den = _kernel(stacked)
+    # no basis element: the kernel of a zero row, every unit vector
+    kernel, den = _kernel([row for block in blocks for row in block.tolist()] or [[0] * width])
     if not kernel:
         raise NotNilpotentAlgebra("joint kernel vanished before the flag completed")
     return kernel[0], den  # lexicographically smallest free column
