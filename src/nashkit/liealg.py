@@ -333,21 +333,15 @@ def _check_radical(g: LieAlgebraData, rad: list[Matrix]):
         raise PostconditionFailed("radical candidate is not an ideal")
     if _series(rad, DERIVED)[-1]:
         raise PostconditionFailed("radical candidate is not solvable")
-    quo = _quotient_structure(g, rad)
-    if quo is not None and _killing_gram(quo).det() == 0:
-        raise PostconditionFailed("quotient by the radical has degenerate Killing form")
-
-
-def _quotient_structure(g: LieAlgebraData, ideal: list[Matrix]) -> np.ndarray | None:
-    """Structure constants of g modulo an ideal, in a complement drawn from g's basis."""
-    space = Subspace(ideal)
+    # the quotient's structure constants, in a complement drawn from g's basis
+    space = Subspace(rad)
     comp = independent_subset(list(g.basis), space)
-    if not comp:
-        return None
     try:
-        return _structure_constants(comp, True, space)
+        quo = _structure_constants(comp, True, space)
     except ValueError:
         raise PostconditionFailed("quotient brackets fall outside the algebra") from None
+    if comp and _killing_gram(quo).det() == 0:
+        raise PostconditionFailed("quotient by the radical has degenerate Killing form")
 
 
 # -- unipotent radical ------------------------------------------------------------------

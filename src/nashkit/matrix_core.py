@@ -19,10 +19,10 @@ A kernel's result is built from its integer output and reduced once.
 from ``ints`` on first access, and ``ints`` from ``data`` for matrices
 constructed from entries.
 
-``Subspace`` (integer echelon rows) is the one exact row reduction:
-``rref``, ``exact_nullspace`` and ``exact_solve`` read one, and Bareiss
-stays the square determinant and inverse kernel.  ``Polynomial``
-arithmetic stays on ``Fraction``.
+``Subspace`` (echelon rows as lists of Python ints) is the one exact row
+reduction: ``_kernel`` (int kernel rows), ``rref``, ``exact_nullspace`` and
+``exact_solve`` read one, and Bareiss stays the square determinant and
+inverse kernel.  ``Polynomial`` arithmetic stays on ``Fraction``.
 
 Rational roots come from p-adic lifting, and squarefree parts and real-root
 counts from one Sturm sequence on Python ints (exact int division, no
@@ -392,17 +392,18 @@ def _sum_ints(a: tuple[np.ndarray, int], b: tuple[np.ndarray, int], sign: int,
 class Subspace:
     """Exact span of rational vectors, kept in reduced row echelon form.
 
-    The only exact row reduction: ``rref``, ``exact_nullspace`` and
-    ``exact_solve`` read one.  Row i of ``rows`` has a 1 in column
-    pivots[i] and a 0 in every other pivot column.  Each row is
-    stored as a primitive list of Python ints with a positive pivot entry,
-    so elimination runs on Python ints (which never wrap) without numpy's
+    The only exact row reduction: ``_kernel``, ``rref``, ``exact_nullspace``
+    and ``exact_solve`` read one.  Row i of ``rows`` has a 1 in column
+    pivots[i] and a 0 in every other pivot column.  Each row is stored as a
+    primitive list of Python ints with a positive pivot entry, so
+    elimination runs on Python ints (which never wrap) without numpy's
     per-call cost on these short rows; a matrix enters by its ``ints`` form
-    and a list of rationals by its numerators over their lcm.  The added
-    vectors that raised the rank are kept as they came; ``coords`` reads
-    coordinates in them through the inverse of their block on the pivot
-    columns, computed (Bareiss) on the first call after the rank last rose.
-    Vectors of different lengths raise ``ValueError``.
+    (``nums.reshape(-1).tolist()``) and a list of rationals by its
+    numerators over their lcm.  The added vectors that raised the rank are
+    kept as they came; ``_solve`` reads int coordinates in them (``coords``
+    is its ``Fraction`` form) through the inverse of their block on the
+    pivot columns, computed (Bareiss) on the first call after the rank last
+    rose.  Vectors of different lengths raise ``ValueError``.
     """
 
     __slots__ = ("pivots", "length", "_rows", "_heads", "_lcm", "_picked", "_added", "_inv")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from integer_form import check_integer_form
 from nashkit.errors import ClusterAmbiguity, NotInvertible, ZeroPolynomial
+from nashkit.liealg import algebra_from_basis
 from nashkit.matrix_core import (
     Matrix,
     Polynomial,
@@ -313,6 +314,28 @@ def test_scale_trace_transpose_match_fractions(pair, c):
     assert a.T.rows() == [list(r) for r in zip(*a.rows())]
     tr = a.trace()
     assert type(tr) is Fraction and tr == sum((a.entry(i, i) for i in range(a.n)), Fraction(0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_pairs, st.sampled_from([np.int8, np.int32, np.int64, np.uint64]),
+       st.integers(0, 2 ** 62))
+def test_exact_scale_by_a_numpy_integer_stays_exact(pair, kind, c):
+    # a numpy integer is an exact rational, as _as_fraction reads it; a float
+    # product would round 2**62 * 1/3 and the like
+    a, _ = pair
+    c = kind(c % (int(np.iinfo(kind).max) + 1))
+    out = a.scale(c)
+    assert out.mode == "exact" and out == a.scale(Fraction(int(c)))
+    assert all(type(x) is Fraction and type(x.numerator) is int for x in out.data.flat)
+    check_integer_form(out)
+
+
+def test_algebra_element_with_numpy_coefficients_stays_exact():
+    basis = [Matrix.diagonal([1, -1]), Matrix.exact([[0, 1], [0, 0]]),
+             Matrix.exact([[0, 0], [1, 0]])]
+    g = algebra_from_basis(basis)
+    got = g.element(np.array([1, 2, 2 ** 62]))
+    assert got.mode == "exact" and got == Matrix.exact([[1, 2], [2 ** 62, -1]])
 
 
 @settings(max_examples=60, deadline=None)

@@ -323,6 +323,110 @@ def test_coords_between_adds_match_gauss_jordan(steps):
             assert exact_solve(cols, v) == reference
 
 
+# -- one Subspace fed every input kind at once ---------------------------------------
+
+_MIXED_ENTRIES = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-3, 3).map(Fraction),
+    st.integers(-2 ** 70, 2 ** 70).map(Fraction),  # beyond 2^64
+    st.builds(Fraction, st.integers(-2 ** 70, 2 ** 70), st.sampled_from([2, 7, 3 ** 40])),
+)
+
+
+@st.composite
+def _mixed_vectors(draw, n, seen):
+    """A length n^2 Fraction vector: dense, sparse (a matrix unit or a mostly-zero row),
+    a repeat of an earlier one, or a combination of earlier ones."""
+    how = draw(st.sampled_from(["dense", "unit", "sparse", "repeat", "combination"]
+                               if seen else ["dense", "unit", "sparse"]))
+    if how == "repeat":
+        return draw(st.sampled_from(seen))
+    if how == "combination":
+        weights = draw(st.lists(_MIXED_ENTRIES, min_size=len(seen), max_size=len(seen)))
+        return [sum((w * u[i] for w, u in zip(weights, seen)), Fraction(0))
+                for i in range(n * n)]
+    v = [Fraction(0)] * (n * n)
+    if how == "dense":
+        return draw(st.lists(_MIXED_ENTRIES, min_size=n * n, max_size=n * n))
+    for i in draw(st.lists(st.integers(0, n * n - 1), min_size=1,
+                           max_size=1 if how == "unit" else 2)):
+        v[i] = draw(_MIXED_ENTRIES.filter(bool))
+    return v
+
+
+def _as_kind(v: list[Fraction], kind: str, n: int):
+    """(what the Subspace is fed, the Fraction vector it stands for)."""
+    if kind == "matrix":
+        return Matrix.exact([v[i * n:(i + 1) * n] for i in range(n)]), v
+    if kind == "fraction":
+        return list(v), v
+    if kind == "object":
+        return np.array(v, dtype=object), v
+    # an int kind is fed v times the lcm of its denominators
+    ints = [int(x * lcm(*(y.denominator for y in v))) for x in v]
+    if kind == "int64" and all(abs(x) < 2 ** 63 for x in ints):
+        return np.array(ints, dtype=np.int64), [Fraction(x) for x in ints]
+    return ints, [Fraction(x) for x in ints]
+
+
+_KINDS = ["matrix", "fraction", "int", "int64", "object"]
+
+
+@st.composite
+def _mixed_feeds(draw):
+    n = draw(st.integers(1, 3))
+    values: list[list[Fraction]] = []
+    for _ in range(draw(st.integers(1, 7))):
+        values.append(draw(_mixed_vectors(n, values)))
+    feeds = [_as_kind(v, draw(st.sampled_from(_KINDS)), n) for v in values]
+    queries = [_as_kind(draw(_mixed_vectors(n, values)), draw(st.sampled_from(_KINDS)), n)
+               for _ in range(3)]
+    x = draw(st.lists(_MIXED_ENTRIES, min_size=n * n, max_size=n * n))
+    rhs = draw(st.sampled_from([[sum((a * b for a, b in zip(r, x)), Fraction(0))
+                                 for _, r in feeds],
+                                draw(st.lists(_MIXED_ENTRIES, min_size=len(feeds),
+                                              max_size=len(feeds)))]))
+    return n, feeds, queries, rhs
+
+
+def _plain_fractions(xs) -> bool:
+    return all(type(x) is Fraction and type(x.numerator) is int and type(x.denominator) is int
+               for x in xs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mixed_feeds())
+@example((2, [_as_kind([Fraction(1), Fraction(1), Fraction(0), Fraction(0)], "int64", 2),
+              _as_kind([Fraction(0), Fraction(-1), Fraction(0), Fraction(0)], "int64", 2)],
+          [], [Fraction(0), Fraction(0)]))
+def test_mixed_input_kinds_match_gauss_jordan(data):
+    n, feeds, queries, rhs = data
+    fed, refs = [f for f, _ in feeds], [r for _, r in feeds]
+    space, added = Subspace(), []
+    for f, r in feeds:
+        assert space.add(f) == (rank(added + [r]) > rank(added))
+        added.append(r)
+    red, pivots = gj.rref(refs)
+    assert space.rows == red[:len(pivots)] and space.pivots == pivots
+    assert all(_plain_fractions(row) for row in space.rows)
+    mats = space.matrices()
+    assert [list(m.vec()) for m in mats] == red[:len(pivots)]
+    assert all(m.n == n and _plain_fractions(m.data.flat) for m in mats)
+    cols = [[r[i] for r in refs] for i in range(n * n)]
+    for q, target in queries + feeds:
+        coords = space.coords(q)
+        assert coords == gj.solve(cols, target)
+        assert (q in space) == (coords is not None)
+        assert coords is None or _plain_fractions(coords)
+    # the fed vectors as matrix rows (a Matrix by its entries): a kernel and a solve
+    rows = [list(f.vec()) if isinstance(f, Matrix) else f for f in fed]
+    kernel = exact_nullspace(rows)
+    assert kernel == gj.nullspace(refs) and all(_plain_fractions(v) for v in kernel)
+    solution = exact_solve(rows, rhs)
+    assert solution == gj.solve(refs, rhs)
+    assert solution is None or _plain_fractions(solution)
+
+
 def test_tracer_self_test_passes():
     # the benchmark's tracer wraps _span and liealg functions by name
     proc = subprocess.run([sys.executable, os.path.join("perfbench", "check_tracer.py")],
