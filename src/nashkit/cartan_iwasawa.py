@@ -151,7 +151,7 @@ def restricted_roots(g: LieAlgebraData, a_basis: list[Matrix]) -> RootDatum:
     roots, root_spaces = [], []
     zero_space: tuple[Matrix, ...] = ()
     for space, tag in leaves:
-        # each int echelon row over its head: the coordinates of one basis element
+        # an echelon row over its head: the coordinates in g's basis of one basis element
         mats = tuple(_combine(v, g.basis, g.ambient, h) for v, h in zip(space._rows, space._heads))
         if all(c == 0 for c in tag):
             zero_space = mats

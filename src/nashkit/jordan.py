@@ -16,7 +16,7 @@ from math import isqrt
 
 import numpy as np
 
-from ._span import bracket, float_span_basis, span_basis, span_dim
+from ._span import bracket, float_span_basis, intersect, span_basis, span_dim
 from .errors import (
     NotAbelian,
     NotInvertible,
@@ -449,8 +449,10 @@ def abelian_ehu_split(
     if all(m.mode == EXACT for m in list(basis) + es + hs + us):
         e_b, h_b, u_b = span_basis(es), span_basis(hs), span_basis(us)
         total = span_dim(e_b + h_b + u_b)
-        # a sum of dimensions adding up is direct, so the parts also meet pairwise in 0
         if total != len(e_b) + len(h_b) + len(u_b) or total != span_dim(list(basis)):
             raise PostconditionFailed("elliptic/hyperbolic/unipotent spans do not split the input")
+        for x, y in ((e_b, h_b), (e_b, u_b), (h_b, u_b)):
+            if intersect(x, y):
+                raise PostconditionFailed("part subspaces intersect nontrivially")
         return e_b, h_b, u_b
     return float_span_basis(es), float_span_basis(hs), float_span_basis(us)

@@ -151,8 +151,10 @@ def _structure_constants(basis: list[Matrix], exact: bool, space: Subspace | Non
             raise ValueError("basis is not bracket closed")
         if exact:
             xs, den = coords
-            sc[i, j] = [Fraction(x, den) for x in xs[len(xs) - d:]]
-            sc[j, i] = -sc[i, j]
+            for k, x in enumerate(xs[len(xs) - d:]):
+                if x:
+                    sc[i, j, k] = f = Fraction(x, den)
+                    sc[j, i, k] = -f
         else:
             sc[i, j] = coords
             sc[j, i] = 0 - sc[i, j]  # not -sc: float zeros stay +0.0, as lstsq gives them
@@ -458,8 +460,7 @@ def _correct_stage(levi: list[Matrix], uj: list[Matrix], uj1: list[Matrix]) -> l
 
 
 def _check_levi(g: LieAlgebraData, decomp: LeviDecomp, not_closed: Exception | None = None):
-    """Certify a Levi decomposition; ``not_closed`` replaces the error for a complement
-    that is not bracket closed."""
+    """Certify a Levi decomposition; ``not_closed`` is raised for an unclosed complement."""
     levi, unip = list(decomp.levi_basis), list(decomp.unip_basis)
     # both lists together form a basis of g
     if len(levi) + len(unip) != g.dim or span_dim(levi + unip) != g.dim:

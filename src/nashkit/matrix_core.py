@@ -441,10 +441,11 @@ class Subspace:
             nums, d = v.ints
             a = nums.reshape(-1).tolist()
         else:
-            v = list(v)
-            # int(): numpy integer entries would wrap on overflow
-            d = lcm(*(int(x.denominator) for x in v))
-            a = [int(x.numerator) * (d // int(x.denominator)) for x in v]
+            a, d = list(v), 1  # int lists, as the Lie helpers pass, are read as they are
+            if not all(type(x) is int for x in a):
+                # int(): numpy integer entries would wrap on overflow
+                d = lcm(*(int(x.denominator) for x in a))
+                a = [int(x.numerator) * (d // int(x.denominator)) for x in a]
         if self.length is not None and len(a) != self.length:
             raise ValueError(f"a length-{len(a)} vector in a span of length-{self.length} vectors")
         big = self._lcm
