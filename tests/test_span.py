@@ -345,9 +345,9 @@ def _mixed_vectors(draw, n, seen):
         weights = draw(st.lists(_MIXED_ENTRIES, min_size=len(seen), max_size=len(seen)))
         return [sum((w * u[i] for w, u in zip(weights, seen)), Fraction(0))
                 for i in range(n * n)]
-    v = [Fraction(0)] * (n * n)
     if how == "dense":
         return draw(st.lists(_MIXED_ENTRIES, min_size=n * n, max_size=n * n))
+    v = [Fraction(0)] * (n * n)
     for i in draw(st.lists(st.integers(0, n * n - 1), min_size=1,
                            max_size=1 if how == "unit" else 2)):
         v[i] = draw(_MIXED_ENTRIES.filter(bool))
@@ -382,10 +382,9 @@ def _mixed_feeds(draw):
     queries = [_as_kind(draw(_mixed_vectors(n, values)), draw(st.sampled_from(_KINDS)), n)
                for _ in range(3)]
     x = draw(st.lists(_MIXED_ENTRIES, min_size=n * n, max_size=n * n))
-    rhs = draw(st.sampled_from([[sum((a * b for a, b in zip(r, x)), Fraction(0))
-                                 for _, r in feeds],
-                                draw(st.lists(_MIXED_ENTRIES, min_size=len(feeds),
-                                              max_size=len(feeds)))]))
+    consistent = [sum((a * b for a, b in zip(r, x)), Fraction(0)) for _, r in feeds]
+    rhs = draw(st.one_of(st.just(consistent),
+                         st.lists(_MIXED_ENTRIES, min_size=len(feeds), max_size=len(feeds))))
     return n, feeds, queries, rhs
 
 
