@@ -183,7 +183,7 @@ def lie_closure(generators: list[Matrix], ambient: int | None = None) -> LieAlge
     """Smallest bracket-closed subspace containing the generators."""
     gens = [m for m in generators if not m.is_zero()]
     if not gens:
-        return algebra_from_basis([], ambient)
+        return algebra_from_basis([], generators[0].n if generators else ambient)
     exact = all(m.mode == EXACT for m in gens)
     space = Subspace() if exact else None
     basis = independent_subset(gens, space) if exact else _f_independent(gens)

@@ -22,16 +22,16 @@ constructed from entries.
 ``Subspace`` (echelon rows as lists of Python ints) is the one exact row
 reduction: ``_kernel`` (int kernel rows), ``rref``, ``exact_nullspace`` and
 ``exact_solve`` read one, and Bareiss stays the square determinant and
-inverse kernel.  ``Polynomial`` arithmetic stays on ``Fraction``.
-
-Rational roots come from p-adic lifting, and squarefree parts and real-root
-counts from one Sturm sequence on Python ints (exact int division, no
-``Fraction`` Euclid).  Spectral predicates are answered on the squarefree
-part without factoring it, so only a Jordan plan (``jordan``'s exact
-``multiplicative_jordan`` and ``additive_jordan``) and exact ``spectrum``
-call ``irreducible_factors``.  It factors over the rationals on the same
-int form: rational roots by p-adic lifting, then Zassenhaus's method
-(factoring mod a prime, Musser's degree-set test, a Hensel lift and
+inverse kernel.  ``Polynomial`` arithmetic stays on ``Fraction``; its int
+forms, each built once, are ``ints``, the primitive int multiple, and
+``sturm``, the Sturm sequence on Python ints (exact int division, no
+``Fraction`` Euclid) divided by gcd(p, p'), led by the squarefree part, which
+inherits both.  Real-root counts, rational roots (p-adic lifting), factors
+and exact ``eval_matrix`` read them.  Spectral predicates are answered on the
+squarefree part without factoring it, so only a Jordan plan (``jordan``'s
+exact ``multiplicative_jordan`` and ``additive_jordan``) and exact
+``spectrum`` call ``irreducible_factors``: rational roots, then Zassenhaus's
+method (factoring mod a prime, Musser's degree-set test, a Hensel lift and
 recombination) for a rest of degree >= 4.  The library never imports
 sympy; only ``Polynomial.to_sympy`` and ``from_sympy`` need it.
 """
@@ -42,6 +42,7 @@ import random
 from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import gcd, isfinite, isqrt, lcm
 from operator import mul
@@ -646,7 +647,8 @@ class Polynomial:
     """Dense univariate polynomial with exact rational coefficients.
 
     Coefficients are stored lowest degree first; the leading coefficient is
-    nonzero unless the polynomial is zero.
+    nonzero unless the polynomial is zero.  The int forms ``ints`` and
+    ``sturm`` are built on first access and stay out of ``==``/``hash``/``repr``.
     """
 
     coeffs: tuple[Fraction, ...]
@@ -717,6 +719,34 @@ class Polynomial:
             a, b = b, a % b
         return a.monic() if not a.is_zero() else a
 
+    @cached_property
+    def ints(self) -> tuple[int, ...]:
+        """The primitive int multiple c * coeffs with c > 0 (lowest degree first); () for 0."""
+        scale = lcm(*[c.denominator for c in self.coeffs])
+        ints = [c.numerator * (scale // c.denominator) for c in self.coeffs]
+        g = gcd(*ints)
+        return tuple(x // g for x in ints)
+
+    @cached_property
+    def sturm(self) -> tuple[tuple[int, ...], ...]:
+        """s_i = p_i / p_k for p_0 = p != 0, p_1 = p', p_(i+1) = -(p_(i-1) mod p_i), p_k != 0.
+
+        Each p_i is primitive on ints and a positive multiple of the rational
+        one (pseudo-remainders divided by their content keep the ints small
+        where ``Fraction`` remainders grow).  p_k is gcd(p, p') times a
+        constant, so s_0 is +-the primitive squarefree part of p.
+        """
+        seq = [self.ints]
+        b = [k * c for k, c in enumerate(seq[0])][1:]  # p' on ints, then made primitive
+        content = gcd(*b)
+        b = [c // content for c in b]
+        while b:
+            seq.append(b)
+            b = _neg_prem(seq[-2], b)
+        if len(seq[-1]) > 1:  # repeated roots: divide every term by gcd(p, p')
+            seq = [_exact_quotient(s, seq[-1]) for s in seq]
+        return tuple(map(tuple, seq))
+
     def eval_matrix(self, m: Matrix) -> Matrix:
         if m.mode == APPROX:
             acc = Matrix.zero(m.n, APPROX, m.tol)
@@ -724,21 +754,20 @@ class Polynomial:
             for c in reversed(self.coeffs):
                 acc = acc @ m + ident.scale(c)
             return acc
-        # p(N/d) = sum_k (a_k/q) N^k d^-k = (sum_k a_k d^(deg-k) N^k) / (q d^deg),
-        # the sum by integer Horner steps, the first of which is a scaling
+        # p = (a/b) sum_k i_k t^k for a/b = lead/i_deg, i = ints, so p(N/d) = (sum_k a i_k
+        # d^(deg-k) N^k) / (b d^deg), the sum by integer Horner steps, the first a scaling
         if self.is_zero():
             return Matrix.zero(m.n, EXACT, m.tol)
         nums, d = m.ints
-        q = lcm(*[c.denominator for c in self.coeffs])
-        cs = [c.numerator * (q // c.denominator) * d ** k
-              for k, c in enumerate(reversed(self.coeffs))]
+        lead = self.coeffs[-1]
+        cs = [lead.numerator * c * d ** k for k, c in enumerate(reversed(self.ints))]
         diag = np.arange(m.n)
         acc = np.zeros((m.n, m.n), dtype=object) if len(cs) == 1 else nums * cs[0]
         for c in cs[1:-1]:
             acc[diag, diag] += c
             acc = np.dot(acc, nums)
         acc[diag, diag] += cs[-1]
-        return Matrix.from_ints(acc, q * d ** self.degree, m.tol)
+        return Matrix.from_ints(acc, self.ints[-1] * lead.denominator * d ** self.degree, m.tol)
 
     def compose_shift(self, a: Fraction) -> "Polynomial":
         """Coefficients of p(t + a): a Taylor shift by repeated Horner steps."""
@@ -797,14 +826,6 @@ def char_poly(m: Matrix) -> Polynomial:
     return Polynomial.of(list(reversed(coeffs)))
 
 
-def _int_multiple(p: Polynomial) -> list[int]:
-    """Coefficients of c * p for the c > 0 that makes them coprime ints (primitive)."""
-    scale = lcm(*[c.denominator for c in p.coeffs])
-    ints = [c.numerator * (scale // c.denominator) for c in p.coeffs]
-    g = gcd(*ints)
-    return [x // g for x in ints]
-
-
 def _neg_prem(a: list[int], b: list[int]) -> list[int]:
     """A primitive int polynomial that is a positive multiple of -(a mod b).
 
@@ -827,24 +848,6 @@ def _neg_prem(a: list[int], b: list[int]) -> list[int]:
     return [-sign * x // g for x in r]
 
 
-def _sturm_sequence(p: Polynomial) -> list[list[int]]:
-    """p_0 = p, p_1 = p', p_(k+1) = -(p_(k-1) mod p_k) up to the last nonzero term.
-
-    Each term is a primitive int polynomial (lowest degree first) and a
-    positive multiple of the rational one; the last is gcd(p, p') times a
-    constant.  Pseudo-remainders divided by their content keep the ints
-    small where ``Fraction`` remainders grow.
-    """
-    seq = [_int_multiple(p)]
-    b = [k * c for k, c in enumerate(seq[0])][1:]  # p' on ints, then made primitive
-    content = gcd(*b)
-    b = [c // content for c in b]
-    while b:
-        seq.append(b)
-        b = _neg_prem(seq[-2], b)
-    return seq
-
-
 def _exact_quotient(a: list[int], b: list[int]) -> list[int] | None:
     """a / b for int polynomials (lowest degree first), b primitive; None unless b divides a.
 
@@ -863,14 +866,14 @@ def _exact_quotient(a: list[int], b: list[int]) -> list[int] | None:
 
 
 def squarefree_part(p: Polynomial) -> Polynomial:
-    """p / gcd(p, p'), monic: the first Sturm term divided by the last."""
+    """p / gcd(p, p'), monic; it carries its int form, +-``p.sturm[0]``, and ``p.sturm``."""
     if p.is_zero():
         raise ZeroPolynomial("squarefree part of the zero polynomial")
-    seq = _sturm_sequence(p)
-    if len(seq[-1]) == 1:
-        return p.monic()
-    q = _exact_quotient(seq[0], seq[-1])
-    return Polynomial.of([Fraction(c, q[-1]) for c in q])
+    f = p.sturm[0]
+    out = Polynomial.of([Fraction(c, f[-1]) for c in f])
+    object.__setattr__(out, "ints", f if f[-1] > 0 else tuple(-c for c in f))
+    object.__setattr__(out, "sturm", p.sturm)  # a Sturm sequence of out too
+    return out
 
 
 def _horner(cs: list[int], x: int, m: int = 0) -> int:
@@ -1095,26 +1098,26 @@ def _zassenhaus(g: list[int]) -> list[list[int]]:
 def irreducible_factors(p: Polynomial) -> list[tuple[Polynomial, int]]:
     """Monic irreducible factors over the rationals with multiplicities.
 
-    Sorted by (degree, coeffs).  The work runs on the primitive int form of
-    p: its squarefree part f is the first Sturm term divided by the last;
-    each rational root a/b of f divides out b t - a, and the rest of f is
-    irreducible up to degree 3 and factored by ``_zassenhaus`` from degree
-    4.  Multiplicities come from exact division of p's int form.
+    Sorted by (degree, coeffs).  The work runs on int forms: each rational
+    root a/b of the squarefree part f = ``p.sturm[0]`` divides out b t - a,
+    and the rest of f is irreducible up to degree 3 and factored by
+    ``_zassenhaus`` from degree 4.  Multiplicities come from exact division
+    of ``p.ints``, needed only when deg f < deg p.
     """
     if p.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
-    seq = _sturm_sequence(p)
-    f = _exact_quotient(seq[0], seq[-1]) if len(seq[-1]) > 1 else seq[0]
+    f = p.sturm[0]
+    repeated = len(f) < len(p.coeffs)
     f, factors = [c if f[-1] > 0 else -c for c in f], []
     for r in _rational_roots(f):
         factors.append([-r.numerator, r.denominator])
         f = _exact_quotient(f, factors[-1])
     if len(f) > 1:  # no rational root: irreducible up to degree 3
         factors += _zassenhaus(f) if len(f) > 4 else [f]
-    out, rest = [], seq[0]
+    out, rest = [], p.ints
     for q in factors:
         e = 1
-        if len(seq[-1]) > 1:  # repeated factors: divide them out of p
+        if repeated:  # divide the factors out of p
             e = 0
             while quot := _exact_quotient(rest, q):
                 e, rest = e + 1, quot
@@ -1136,8 +1139,8 @@ def _sign_at(cs: list[int], x: Fraction) -> int:
 def count_real_roots(p: Polynomial, lo=None, hi=None) -> int:
     """Number of distinct real roots in [lo, hi] (endpoints included; None = unbounded), lo <= hi.
 
-    Sturm's theorem: the sequence p_k of ``_sturm_sequence`` ends in
-    g = gcd(p, p'), and s_k = p_k / g is a Sturm sequence of the squarefree
+    Sturm's theorem: the remainder sequence p_k of p ends in g = gcd(p, p'),
+    and ``p.sturm``, s_k = p_k / g, is a Sturm sequence of the squarefree
     part s_0.  Its number of sign changes V(x) drops by one exactly as x
     passes a root, and at a root equals its value just right of it, so
     V(lo) - V(hi) counts the roots in (lo, hi]; a root at lo is added.  At
@@ -1149,14 +1152,11 @@ def count_real_roots(p: Polynomial, lo=None, hi=None) -> int:
         return int((lo is None or lo <= root) and (hi is None or root <= hi))
     if p.degree < 1:
         return 0
-    seq = _sturm_sequence(p)
-    if len(seq[-1]) > 1:  # repeated roots: divide every term by g
-        seq = [_exact_quotient(s, seq[-1]) for s in seq]
 
     def signs(x, end: int) -> list[int]:
         if x is None:  # x = end * infinity: the leading term's sign
-            return [(1 if s[-1] > 0 else -1) * end ** (len(s) - 1) for s in seq]
-        return [_sign_at(s, x) for s in seq]
+            return [(1 if s[-1] > 0 else -1) * end ** (len(s) - 1) for s in p.sturm]
+        return [_sign_at(s, x) for s in p.sturm]
 
     def changes(sg: list[int]) -> int:
         sg = [v for v in sg if v]
@@ -1169,7 +1169,7 @@ def count_real_roots(p: Polynomial, lo=None, hi=None) -> int:
 def rational_eigenvalues(m: Matrix) -> list[Fraction] | None:
     """Distinct eigenvalues of an exact matrix, ascending; None unless all are rational."""
     f = squarefree_part(char_poly(m))
-    roots = _rational_roots(_int_multiple(f))
+    roots = _rational_roots(f.ints)
     return sorted(roots) if len(roots) == f.degree else None
 
 

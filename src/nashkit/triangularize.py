@@ -28,7 +28,6 @@ from .matrix_core import (
     EXACT,
     Matrix,
     Subspace,
-    _int_multiple,
     _kernel,
     _rational_roots,
     char_poly,
@@ -200,7 +199,7 @@ def _joint_eigenspace_exact(ops: Subspace, n: int) -> Subspace:
 def _rational_eigenvalue(r: Matrix) -> Fraction:
     """Smallest rational eigenvalue; NotSplit if none is real, promote if irrational."""
     f = squarefree_part(char_poly(r))
-    roots = _rational_roots(_int_multiple(f))
+    roots = _rational_roots(f.ints)
     if roots:
         return min(roots)
     if count_real_roots(f) > 0:

@@ -358,6 +358,19 @@ def test_fuzz_findings_end_in_json(tmp_path, capsys, argv, doc, exit_code, error
     assert json.loads(capsys.readouterr().out)["error"] == error
 
 
+@pytest.mark.parametrize("command", ["engel", "split"])
+def test_flag_of_zero_generators_matches_the_empty_basis(tmp_path, capsys, command):
+    from nashkit.cli import main
+
+    zero = {"mode": "exact", "entries": [["0", "0"], ["0", "0"]]}
+    outs = []
+    for doc in ({"generators": [zero]}, {"basis": [], "ambient": 2}):
+        assert main(["flag", command, write(tmp_path, "in.json", doc)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["flag"]["complete"]
+
+
 @pytest.mark.parametrize("mode", ["exact", "approx"])
 def test_split_flag_of_a_large_norm_element(tmp_path, capsys, mode):
     # real distinct eigenvalues, so a split flag exists; the rank tests on

@@ -56,6 +56,17 @@ def test_lie_closure_trivial_cases():
     assert g.dim == 1
 
 
+def test_lie_closure_of_zero_generators_keeps_their_size():
+    # all-zero generators span the zero algebra of gl_3, not of gl_0
+    from nashkit.triangularize import common_eigenvector, engel_flag, split_triangularize
+
+    closed, empty = lie_closure([Matrix.zero(3)]), algebra_from_basis([], 3)
+    assert closed.ambient == empty.ambient == 3 and closed.dim == 0
+    assert engel_flag(closed) == engel_flag(empty)
+    assert split_triangularize(closed) == split_triangularize(empty)
+    assert common_eigenvector(closed) == common_eigenvector(empty)
+
+
 def test_structure_constants_match_brackets():
     g = lie_closure([unit(0, 1), unit(1, 0)])
     for i in range(g.dim):

@@ -39,9 +39,11 @@ def test_char_poly_rotation_by_two():
 
 
 def test_squarefree_part():
-    assert squarefree_part(Polynomial.of([4, -4, 1])) == Polynomial.of([-2, 1])
-    assert squarefree_part(Polynomial.of([4, 0, 1])) == Polynomial.of([4, 0, 1])
-    assert squarefree_part(Polynomial.of([0, 0, 0, 1])) == Polynomial.of([0, 1])
+    for p, f in (([4, -4, 1], [-2, 1]), ([4, 0, 1], [4, 0, 1]), ([0, 0, 0, 1], [0, 1])):
+        part = squarefree_part(Polynomial.of(p))
+        assert part == Polynomial.of(f)
+        # it carries int forms, which stay out of the hash
+        assert hash(part) == hash(Polynomial.of(f))
     with pytest.raises(ZeroPolynomial):
         squarefree_part(Polynomial.of([]))
 
@@ -406,11 +408,34 @@ def _factored_polynomials(draw, max_degree):
     return p, roots
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.lists(_fractions, max_size=8).map(Polynomial.of),
+                 _factored_polynomials(max_degree=8).map(lambda case: case[0])))
+def test_polynomial_ints_contract(p):
+    if p.is_zero():
+        assert p.ints == ()
+        return
+    q = Polynomial.of(p.coeffs)
+    q.sturm  # q now holds both int forms
+    # a squarefree part is handed its forms rather than building them
+    for poly in (p, q, squarefree_part(p)):
+        ints, lead = poly.ints, poly.coeffs[-1]
+        assert gcd(*ints) == 1  # primitive
+        assert (ints[-1] > 0) == (lead > 0)
+        c = ints[-1] / lead
+        assert [Fraction(x) for x in ints] == [c * a for a in poly.coeffs]
+        # the forms are no part of the value
+        plain = Polynomial.of(poly.coeffs)
+        assert poly == plain and hash(poly) == hash(plain) and repr(poly) == repr(plain)
+
+
 @settings(max_examples=150, deadline=None)
 @given(_factored_polynomials(max_degree=16))
 def test_irreducible_factors_match_sympy(case):
     p, _ = case
     assert irreducible_factors(p) == _sympy_factors(p)
+    # the squarefree part factors on the int forms it carries from p
+    assert irreducible_factors(squarefree_part(p)) == [(q, 1) for q, _ in _sympy_factors(p)]
 
 
 def _swinnerton_dyer(k: int) -> Polynomial:
@@ -536,6 +561,8 @@ def test_count_real_roots_matches_sympy(case, data):
     if lo is not None and hi is not None and lo > hi:
         lo, hi = hi, lo
     assert count_real_roots(p, lo, hi) == _sympy_count(p, lo, hi)
+    # the squarefree part counts on the Sturm sequence it carries from p
+    assert count_real_roots(squarefree_part(p), lo, hi) == _sympy_count(p, lo, hi)
 
 
 def test_count_real_roots_examples():
