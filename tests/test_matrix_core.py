@@ -433,9 +433,10 @@ def test_polynomial_ints_contract(p):
 @given(_factored_polynomials(max_degree=16))
 def test_irreducible_factors_match_sympy(case):
     p, _ = case
-    assert irreducible_factors(p) == _sympy_factors(p)
+    expected = _sympy_factors(p)
+    assert irreducible_factors(p) == expected
     # the squarefree part factors on the int forms it carries from p
-    assert irreducible_factors(squarefree_part(p)) == [(q, 1) for q, _ in _sympy_factors(p)]
+    assert irreducible_factors(squarefree_part(p)) == [(q, 1) for q, _ in expected]
 
 
 def _swinnerton_dyer(k: int) -> Polynomial:
@@ -560,9 +561,10 @@ def test_count_real_roots_matches_sympy(case, data):
         hi = lo  # the closed interval of one point
     if lo is not None and hi is not None and lo > hi:
         lo, hi = hi, lo
-    assert count_real_roots(p, lo, hi) == _sympy_count(p, lo, hi)
+    expected = _sympy_count(p, lo, hi)
+    assert count_real_roots(p, lo, hi) == expected
     # the squarefree part counts on the Sturm sequence it carries from p
-    assert count_real_roots(squarefree_part(p), lo, hi) == _sympy_count(p, lo, hi)
+    assert count_real_roots(squarefree_part(p), lo, hi) == expected
 
 
 def test_count_real_roots_examples():
