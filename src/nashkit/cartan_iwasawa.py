@@ -212,9 +212,9 @@ def _eigensplit_exact(m: Matrix, space: Subspace):
 def nilpotent_part_n(rd: RootDatum) -> LieAlgebraData:
     """Sum of the positive root spaces; bracket-closed with nilpotent elements."""
     mats = [m for i in rd.positive for m in rd.root_spaces[i]]
-    if not mats:
-        ambient = rd.a_basis[0].n if rd.a_basis else 0
-        return algebra_from_basis([], ambient)
+    if not mats:  # a is empty when g has no symmetric part (so3); zero_space is then all of g
+        known = (*rd.a_basis, *rd.zero_space)
+        return algebra_from_basis([], known[0].n if known else 0)
     try:
         algebra = algebra_from_basis(mats)
     except ValueError as exc:

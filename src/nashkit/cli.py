@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from math import isfinite
 
 import numpy as np
 
@@ -66,12 +67,6 @@ class MalformedInput(Exception):
     pass
 
 
-def _scalar(x):
-    if isinstance(x, Fraction):
-        return fraction_to_str(x)
-    return float(x)
-
-
 def _load_json(path: str):
     try:
         with open(path) as fh:
@@ -118,8 +113,21 @@ def _load_algebra(path: str, args):
         raise MalformedInput(str(exc))
 
 
+def _wire(obj):
+    """A reply of library values as JSON values: matrices in the wire format, fractions as "p/q"."""
+    if isinstance(obj, Matrix):
+        return matrix_to_json(obj)
+    if isinstance(obj, Fraction):
+        return fraction_to_str(obj)
+    if isinstance(obj, dict):
+        return {k: _wire(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_wire(v) for v in obj]
+    return obj  # a numpy float64 is a float, and json writes it as one
+
+
 def _emit(obj) -> int:
-    json.dump(obj, sys.stdout, indent=None, separators=(",", ":"))
+    json.dump(_wire(obj), sys.stdout, indent=None, separators=(",", ":"))
     sys.stdout.write("\n")
     return 0
 
@@ -130,24 +138,17 @@ def _emit(obj) -> int:
 def _cmd_jordan(args) -> int:
     x = _load_matrix(args.input, args)
     triple = multiplicative_jordan(x) if args.mode == "mul" else additive_jordan(x)
-    cls = classify(x, GROUP if args.setting == "group" else ALGEBRA)
-    return _emit({
-        "e": matrix_to_json(triple.e),
-        "h": matrix_to_json(triple.h),
-        "u": matrix_to_json(triple.u),
-        "class": cls.as_dict(),
-    })
+    cls = classify(x, args.setting)
+    return _emit({"e": triple.e, "h": triple.h, "u": triple.u, "class": cls.as_dict()})
 
 
 def _cmd_snsplit(args) -> int:
     s, n = sn_split(_load_matrix(args.input, args))
-    return _emit({"s": matrix_to_json(s), "n": matrix_to_json(n)})
+    return _emit({"s": s, "n": n})
 
 
 def _cmd_classify(args) -> int:
-    cls = classify(_load_matrix(args.input, args),
-                   GROUP if args.setting == "group" else ALGEBRA)
-    return _emit(cls.as_dict())
+    return _emit(classify(_load_matrix(args.input, args), args.setting).as_dict())
 
 
 def _cmd_explog(args) -> int:
@@ -162,41 +163,30 @@ def _cmd_explog(args) -> int:
     if (args.direction, args.domain) == ("exp", "exponential"):
         raise MalformedInput("exp on the exponential locus is the plain matrix "
                              "exponential; use --domain nilpotent or hyperbolic")
-    out = table[(args.direction, args.domain)](x)
-    return _emit({"result": matrix_to_json(out)})
+    return _emit({"result": table[(args.direction, args.domain)](x)})
 
 
 def _cmd_lie(args) -> int:
     g = _load_algebra(args.input, args)
     if args.op == "close":
-        return _emit({"dim": g.dim, "basis": [matrix_to_json(b) for b in g.basis]})
+        return _emit({"dim": g.dim, "basis": g.basis})
     if args.op == "series":
         kind = DERIVED if args.kind == "derived" else LOWER_CENTRAL
-        chain = series(g, kind)
-        return _emit({"kind": args.kind,
-                      "chain": [[matrix_to_json(m) for m in stage] for stage in chain]})
+        return _emit({"kind": args.kind, "chain": series(g, kind)})
     if args.op == "radical":
-        return _emit({"radical": [matrix_to_json(m) for m in radical(g)]})
+        return _emit({"radical": radical(g)})
     if args.op == "trace-form":
-        rep = NATURAL if args.rep == "natural" else ADJOINT
-        tf = trace_form(g, rep)
-        return _emit({"rep": args.rep, "gram": matrix_to_json(tf.gram)})
+        return _emit({"rep": args.rep, "gram": trace_form(g, args.rep).gram})
     if args.op == "reductive":
         return _emit({"reductive": is_reductive(g)})
     if args.op == "unipotent-radical":
-        return _emit({"unipotent_radical": [matrix_to_json(m) for m in unipotent_radical(g)]})
+        return _emit({"unipotent_radical": unipotent_radical(g)})
     decomp = levi_complement(g)
-    return _emit({
-        "levi": [matrix_to_json(m) for m in decomp.levi_basis],
-        "unipotent_radical": [matrix_to_json(m) for m in decomp.unip_basis],
-    })
+    return _emit({"levi": decomp.levi_basis, "unipotent_radical": decomp.unip_basis})
 
 
 def _flag_json(flag) -> dict:
-    return {
-        "complete": flag.complete,
-        "stages": [[[_scalar(x) for x in v] for v in stage] for stage in flag.stages],
-    }
+    return {"complete": flag.complete, "stages": flag.stages}
 
 
 def _cmd_flag(args) -> int:
@@ -204,7 +194,7 @@ def _cmd_flag(args) -> int:
     if args.op == "engel":
         return _emit({"flag": _flag_json(engel_flag(g))})
     p, flag = split_triangularize(g)
-    return _emit({"change_of_basis": matrix_to_json(p), "flag": _flag_json(flag)})
+    return _emit({"change_of_basis": p, "flag": _flag_json(flag)})
 
 
 def _cmd_cartan(args) -> int:
@@ -212,40 +202,34 @@ def _cmd_cartan(args) -> int:
         g = _load_algebra(args.input, args)
         split = cartan_split(g)
         if args.op == "split":
-            return _emit({
-                "k": [matrix_to_json(m) for m in split.k_basis],
-                "p": [matrix_to_json(m) for m in split.p_basis],
-            })
+            return _emit({"k": split.k_basis, "p": split.p_basis})
         a = maximal_abelian(split)
         rd = restricted_roots(g, a)
-        return _emit({
-            "a": [matrix_to_json(m) for m in rd.a_basis],
-            "roots": [[_scalar(c) for c in alpha] for alpha in rd.roots],
-            "positive": list(rd.positive),
-            "root_space_dims": [len(s) for s in rd.root_spaces],
-            "zero_space_dim": len(rd.zero_space),
-        })
+        return _emit({"a": rd.a_basis, "roots": rd.roots, "positive": rd.positive,
+                      "root_space_dims": [len(s) for s in rd.root_spaces],
+                      "zero_space_dim": len(rd.zero_space)})
     x = _load_matrix(args.input, args)
     adapted = None
     if args.algebra:
         g = _load_algebra(args.algebra, args)
+        if g.ambient != x.n:
+            raise MalformedInput(f"--algebra acts on size {g.ambient}, the input has size {x.n}")
         adapted, _ = split_triangularize(g)
     if args.op == "kak":
         k, big_x = polar_kak(x)
-        return _emit({"k": matrix_to_json(k), "X": matrix_to_json(big_x)})
+        return _emit({"k": k, "X": big_x})
     triple = iwasawa_kan(x, adapted_basis=adapted)
-    return _emit({"k": matrix_to_json(triple.k), "a": matrix_to_json(triple.a),
-                  "n": matrix_to_json(triple.n)})
+    return _emit({"k": triple.k, "a": triple.a, "n": triple.n})
 
 
 def _cmd_replica(args) -> int:
     datum = replica(_load_matrix(args.input, args))
     out = {"kind": datum.kind, "dimension": datum.dimension}
     if datum.relation_lattice is not None:
-        out["lattice"] = [list(v) for v in datum.relation_lattice]
-        out["slots"] = [_scalar(v) for v in datum.slots]
+        out["lattice"] = datum.relation_lattice
+        out["slots"] = datum.slots
     if datum.generator is not None:
-        out["generator"] = matrix_to_json(datum.generator)
+        out["generator"] = datum.generator
     return _emit(out)
 
 
@@ -282,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("jordan", help="elliptic/hyperbolic/unipotent decomposition")
     p.add_argument("--mode", choices=("mul", "add"), default="mul")
-    p.add_argument("--setting", choices=("group", "algebra"), default="group")
+    p.add_argument("--setting", choices=(GROUP, ALGEBRA), default=GROUP)
     p.add_argument("input")
     p.set_defaults(func=_cmd_jordan)
 
@@ -291,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_snsplit)
 
     p = sub.add_parser("classify", help="element classification predicates")
-    p.add_argument("--setting", choices=("group", "algebra"), default="group")
+    p.add_argument("--setting", choices=(GROUP, ALGEBRA), default=GROUP)
     p.add_argument("input")
     p.set_defaults(func=_cmd_classify)
 
@@ -306,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("op", choices=("close", "series", "radical", "trace-form",
                                   "reductive", "unipotent-radical", "levi"))
     p.add_argument("--kind", choices=("derived", "lower-central"), default="derived")
-    p.add_argument("--rep", choices=("natural", "adjoint"), default="natural")
+    p.add_argument("--rep", choices=(NATURAL, ADJOINT), default=NATURAL)
     p.add_argument("input")
     p.set_defaults(func=_cmd_lie)
 
@@ -332,13 +316,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _tolerance(tol: float | None) -> float:
+    """--tol, else a nonempty NASHKIT_TOL, else the default; finite and >= 0."""
+    if tol is None:
+        env = os.environ.get("NASHKIT_TOL")
+        try:
+            tol = float(env) if env else DEFAULT_TOL
+        except ValueError:
+            raise MalformedInput(f"NASHKIT_TOL={env!r} is not a number") from None
+    if not (isfinite(tol) and tol >= 0):
+        raise MalformedInput(f"the tolerance must be finite and >= 0, not {tol!r}")
+    return tol
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.tol is None:
-        env = os.environ.get("NASHKIT_TOL")
-        args.tol = float(env) if env else DEFAULT_TOL
     try:
+        args.tol = _tolerance(args.tol)
         # float steps on entries near the ends of the float range overflow to
         # inf, or divide by an underflowed 0 into inf and nan; they are handled
         # where they occur (see Matrix.norm) or end in a NumericalFailure, so

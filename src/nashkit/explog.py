@@ -62,23 +62,29 @@ def _scalar_map_exact(x: Matrix, values, fn) -> Matrix:
     return Matrix(out, APPROX, x.tol)
 
 
+def _hyperbolic_map(x: Matrix, fn, scipy_name: str) -> Matrix:
+    """fn (np.exp or np.log) of the hyperbolic x: exact eigenprojections, else eigh, else scipy."""
+    if x.mode == EXACT:
+        values = rational_eigenvalues(x)
+        if values is not None:
+            return _scalar_map_exact(x, values, fn)
+    a = x.float_array()
+    if np.allclose(a, a.T, atol=x.abs_tol()):
+        w, v = np.linalg.eigh(a)
+        return Matrix(v @ np.diag(fn(w)) @ v.T, APPROX, x.tol)
+    import scipy.linalg  # on first use only, so importing nashkit does not load scipy
+
+    # logm may return a complex array; np.real of a real array is that array
+    return Matrix(np.real(getattr(scipy.linalg, scipy_name)(a)), APPROX, x.tol)
+
+
 def exp_hyperbolic(x: Matrix) -> Matrix:
     """exp of a semisimple matrix with real spectrum."""
     if not classify(x, ALGEBRA).hyperbolic:
         raise NotHyperbolic("input must be semisimple with real spectrum")
     if x.is_zero():
         return Matrix.identity(x.n, x.mode, x.tol)
-    if x.mode == EXACT:
-        values = rational_eigenvalues(x)
-        if values is not None:
-            return _scalar_map_exact(x, values, np.exp)
-    a = x.float_array()
-    if np.allclose(a, a.T, atol=x.abs_tol()):
-        w, v = np.linalg.eigh(a)
-        return Matrix(v @ np.diag(np.exp(w)) @ v.T, APPROX, x.tol)
-    import scipy.linalg  # on first use only, so importing nashkit does not load scipy
-
-    return Matrix(scipy.linalg.expm(a), APPROX, x.tol)
+    return _hyperbolic_map(x, np.exp, "expm")
 
 
 def log_hyperbolic(x: Matrix) -> Matrix:
@@ -87,18 +93,7 @@ def log_hyperbolic(x: Matrix) -> Matrix:
         raise NotHyperbolic("input must be semisimple with positive real spectrum")
     if x == Matrix.identity(x.n, x.mode, x.tol):
         return Matrix.zero(x.n, x.mode, x.tol).to_approx()
-    if x.mode == EXACT:
-        values = rational_eigenvalues(x)
-        if values is not None:
-            return _scalar_map_exact(x, values, np.log)
-    a = x.float_array()
-    if np.allclose(a, a.T, atol=x.abs_tol()):
-        w, v = np.linalg.eigh(a)
-        return Matrix(v @ np.diag(np.log(w)) @ v.T, APPROX, x.tol)
-    import scipy.linalg
-
-    out = scipy.linalg.logm(a)
-    return Matrix(np.real(out), APPROX, x.tol)
+    return _hyperbolic_map(x, np.log, "logm")
 
 
 def log_exponential(x: Matrix) -> Matrix:

@@ -16,7 +16,7 @@ from math import isqrt
 
 import numpy as np
 
-from ._span import bracket, float_span_basis, intersect, span_basis, span_dim
+from ._span import bracket, float_span_basis, span_basis, span_dim
 from .errors import (
     NotAbelian,
     NotInvertible,
@@ -28,6 +28,7 @@ from .matrix_core import (
     EXACT,
     Matrix,
     Polynomial,
+    _horner_float,
     char_poly,
     count_real_roots,
     float_rank,
@@ -184,14 +185,6 @@ def _squarefree_from_clusters(spec) -> list[float]:
     return list(coeffs)
 
 
-def _apply_poly_float(coeffs: list[float], a: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(a)
-    eye = np.eye(a.shape[0])
-    for c in reversed(coeffs):
-        acc = acc @ a + c * eye
-    return acc
-
-
 def _sn_split_approx(x: Matrix, spec) -> tuple[Matrix, Matrix]:
     """The float Newton step, for the clusters of spec = spectrum(x)."""
     coeffs = _squarefree_from_clusters(spec)
@@ -202,18 +195,19 @@ def _sn_split_approx(x: Matrix, spec) -> tuple[Matrix, Matrix]:
         scale *= 1.0 + np.linalg.norm(a) + abs(center)
     thresh = max(x.tol, 1e-13) * scale
     s = a.copy()
-    res = np.linalg.norm(_apply_poly_float(coeffs, s))
+    fs = _horner_float(coeffs, s)
+    res = np.linalg.norm(fs)
     for _ in range(40):
         if res <= thresh:
             break
-        corr = _apply_poly_float(coeffs, s) @ np.linalg.inv(_apply_poly_float(dcoeffs, s))
-        s_new = s - corr
-        res_new = np.linalg.norm(_apply_poly_float(coeffs, s_new))
+        s_new = s - fs @ np.linalg.inv(_horner_float(dcoeffs, s))
+        fs_new = _horner_float(coeffs, s_new)
+        res_new = np.linalg.norm(fs_new)
         if res_new >= res:
             raise NumericalFailure(
                 f"semisimple/nilpotent iteration stalled at residual {res_new:.3e}"
             )
-        s, res = s_new, res_new
+        s, fs, res = s_new, fs_new, res_new
     if res > thresh:
         raise NumericalFailure(f"semisimple/nilpotent iteration did not converge ({res:.3e})")
     sm = Matrix(s, APPROX, x.tol)
@@ -264,13 +258,15 @@ def _times(a: Matrix | None, b: Matrix | None) -> Matrix | None:
     return a if b is None else a @ b
 
 
-def _interp_on_clusters(spec, values) -> list[float]:
-    """Real polynomial (ascending coeffs) interpolating values[j] at cluster j."""
-    zs = np.array([c for c, _ in spec.clusters], dtype=complex)
-    ws = np.array(values, dtype=complex)
-    v = np.vander(zs, increasing=True)
-    coeffs = np.linalg.solve(v, ws)
-    return [float(c.real) for c in coeffs]
+def _on_clusters(spec, s: Matrix, fn) -> Matrix:
+    """f(s) for f = fn on the clusters of spec: fn(c) I for one cluster, else the real polynomial
+    interpolating fn on the centers, at s (Higham, Functions of Matrices, 2008, section 1.2)."""
+    zs = [c for c, _ in spec.clusters]
+    if len(zs) == 1:
+        return Matrix(fn(zs[0]) * np.eye(s.n), APPROX, s.tol)
+    v = np.vander(np.array(zs, dtype=complex), increasing=True)
+    coeffs = np.linalg.solve(v, np.array([fn(z) for z in zs], dtype=complex))
+    return Matrix(_horner_float([float(c.real) for c in coeffs], s.float_array()), APPROX, s.tol)
 
 
 # -- additive decomposition -------------------------------------------------------
@@ -307,11 +303,7 @@ def additive_jordan(x: Matrix) -> JordanTriple:
 def _additive_jordan_approx(x: Matrix) -> JordanTriple:
     spec = spectrum(x)
     s, n = _sn_split_approx(x, spec)
-    if len(spec.clusters) == 1:
-        h = Matrix(spec.clusters[0][0].real * np.eye(x.n), APPROX, x.tol)
-    else:
-        coeffs = _interp_on_clusters(spec, [c.real for c, _ in spec.clusters])
-        h = Matrix(_apply_poly_float(coeffs, s.float_array()), APPROX, x.tol)
+    h = _on_clusters(spec, s, lambda c: c.real)
     return JordanTriple(s - h, h, n, ADDITIVE)
 
 
@@ -360,18 +352,16 @@ def _multiplicative_jordan_approx(x: Matrix) -> JordanTriple:
     if not x.is_invertible():  # an exact input promoted here may be singular in floats
         raise NotInvertible("matrix is singular at the working tolerance")
     spec = spectrum(x)
+    if 0 in spec.values():  # at tol 0 an eigenvalue of 0.0 gets past is_invertible
+        raise NotInvertible("matrix is singular at the working tolerance")
     s, n = _sn_split_approx(x, spec)
+    # evaluate |lambda| and lambda/|lambda| as polynomials in s; going
+    # through h^-1 instead would amplify error on ill-conditioned spectra
+    h = _on_clusters(spec, s, abs)
     if len(spec.clusters) == 1:
-        rho = abs(spec.clusters[0][0])
-        h = Matrix(rho * np.eye(x.n), APPROX, x.tol)
-        e = s.scale(1.0 / rho)
+        e = s.scale(1.0 / abs(spec.clusters[0][0]))
     else:
-        # evaluate |lambda| and lambda/|lambda| as polynomials in s; going
-        # through h^-1 instead would amplify error on ill-conditioned spectra
-        habs = _interp_on_clusters(spec, [abs(c) for c, _ in spec.clusters])
-        phase = _interp_on_clusters(spec, [c / abs(c) for c, _ in spec.clusters])
-        h = Matrix(_apply_poly_float(habs, s.float_array()), APPROX, x.tol)
-        e = Matrix(_apply_poly_float(phase, s.float_array()), APPROX, x.tol)
+        e = _on_clusters(spec, s, lambda c: c / abs(c))
     u = Matrix.identity(x.n, APPROX, x.tol) + s.inv() @ n
     return JordanTriple(e, h, u, MULTIPLICATIVE)
 
@@ -449,10 +439,8 @@ def abelian_ehu_split(
     if all(m.mode == EXACT for m in list(basis) + es + hs + us):
         e_b, h_b, u_b = span_basis(es), span_basis(hs), span_basis(us)
         total = span_dim(e_b + h_b + u_b)
+        # dim(E + H + U) = dim E + dim H + dim U makes the sum direct: no pairwise intersections
         if total != len(e_b) + len(h_b) + len(u_b) or total != span_dim(list(basis)):
             raise PostconditionFailed("elliptic/hyperbolic/unipotent spans do not split the input")
-        for x, y in ((e_b, h_b), (e_b, u_b), (h_b, u_b)):
-            if intersect(x, y):
-                raise PostconditionFailed("part subspaces intersect nontrivially")
         return e_b, h_b, u_b
     return float_span_basis(es), float_span_basis(hs), float_span_basis(us)

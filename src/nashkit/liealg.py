@@ -34,6 +34,7 @@ from .errors import (
     ExactModeRequired,
     LiftFailed,
     NotInAlgebra,
+    NumericalFailure,
     PostconditionFailed,
 )
 from .jordan import additive_jordan
@@ -198,7 +199,10 @@ def lie_closure(generators: list[Matrix], ambient: int | None = None) -> LieAlge
         if not new:
             break
         # exact: each new bracket raised the rank, so basis + new stays independent
-        basis = basis + new if exact else _f_independent(basis + new)
+        grown = basis + new if exact else _f_independent(basis + new)
+        if len(grown) == len(basis):  # float: the same brackets would come back every round
+            raise NumericalFailure("the bracket closure does not settle at this tolerance")
+        basis = grown
     if exact:  # basis is exactly the vectors that raised the rank of space
         return LieAlgebraData(basis[0].n, tuple(basis), _structure_constants(basis, True, space))
     return algebra_from_basis(basis)

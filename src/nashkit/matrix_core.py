@@ -211,11 +211,8 @@ class Matrix:
     @staticmethod
     def diagonal(values: Sequence, mode: str = EXACT, tol: float = DEFAULT_TOL) -> "Matrix":
         if mode == EXACT:
-            arr = np.empty((len(values), len(values)), dtype=object)
-            arr[:] = Fraction(0)
-            for i, v in enumerate(values):
-                arr[i, i] = _as_fraction(v)
-            return Matrix(arr, EXACT, tol)
+            return Matrix.exact([[v if i == j else 0 for j in range(len(values))]
+                                 for i, v in enumerate(values)], tol)
         return Matrix(np.diag(np.asarray(values, dtype=float)), APPROX, tol)
 
     # -- basic queries ---------------------------------------------------------
@@ -367,14 +364,17 @@ class Matrix:
             if out is None:
                 raise NotInvertible("exact matrix is singular")
             return out
-        if min(np.linalg.svd(self._data, compute_uv=False), default=0.0) <= self.abs_tol():
-            raise NotInvertible("matrix is singular at the working tolerance")
-        return Matrix(np.linalg.inv(self._data), APPROX, self.tol)
+        try:
+            if self.is_invertible():
+                return Matrix(np.linalg.inv(self._data), APPROX, self.tol)
+        except np.linalg.LinAlgError:  # at tol 0 a pivot can vanish although no singular value does
+            pass
+        raise NotInvertible("matrix is singular at the working tolerance")
 
     def is_invertible(self) -> bool:
         if self.mode == EXACT:
             return self.det() != 0
-        return bool(min(np.linalg.svd(self._data, compute_uv=False)) > self.abs_tol())
+        return bool(min(np.linalg.svd(self._data, compute_uv=False), default=0.0) > self.abs_tol())
 
 
 def _sum_ints(a: tuple[np.ndarray, int], b: tuple[np.ndarray, int], sign: int,
@@ -749,11 +749,7 @@ class Polynomial:
 
     def eval_matrix(self, m: Matrix) -> Matrix:
         if m.mode == APPROX:
-            acc = Matrix.zero(m.n, APPROX, m.tol)
-            ident = Matrix.identity(m.n, APPROX, m.tol)
-            for c in reversed(self.coeffs):
-                acc = acc @ m + ident.scale(c)
-            return acc
+            return Matrix(_horner_float([float(c) for c in self.coeffs], m._data), APPROX, m.tol)
         # p = (a/b) sum_k i_k t^k for a/b = lead/i_deg, i = ints, so p(N/d) = (sum_k a i_k
         # d^(deg-k) N^k) / (b d^deg), the sum by integer Horner steps, the first a scaling
         if self.is_zero():
@@ -884,6 +880,15 @@ def _horner(cs: list[int], x: int, m: int = 0) -> int:
         if m:
             v %= m
     return v
+
+
+def _horner_float(coeffs: Sequence[float], a: np.ndarray) -> np.ndarray:
+    """The polynomial coeffs (lowest degree first) at the float matrix a, by Horner steps."""
+    acc = np.zeros_like(a)
+    eye = np.eye(a.shape[0])
+    for c in reversed(coeffs):
+        acc = acc @ a + c * eye
+    return acc
 
 
 def _primes():
@@ -1272,10 +1277,16 @@ def nullspace(m: Matrix) -> list[np.ndarray]:
     """
     if m.mode == EXACT:
         return [np.array(v, dtype=object) for v in exact_nullspace(m.ints[0].tolist())]
-    _, s, vt = np.linalg.svd(m.data)
-    thresh = m.abs_tol()
-    small = [i for i in range(m.n) if (s[i] if i < len(s) else 0.0) <= thresh]
-    return [vt[i].copy() for i in small]
+    return list(_svd_kernel(m.data, m.abs_tol(), m.n))
+
+
+def _svd_kernel(a: np.ndarray, tol: float, width: int) -> np.ndarray:
+    """Orthonormal rows spanning the kernel of a (width columns): singular values <= tol."""
+    if a.shape[0] == 0:
+        return np.eye(width)
+    _, s, vt = np.linalg.svd(a)
+    rank = int(np.sum(s > tol))
+    return vt[rank:]
 
 
 def float_rank(a: np.ndarray, thresh: float) -> int:

@@ -23,7 +23,7 @@ from .cartan_iwasawa import (
     restricted_roots,
 )
 from .errors import NotSplit
-from .explog import exp_nilpotent, log_exponential, log_unipotent, matrix_exp
+from .explog import exp_hyperbolic, exp_nilpotent, log_exponential, log_unipotent, matrix_exp
 from .jordan import ALGEBRA, GROUP, classify, multiplicative_jordan, sn_split
 from .liealg import (
     LieAlgebraData,
@@ -65,6 +65,16 @@ def _random_rational(rng, num=5, den=3) -> Fraction:
 
 def _random_rational_matrix(rng, n: int) -> Matrix:
     return Matrix.exact([[_random_rational(rng) for _ in range(n)] for _ in range(n)])
+
+
+def _random_triangular(rng, n: int, pool, num: int, den: int) -> Matrix:
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        if pool is not None:
+            rows[i][i] = pool[int(rng.integers(0, len(pool)))]
+        for j in range(i + 1, n):
+            rows[i][j] = _random_rational(rng, num=num, den=den)
+    return Matrix.exact(rows)
 
 
 def _random_invertible(rng, n: int) -> Matrix:
@@ -156,12 +166,7 @@ def crit_chevalley_exact(seed: int) -> CriterionResult:
     diag_pool = [Fraction(v) for v in (-2, -1, 1, 2, 3)] + [Fraction(1, 2), Fraction(-3, 2)]
     for _ in range(200):
         n = 4
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            rows[i][i] = diag_pool[int(rng.integers(0, len(diag_pool)))]
-            for j in range(i + 1, n):
-                rows[i][j] = _random_rational(rng, num=3, den=2)
-        t = Matrix.exact(rows)
+        t = _random_triangular(rng, n, diag_pool, 3, 2)
         p = _random_unimodular(rng, n)
         x = p @ t @ p.inv()
         s, m = sn_split(x)
@@ -201,12 +206,7 @@ def strict_upper_fixtures(seed: int = 0) -> list[Matrix]:
         for i in range(n - 1):
             single[i][i + 1] = Fraction(1)
         fixtures.append(Matrix.exact(single))
-        for _ in range(2):
-            rows = [[Fraction(0)] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(i + 1, n):
-                    rows[i][j] = _random_rational(rng, num=4, den=3)
-            fixtures.append(Matrix.exact(rows))
+        fixtures += [_random_triangular(rng, n, None, 4, 3) for _ in range(2)]
     return fixtures
 
 
@@ -222,12 +222,7 @@ def crit_explog(seed: int) -> CriterionResult:
                  Fraction(2), Fraction(3)]
     worst = 0.0
     for _ in range(200):
-        rows = [[Fraction(0)] * 4 for _ in range(4)]
-        for i in range(4):
-            rows[i][i] = diag_pool[int(rng.integers(0, len(diag_pool)))]
-            for j in range(i + 1, 4):
-                rows[i][j] = _random_rational(rng, num=3, den=2)
-        x = Matrix.exact(rows)
+        x = _random_triangular(rng, 4, diag_pool, 3, 2)
         back = matrix_exp(log_exponential(x))
         worst = max(worst, (back - x.to_approx()).norm() / (1.0 + x.norm()))
     ok = worst <= 1e-9
@@ -305,8 +300,6 @@ def crit_kak(seed: int) -> CriterionResult:
         x = _random_sl3(rng)
         k, big_x = polar_kak(x)
         worst_sym = max(worst_sym, (big_x - big_x.T).norm())
-        from .explog import exp_hyperbolic
-
         recon = (k @ exp_hyperbolic(big_x) - x).norm() / x.norm()
         worst_recon = max(worst_recon, recon)
         if not classify(big_x, ALGEBRA).hyperbolic:

@@ -30,6 +30,7 @@ from .matrix_core import (
     Subspace,
     _kernel,
     _rational_roots,
+    _svd_kernel,
     char_poly,
     count_real_roots,
     spectrum,
@@ -114,7 +115,7 @@ def _engel_flag_float(g: LieAlgebraData) -> Flag:
         q = _orthocomplement(cols, n)
         stacked = np.vstack([q.T @ b.float_array() @ q for b in g.basis]) if g.basis \
             else np.zeros((0, n - k))
-        kernel = _float_kernel(stacked, tol, n - k)
+        kernel = _svd_kernel(stacked, tol, n - k)
         if kernel.shape[0] == 0:
             raise NotNilpotentAlgebra("joint kernel vanished before the flag completed")
         cols.append(q @ kernel[0])
@@ -127,14 +128,6 @@ def _orthocomplement(cols: list[np.ndarray], n: int) -> np.ndarray:
     a = np.array(cols).T
     qfull, _ = np.linalg.qr(a, mode="complete")
     return qfull[:, len(cols):]
-
-
-def _float_kernel(a: np.ndarray, tol: float, width: int) -> np.ndarray:
-    if a.shape[0] == 0:
-        return np.eye(width)
-    _, s, vt = np.linalg.svd(a)
-    rank = int(np.sum(s > tol))
-    return vt[rank:]
 
 
 # -- common eigenvectors (Lie's theorem, split case) ----------------------------
@@ -265,7 +258,7 @@ def _joint_eigenspace_float(ops: list[np.ndarray], n: int, tol: float) -> list[n
         raise NotSplit("the action has no real eigenvalue at this step")
     lam = real[0].real
     shifted = r - lam * np.eye(r.shape[0])
-    kern = _float_kernel(shifted, max(unit_tol, 1e-12 * (1.0 + np.linalg.norm(r))), r.shape[0])
+    kern = _svd_kernel(shifted, max(unit_tol, 1e-12 * (1.0 + np.linalg.norm(r))), r.shape[0])
     if kern.shape[0] == 0:
         raise PostconditionFailed("restricted operator lost its eigenvalue")
     return [q @ kv for kv in kern]
@@ -285,12 +278,14 @@ def split_triangularize(g: LieAlgebraData) -> tuple[Matrix, Flag]:
         raise NotSolvable("algebra is not solvable")
     for b in g.basis:
         _check_real_spectrum(b)
-    n = g.ambient
     if g.is_exact:
         try:
             return _split_triangularize_exact(g)
         except _Irrational:
-            approx = algebra_from_float(g)
+            try:
+                approx = algebra_from_float(g)
+            except ValueError as exc:  # the float copy of the basis is dependent at this tolerance
+                raise NumericalFailure(str(exc)) from None
             return _split_triangularize_float(approx)
     return _split_triangularize_float(g)
 

@@ -18,6 +18,7 @@ from nashkit.jordan import ALGEBRA, classify
 from nashkit.liealg import algebra_from_basis
 from nashkit.matrix_core import Matrix
 from nashkit.selftest import _sl_n, battery
+from nashkit.triangularize import engel_flag
 
 
 def unit(i, j, n=2):
@@ -155,6 +156,16 @@ def test_nilpotent_part_n(sl2):
     assert n3.dim == 3
     for b in n3.basis:
         assert (b ** b.n).is_zero()
+
+
+def test_nilpotent_part_n_of_an_empty_a_keeps_the_size():
+    so3 = battery()["so3"]
+    a = maximal_abelian(cartan_split(so3))
+    assert a == []
+    n = nilpotent_part_n(restricted_roots(so3, a))
+    empty = algebra_from_basis([], 3)
+    assert n.dim == 0 and n.ambient == empty.ambient == 3
+    assert engel_flag(n) == engel_flag(empty)
 
 
 def test_polar_kak_examples():

@@ -296,6 +296,19 @@ def test_cartan_kan_adapted_cli(tmp_path):
     assert abs(doc["n"]["entries"][1][0]) <= 1e-12
 
 
+@pytest.mark.parametrize("track", [[], ["--approx"]])
+def test_cartan_kan_algebra_of_another_size_exit_two(tmp_path, capsys, track):
+    from nashkit.cli import main
+
+    a3 = write(tmp_path, "a3.json", {"basis": [
+        {"mode": "exact", "entries": [["1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]},
+        {"mode": "exact", "entries": [["0", "1", "0"], ["0", "0", "0"], ["0", "0", "0"]]},
+    ]})
+    x = write(tmp_path, "x.json", {"mode": "approx", "entries": [[2.0, 0.0], [1.0, 3.0]]})
+    assert main(track + ["cartan", "kan", "--algebra", a3, x]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "MalformedInput"
+
+
 def test_jordan_additive_algebra_cli(tmp_path):
     path = write(tmp_path, "m.json",
                  {"mode": "exact", "entries": [["1", "-2"], ["2", "1"]]})
@@ -329,6 +342,15 @@ def test_tol_env_override(tmp_path, monkeypatch):
     assert proc.returncode == 0  # fine at a tighter tolerance
 
 
+def test_tol_env_not_a_number_exit_two(tmp_path, capsys, monkeypatch):
+    from nashkit.cli import main
+
+    monkeypatch.setenv("NASHKIT_TOL", "abc")
+    path = write(tmp_path, "x.json", {"mode": "exact", "entries": [["2", "1"], ["0", "3"]]})
+    assert main(["classify", path]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "MalformedInput"
+
+
 # -- input fuzzing: every input ends in JSON on stdout and exit 0, 2, 3 or 4 -------------
 
 _TINY = 2.190906124428017e-234
@@ -347,6 +369,26 @@ _FUZZ_FINDINGS = [  # inputs that ended in a traceback, or were accepted, before
     # an ambient size other than the matrices' size
     (["flag", "split"], {"basis": [{"mode": "exact", "entries": [[1, 0], [0, 2]]}], "ambient": 5},
      2, "MalformedInput"),
+    # at tol 0 an eigenvalue of 0.0, or a vanishing LU pivot, got past the singular-value test
+    (["--tol", "0", "jordan"], {"mode": "approx", "entries": [[1, 1], [1.0, 1.0]]},
+     3, "NotInvertible"),
+    (["--tol=1e-300", "jordan"], {"mode": "approx", "entries": [[-7.583759826295733, 5.738608933449143],
+                                                               [-7.583759826295733, 5.738608933449143]]},
+     3, "NotInvertible"),
+    # a float bracket closure whose membership and rank tests disagree looped forever
+    (["--tol", "0.5", "lie", "close"], {"generators": [
+        {"mode": "approx", "entries": [[-1.8039522160855288, 7], [-3, -6]]},
+        {"mode": "exact", "entries": [[-5, 0], [7, "-9/3"]]}]}, 4, "NumericalFailure"),
+    (["--tol", "0", "--approx", "flag", "split"], {"generators": [
+        {"mode": "exact", "entries": [[-2, "-3/4", "5/3"], [0, 7, "-4/3"], [-9, -9, -3]]},
+        {"mode": "exact", "entries": [[-1, -1, "-4/3"], [7, -4, 6], ["1/3", "-5/4", 9]]}]},
+     4, "NumericalFailure"),
+    # irrational eigenvalues send the split to the float track, where the basis is dependent at tol 1
+    (["--tol", "1", "flag", "split"], {"basis": [{"mode": "exact", "entries": [[2, 1], [1, 1]]}]},
+     4, "NumericalFailure"),
+    # a tolerance below 0, or not finite: -1 made every predicate false, nan raised NotInvertible
+    *[(["--tol", tol, "--approx", "jordan"], {"mode": "exact", "entries": [[2, 1], [0, 3]]},
+       2, "MalformedInput") for tol in ("-1", "nan", "inf")],
 ]
 
 
@@ -428,18 +470,32 @@ def _matrix_json(draw, n):
 
 
 @st.composite
-def _cli_calls(draw):
-    n = draw(st.integers(1, 3))
-    track = draw(st.sampled_from([[], ["--exact"], ["--approx"]]))
-    if draw(st.booleans()):
-        return track + draw(st.sampled_from(_MATRIX_COMMANDS)), draw(_matrix_json(n))
+def _algebra_json(draw, n):
     doc = {draw(st.sampled_from(["generators", "basis"])):
            draw(st.lists(_matrix_json(n), max_size=2))}
     if draw(st.booleans()):  # no large int: an empty basis of a valid size n builds n x n flags
         doc["ambient"] = draw(st.one_of(
             st.integers(-1, 3), st.booleans(), st.floats(), st.text(max_size=3), st.none(),
             st.lists(st.integers(-1, 3), max_size=2)))
-    return track + draw(st.sampled_from(_ALGEBRA_COMMANDS)), doc
+    return doc
+
+
+@st.composite
+def _cli_calls(draw):
+    """(argv without the input file, input doc, the --algebra doc or None)."""
+    n = draw(st.integers(1, 3))
+    track = draw(st.sampled_from([[], ["--exact"], ["--approx"]]))
+    if draw(st.integers(0, 3)) == 0:  # valid, 0, negative, nan or inf
+        tol = draw(st.one_of(st.sampled_from([1e-8, 1e-12, 0.0, -1.0, -1e-300, "nan", "inf"]),
+                             st.floats(-1, 1)))
+        track = [f"--tol={tol}"] + track  # one token: argparse reads "-1e-300" as an option
+    kind = draw(st.sampled_from(["matrix", "algebra", "kan"]))
+    if kind == "matrix":
+        return track + draw(st.sampled_from(_MATRIX_COMMANDS)), draw(_matrix_json(n)), None
+    if kind == "kan":  # the algebra's size is drawn apart from the input's
+        algebra = draw(st.integers(1, 3).flatmap(_algebra_json))
+        return track + ["cartan", "kan"], draw(_matrix_json(n)), algebra
+    return track + draw(st.sampled_from(_ALGEBRA_COMMANDS)), draw(_algebra_json(n)), None
 
 
 @settings(max_examples=400, deadline=None)
@@ -447,9 +503,13 @@ def _cli_calls(draw):
 def test_cli_fuzzed_inputs_end_in_json(tmp_path_factory, call):
     from nashkit.cli import main
 
-    argv, doc = call
-    path = tmp_path_factory.mktemp("fuzz") / "input.json"
+    argv, doc, algebra = call
+    folder = tmp_path_factory.mktemp("fuzz")
+    path = folder / "input.json"
     path.write_text(json.dumps(doc))
+    if algebra is not None:
+        (folder / "algebra.json").write_text(json.dumps(algebra))
+        argv = argv + ["--algebra", str(folder / "algebra.json")]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv + [str(path)])  # an uncaught exception fails the test here

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nashkit.errors import NotAbelian, NotInvertible
+from nashkit import jordan
+from nashkit.errors import NotAbelian, NotInvertible, PostconditionFailed
 from nashkit.explog import matrix_exp
 from nashkit.jordan import (
     ALGEBRA,
@@ -206,6 +207,17 @@ def test_abelian_ehu_split_examples():
     e_b, h_b, u_b = abelian_ehu_split([Matrix.exact([[0, 1], [0, 0]])])
     assert not e_b and not h_b and len(u_b) == 1
     assert abelian_ehu_split([]) == ([], [], [])
+
+
+def test_abelian_split_rejects_overlapping_parts(monkeypatch):
+    # parts whose spans overlap (here e = h) fail the dimension count that proves the sum direct
+    def overlapping(x):
+        t = additive_jordan(x)
+        return jordan.JordanTriple(t.h, t.h, t.u, t.flavor)
+
+    monkeypatch.setattr(jordan, "additive_jordan", overlapping)
+    with pytest.raises(PostconditionFailed, match="do not split the input"):
+        abelian_ehu_split([Matrix.diagonal([2, 2])])
 
 
 def test_abelian_split_rejects_noncommuting():

@@ -11,6 +11,7 @@ from integer_form import check_integer_form
 from nashkit.errors import ClusterAmbiguity, NotInvertible, ZeroPolynomial
 from nashkit.liealg import algebra_from_basis
 from nashkit.matrix_core import (
+    APPROX,
     Matrix,
     Polynomial,
     char_poly,
@@ -243,9 +244,19 @@ def test_matmul_matches_fraction_dot(pair):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_exact_matrices(), st.lists(_fractions, max_size=6))
-def test_eval_matrix_matches_fraction_horner(m, coeffs):
+@given(_exact_matrices(), st.lists(_fractions, max_size=6), st.booleans())
+def test_eval_matrix_matches_fraction_horner(m, coeffs, approx):
     p = Polynomial.of(coeffs)
+    if approx:  # the float branch against a Horner loop of Matrix steps, bit for bit
+        m = m.to_approx()
+        acc = Matrix.zero(m.n, APPROX, m.tol)
+        ident = Matrix.identity(m.n, APPROX, m.tol)
+        for c in reversed(p.coeffs):
+            acc = acc @ m + ident.scale(c)
+        out = p.eval_matrix(m)
+        assert out.mode == APPROX and out.tol == m.tol
+        assert out.data.tobytes() == acc.data.tobytes()
+        return
     acc = Matrix.zero(m.n).data
     eye = Matrix.identity(m.n).data
     for c in reversed(p.coeffs):
