@@ -1,50 +1,54 @@
-"""Span helpers over ``matrix_core.Subspace``, brackets, and one float helper.
+"""Span helpers over ``matrix_core``'s two subspaces, and brackets.
 
 ``Subspace`` (in ``matrix_core``, next to Bareiss) holds the reduced row
 echelon basis of the span of some rational vectors, a matrix counting as
-its row-major entries, as primitive rows of Python ints.  It grows with
-``add`` and answers membership with one reduction of the query vector;
-coordinates come from the inverse of the added vectors' pivot-column block,
-computed on demand.  The exact helpers hand each other ``Subspace``s and
-int rows, not ``Fraction``s: ``coords_in_span`` gives int coordinates in a
-prebuilt ``Subspace``, ``intersect`` and ``eigenspace`` read int kernel rows
+its row-major entries, as primitive rows of Python ints; ``FloatSubspace``,
+its float twin, keeps orthonormal rows.  ``span_of`` picks the exact one
+when every matrix is exact.  The exact helpers hand each other
+``Subspace``s and int rows, not ``Fraction``s: ``coords_in_span`` gives int
+coordinates in a prebuilt ``Subspace`` (float ones, over 1, in a
+``FloatSubspace``), ``intersect`` and ``eigenspace`` read int kernel rows
 (``matrix_core._kernel``), and ``restriction`` and ``eigenspace`` work in
 the basis of a ``Subspace``'s int echelon rows.  ``independent_subset`` is
-the one basis extension: of a given span (a ``Subspace`` is extended in
-place), by elements of a list (a complement, a completed flag, an
-independent sublist).  ``bracket`` runs on ``Matrix.ints``.
-``float_span_basis`` is the float track's span: an SVD basis cut at the
-inputs' own absolute tolerance.
+the one basis extension: of a given span (a ``Subspace`` or
+``FloatSubspace`` is extended in place), by elements of a list (a
+complement, a completed flag, an independent sublist).  ``bracket`` runs on
+``Matrix.ints``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .matrix_core import APPROX, EXACT, Matrix, Subspace, _kernel
+from .matrix_core import EXACT, FloatSubspace, Matrix, Subspace, _kernel
+
+
+def span_of(mats: list[Matrix]) -> Subspace | FloatSubspace:
+    """span(mats): a ``Subspace`` when every matrix is exact, else a ``FloatSubspace``."""
+    return Subspace(mats) if all(m.mode == EXACT for m in mats) else FloatSubspace(mats)
 
 
 def span_basis(mats: list[Matrix]) -> list[Matrix]:
-    """Reduced basis (as matrices) of the span of the given matrices."""
-    return Subspace(mats).matrices()
+    """Basis (as matrices) of the span: reduced echelon rows, or orthonormal float rows."""
+    return span_of(mats).matrices()
 
 
 def independent_subset(mats: list, given=()) -> list:
     """The elements of mats (matrices or vectors) that extend a basis of span(given).
 
-    A ``Subspace`` given is extended in place by them.
+    A ``Subspace`` or ``FloatSubspace`` given is extended in place by them.
     """
-    space = given if isinstance(given, Subspace) else Subspace(given)
+    space = given if isinstance(given, (Subspace, FloatSubspace)) else Subspace(given)
     return [m for m in mats if space.add(m)]
 
 
-def coords_in_span(m: Matrix, space: Subspace) -> tuple[list[int], int] | None:
+def coords_in_span(m: Matrix, space: Subspace | FloatSubspace) -> tuple[list, int] | None:
     """(x, den): m = sum_k x[k] / den times the k-th vector that raised the rank of space."""
     return space._solve(m)
 
 
-def in_span(m: Matrix, space: Subspace | list[Matrix]) -> bool:
-    return m in (space if isinstance(space, Subspace) else Subspace(space))
+def in_span(m: Matrix, space: Subspace | FloatSubspace | list[Matrix]) -> bool:
+    return m in (space if isinstance(space, (Subspace, FloatSubspace)) else span_of(space))
 
 
 def intersect(a: list[Matrix], b: list[Matrix]) -> list[Matrix]:
@@ -67,7 +71,7 @@ def intersect(a: list[Matrix], b: list[Matrix]) -> list[Matrix]:
 
 
 def span_dim(mats: list[Matrix]) -> int:
-    return len(Subspace(mats))
+    return len(span_of(mats))
 
 
 def bracket(a: Matrix, b: Matrix) -> Matrix:
@@ -100,15 +104,3 @@ def eigenspace(r: Matrix, lam, space: Subspace) -> Subspace:
         return Subspace()
     return Subspace(np.dot(np.array(kernel, dtype=object),
                            np.array(space._rows, dtype=object)).tolist())
-
-
-def float_span_basis(mats: list[Matrix]) -> list[Matrix]:
-    """Orthonormal float basis of the span, with rank cut at the largest abs_tol."""
-    if not mats:
-        return []
-    n = mats[0].n
-    rows = np.array([m.float_array().ravel() for m in mats])
-    _, s, vt = np.linalg.svd(rows)
-    rank = int(np.sum(s > max(m.abs_tol() for m in mats)))
-    tol = max(m.tol for m in mats)
-    return [Matrix(vt[i].reshape(n, n).copy(), APPROX, tol) for i in range(rank)]

@@ -1,7 +1,8 @@
 """Command-line surface: stable JSON in, stable JSON out.
 
-Exit codes: 0 success, 2 malformed input, 3 precondition violation,
-4 numerical failure or broken internal postcondition.  Matrices travel as
+Exit codes: 0 success, 2 malformed input (an argv that the parser rejects
+included), 3 precondition violation, 4 numerical failure or broken internal
+postcondition.  Matrices travel as
 {"mode": "exact"|"approx", "entries": [[...]]} with exact entries "p/q";
 algebras as {"generators": [...]} or {"basis": [...]}.
 """
@@ -65,6 +66,13 @@ EXIT_MALFORMED = 2
 
 class MalformedInput(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """A rejected argv ends in a MalformedInput reply; subparsers share the class."""
+
+    def error(self, message):
+        raise MalformedInput(message)
 
 
 def _load_json(path: str):
@@ -208,6 +216,8 @@ def _cmd_cartan(args) -> int:
         return _emit({"a": rd.a_basis, "roots": rd.roots, "positive": rd.positive,
                       "root_space_dims": [len(s) for s in rd.root_spaces],
                       "zero_space_dim": len(rd.zero_space)})
+    if args.op == "kak" and args.algebra:
+        raise MalformedInput("--algebra applies to kan only; kak takes no adapted basis")
     x = _load_matrix(args.input, args)
     adapted = None
     if args.algebra:
@@ -249,7 +259,7 @@ def _cmd_selftest(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nashkit",
         description="Structure decompositions of real matrix groups and Lie algebras",
     )
@@ -330,9 +340,8 @@ def _tolerance(tol: float | None) -> float:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         args.tol = _tolerance(args.tol)
         # float steps on entries near the ends of the float range overflow to
         # inf, or divide by an underflowed 0 into inf and nan; they are handled

@@ -16,7 +16,7 @@ from math import isqrt
 
 import numpy as np
 
-from ._span import bracket, float_span_basis, span_basis, span_dim
+from ._span import bracket
 from .errors import (
     NotAbelian,
     NotInvertible,
@@ -26,8 +26,10 @@ from .errors import (
 from .matrix_core import (
     APPROX,
     EXACT,
+    FloatSubspace,
     Matrix,
     Polynomial,
+    Subspace,
     _horner_float,
     char_poly,
     count_real_roots,
@@ -420,27 +422,23 @@ def _classify_approx(x: Matrix, setting: str) -> ElementClass:
 # -- commuting families -----------------------------------------------------------------
 
 
-def abelian_ehu_split(
-    basis: list[Matrix],
-) -> tuple[list[Matrix], list[Matrix], list[Matrix]]:
+def abelian_ehu_split(basis: list[Matrix]) -> tuple[list[Matrix], list[Matrix], list[Matrix]]:
     """Split the span of a commuting family into elliptic/hyperbolic/unipotent parts.
 
-    Returns bases of the spans of the additive e/h/u parts of the inputs;
-    the three subspaces intersect trivially and sum to the input span.
+    Returns bases of the spans E, H, U of the additive e/h/u parts of the
+    inputs.  E + H + U is direct and holds every input (both checked, at
+    tolerance off the exact track); it may exceed their span, as for [[2, 1], [0, 2]].
     """
     for i, a in enumerate(basis):
         for j in range(i + 1, len(basis)):
             if not bracket(a, basis[j]).is_zero():
                 raise NotAbelian(f"generators {i} and {j} do not commute")
     parts = [additive_jordan(m).parts() for m in basis]
-    es = [p[0] for p in parts if not p[0].is_zero()]
-    hs = [p[1] for p in parts if not p[1].is_zero()]
-    us = [p[2] for p in parts if not p[2].is_zero()]
-    if all(m.mode == EXACT for m in list(basis) + es + hs + us):
-        e_b, h_b, u_b = span_basis(es), span_basis(hs), span_basis(us)
-        total = span_dim(e_b + h_b + u_b)
-        # dim(E + H + U) = dim E + dim H + dim U makes the sum direct: no pairwise intersections
-        if total != len(e_b) + len(h_b) + len(u_b) or total != span_dim(list(basis)):
-            raise PostconditionFailed("elliptic/hyperbolic/unipotent spans do not split the input")
-        return e_b, h_b, u_b
-    return float_span_basis(es), float_span_basis(hs), float_span_basis(us)
+    exact = all(m.mode == EXACT for m in basis) and all(x.mode == EXACT for p in parts for x in p)
+    space = Subspace if exact else FloatSubspace
+    bases = [space(p[k] for p in parts if not p[k].is_zero()).matrices() for k in range(3)]
+    total = space(m for b in bases for m in b)
+    # the sum is direct exactly when dim(E + H + U) = dim E + dim H + dim U
+    if len(total) != sum(map(len, bases)) or any(m not in total for m in basis):
+        raise PostconditionFailed("elliptic/hyperbolic/unipotent spans do not split the input")
+    return tuple(bases)

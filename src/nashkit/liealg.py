@@ -4,7 +4,10 @@ reductivity, unipotent radical, and reductive complements.
 The heavy structure computations (radical, unipotent radical, complement
 lifting) are exact-only: rank decisions compound, and the statements being
 computed are exact.  Closure, series, trace forms and the reductivity test
-also run on the float track with tolerance-based rank.
+also run on the float track.  Closure, series and structure constants run
+one path for both tracks: every span question goes to a
+``matrix_core.Subspace`` or, on the float track, a ``FloatSubspace``, whose
+one residual rule decides rank and membership alike.
 
 The radical is read off the structure constants: [g, g] in coordinates,
 paired with the natural trace Gram.  The postcondition checks run on the
@@ -23,24 +26,23 @@ import numpy as np
 from ._span import (
     bracket,
     coords_in_span,
-    float_span_basis,
-    in_span,
     independent_subset,
     intersect,
     span_basis,
     span_dim,
+    span_of,
 )
 from .errors import (
     ExactModeRequired,
     LiftFailed,
     NotInAlgebra,
-    NumericalFailure,
     PostconditionFailed,
 )
 from .jordan import additive_jordan
 from .matrix_core import (
     APPROX,
     EXACT,
+    FloatSubspace,
     Matrix,
     Subspace,
     _combine,
@@ -102,62 +104,33 @@ def _require_exact(mats, what: str):
         raise ExactModeRequired(f"{what} is only defined on the exact track")
 
 
-# -- float-track span helpers -------------------------------------------------
-
-
-def _f_tol(mats) -> float:
-    return max(m.abs_tol() for m in mats)
-
-
-def _f_independent(mats: list[Matrix]) -> list[Matrix]:
-    picked: list[Matrix] = []
-    for m in mats:
-        rows = np.array([x.float_array().ravel() for x in picked + [m]])
-        if float_rank(rows, _f_tol(picked + [m])) > len(picked):
-            picked.append(m)
-    return picked
-
-
-def _f_coords(m: Matrix, basis: list[Matrix]) -> list[float] | None:
-    target = m.float_array().ravel()
-    if not basis:
-        return [] if np.linalg.norm(target) <= m.abs_tol() else None
-    a = np.array([b.float_array().ravel() for b in basis]).T
-    sol, *_ = np.linalg.lstsq(a, target, rcond=None)
-    if np.linalg.norm(a @ sol - target) > _f_tol(basis + [m]):
-        return None
-    return [float(c) for c in sol]
-
-
 # -- construction ---------------------------------------------------------------
 
 
-def _structure_constants(basis: list[Matrix], exact: bool, space: Subspace | None = None
-                         ) -> np.ndarray:
+def _structure_constants(basis: list[Matrix], space: Subspace | FloatSubspace) -> np.ndarray:
     """sc[i, j, k]: coefficient of basis[k] in [basis[i], basis[j]].
 
-    Exact coordinates come from ``space`` (by default span(basis)), a
-    Subspace whose last rank-raising vectors are basis; those along its
-    earlier ones, an ideal's, are dropped, so sc is taken modulo that ideal.
+    Coordinates come from ``space``, whose last rank-raising vectors are
+    basis; those along its earlier ones, an ideal's, are dropped, so sc is
+    taken modulo that ideal.  An exact space gives Fractions, a float one
+    least-squares floats.
     """
-    d = len(basis)
+    d, exact = len(basis), isinstance(space, Subspace)
     sc = np.empty((d, d, d), dtype=object if exact else float)
     sc[:] = Fraction(0) if exact else 0.0
-    if exact and space is None:
-        space = Subspace(basis)
     for i, j in combinations(range(d), 2):
-        br = bracket(basis[i], basis[j])
-        coords = coords_in_span(br, space) if exact else _f_coords(br, basis)
+        coords = coords_in_span(bracket(basis[i], basis[j]), space)
         if coords is None:
             raise ValueError("basis is not bracket closed")
+        xs, den = coords
+        xs = xs[len(xs) - d:]
         if exact:
-            xs, den = coords
-            for k, x in enumerate(xs[len(xs) - d:]):
+            for k, x in enumerate(xs):
                 if x:
                     sc[i, j, k] = f = Fraction(x, den)
                     sc[j, i, k] = -f
         else:
-            sc[i, j] = coords
+            sc[i, j] = xs
             sc[j, i] = 0 - sc[i, j]  # not -sc: float zeros stay +0.0, as lstsq gives them
     return sc
 
@@ -166,46 +139,32 @@ def algebra_from_basis(basis: list[Matrix], ambient: int | None = None) -> LieAl
     """Wrap a bracket-closed, linearly independent family as a LieAlgebraData."""
     if not basis:
         return LieAlgebraData(ambient or 0, (), np.empty((0, 0, 0), dtype=object))
-    exact = all(b.mode == EXACT for b in basis)
-    space = None
-    if exact:
-        space = Subspace(basis)
-        if len(space) != len(basis):
-            raise ValueError("basis is linearly dependent")
-    else:
-        rows = np.array([b.float_array().ravel() for b in basis])
-        if float_rank(rows, _f_tol(list(basis))) != len(basis):
-            raise ValueError("basis is numerically dependent")
-    return LieAlgebraData(basis[0].n, tuple(basis),
-                          _structure_constants(list(basis), exact, space))
+    space = span_of(basis)
+    if len(space) != len(basis):
+        raise ValueError("basis is linearly dependent" if isinstance(space, Subspace)
+                         else "basis is numerically dependent")
+    return LieAlgebraData(basis[0].n, tuple(basis), _structure_constants(list(basis), space))
 
 
 def lie_closure(generators: list[Matrix], ambient: int | None = None) -> LieAlgebraData:
-    """Smallest bracket-closed subspace containing the generators."""
+    """Smallest bracket-closed subspace containing the generators.
+
+    Each round adds the brackets that raise the rank of the span; the rank
+    is at most n^2, so the loop ends on both tracks.
+    """
     gens = [m for m in generators if not m.is_zero()]
     if not gens:
         return algebra_from_basis([], generators[0].n if generators else ambient)
-    exact = all(m.mode == EXACT for m in gens)
-    space = Subspace() if exact else None
-    basis = independent_subset(gens, space) if exact else _f_independent(gens)
+    space = Subspace() if all(m.mode == EXACT for m in gens) else FloatSubspace()
+    basis = independent_subset(gens, space)
     while True:
-        new = []
-        for a, b in combinations(basis, 2):
-            br = bracket(a, b)
-            if br.is_zero():
-                continue
-            if space.add(br) if exact else (_f_coords(br, basis + new) is None):
-                new.append(br)
+        new = [br for a, b in combinations(basis, 2)
+               if not (br := bracket(a, b)).is_zero() and space.add(br)]
         if not new:
             break
-        # exact: each new bracket raised the rank, so basis + new stays independent
-        grown = basis + new if exact else _f_independent(basis + new)
-        if len(grown) == len(basis):  # float: the same brackets would come back every round
-            raise NumericalFailure("the bracket closure does not settle at this tolerance")
-        basis = grown
-    if exact:  # basis is exactly the vectors that raised the rank of space
-        return LieAlgebraData(basis[0].n, tuple(basis), _structure_constants(basis, True, space))
-    return algebra_from_basis(basis)
+        basis += new
+    # basis is exactly the vectors that raised the rank of space
+    return LieAlgebraData(basis[0].n, tuple(basis), _structure_constants(basis, space))
 
 
 # -- series and solvability --------------------------------------------------------
@@ -213,16 +172,14 @@ def lie_closure(generators: list[Matrix], ambient: int | None = None) -> LieAlge
 
 def _series(basis: list[Matrix], kind: str) -> list[list[Matrix]]:
     """Derived or lower central series of span(basis), from basis down to the stable term."""
-    exact = all(m.mode == EXACT for m in basis)
     chain = [list(basis)]
     while True:
         current = chain[-1]
         left = current if kind == DERIVED else chain[0]
-        # an exact span needs each unordered pair once; the float one is the SVD of all pairs
-        pairs = combinations(current, 2) if exact and left is current else product(left, current)
+        # [b, a] = -[a, b], so a span of [current, current] needs each unordered pair once
+        pairs = combinations(current, 2) if left is current else product(left, current)
         brackets = [bracket(a, b) for a, b in pairs]
-        nonzero = [m for m in brackets if not m.is_zero()]
-        nxt = span_basis(nonzero) if exact else float_span_basis(nonzero)
+        nxt = span_basis([m for m in brackets if not m.is_zero()])
         if len(nxt) >= len(current):
             break
         chain.append(nxt)
@@ -343,7 +300,7 @@ def _check_radical(g: LieAlgebraData, rad: list[Matrix]):
     space = Subspace(rad)
     comp = independent_subset(list(g.basis), space)
     try:
-        quo = _structure_constants(comp, True, space)
+        quo = _structure_constants(comp, space)
     except ValueError:
         raise PostconditionFailed("quotient brackets fall outside the algebra") from None
     if comp and _killing_gram(quo).det() == 0:
@@ -482,10 +439,8 @@ def _check_levi(g: LieAlgebraData, decomp: LeviDecomp, not_closed: Exception | N
 
 def is_semisimple_element(x: Matrix, g: LieAlgebraData) -> bool:
     """True when the nilpotent part of x vanishes; x must lie in span(g)."""
-    if g.is_exact and x.mode == EXACT:
-        if not in_span(x, list(g.basis)):
-            raise NotInAlgebra("element is outside the algebra span")
-        return additive_jordan(x).u.is_zero()
-    if _f_coords(x, list(g.basis)) is None:
-        raise NotInAlgebra("element is outside the algebra span at tolerance")
+    exact = g.is_exact and x.mode == EXACT
+    if x not in (Subspace if exact else FloatSubspace)(g.basis):
+        raise NotInAlgebra("element is outside the algebra span"
+                           + ("" if exact else " at tolerance"))
     return additive_jordan(x).u.is_zero()

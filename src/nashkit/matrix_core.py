@@ -22,18 +22,21 @@ constructed from entries.
 ``Subspace`` (echelon rows as lists of Python ints) is the one exact row
 reduction: ``_kernel`` (int kernel rows), ``rref``, ``exact_nullspace`` and
 ``exact_solve`` read one, and Bareiss stays the square determinant and
-inverse kernel.  ``Polynomial`` arithmetic stays on ``Fraction``; its int
-forms, each built once, are ``ints``, the primitive int multiple, and
-``sturm``, the Sturm sequence on Python ints (exact int division, no
-``Fraction`` Euclid) divided by gcd(p, p'), led by the squarefree part, which
-inherits both.  Real-root counts, rational roots (p-adic lifting), factors
-and exact ``eval_matrix`` read them.  Spectral predicates are answered on the
-squarefree part without factoring it, so only a Jordan plan (``jordan``'s
-exact ``multiplicative_jordan`` and ``additive_jordan``) and exact
-``spectrum`` call ``irreducible_factors``: rational roots, then Zassenhaus's
-method (factoring mod a prime, Musser's degree-set test, a Hensel lift and
-recombination) for a rest of degree >= 4.  The library never imports
-sympy; only ``Polynomial.to_sympy`` and ``from_sympy`` need it.
+inverse kernel.  ``FloatSubspace``, its float twin, answers every float span
+question by one residual rule; singular values remain for matrix rank and
+kernels (``float_rank``, ``nullspace``).  ``Polynomial`` arithmetic stays on
+``Fraction``; its int forms, each built once, are ``ints``, the primitive
+int multiple, and ``sturm``, the Sturm sequence on Python ints (exact int
+division, no ``Fraction`` Euclid) divided by gcd(p, p'), led by the
+squarefree part, which inherits both.  Real-root counts, rational roots
+(p-adic lifting), factors and exact ``eval_matrix`` read them.  Spectral
+predicates are answered on the squarefree part without factoring it, so only
+a Jordan plan (``jordan``'s exact ``multiplicative_jordan`` and
+``additive_jordan``) and exact ``spectrum`` call ``irreducible_factors``:
+rational roots, then Zassenhaus's method (factoring mod a prime, Musser's
+degree-set test, a Hensel lift and recombination) for a rest of degree >= 4.
+The library never imports sympy; only ``Polynomial.to_sympy`` and
+``from_sympy`` need it.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import gcd, isfinite, isqrt, lcm
-from operator import mul
+from operator import mul, truediv
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -55,6 +58,8 @@ from .errors import ClusterAmbiguity, NotInvertible, NumericalFailure, ZeroPolyn
 EXACT = "exact"
 APPROX = "approx"
 DEFAULT_TOL = 1e-8
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float
+_EPS = float(np.finfo(float).eps)
 
 
 def _as_fraction(x) -> Fraction:
@@ -229,12 +234,7 @@ class Matrix:
 
     def norm(self) -> float:
         """Frobenius norm as a float (also for exact matrices)."""
-        flat = self.float_array().ravel()
-        squares = np.dot(flat, flat)
-        if isfinite(squares):
-            return float(np.sqrt(squares))
-        big = np.max(np.abs(flat))  # rescaled only on overflow: finite norms keep their bits
-        return float(big * np.linalg.norm(flat / big))
+        return _norm(self.float_array().ravel())
 
     def abs_tol(self) -> float:
         """Effective absolute threshold: tol * (1 + ||m||)."""
@@ -377,6 +377,15 @@ class Matrix:
         return bool(min(np.linalg.svd(self._data, compute_uv=False), default=0.0) > self.abs_tol())
 
 
+def _norm(flat: np.ndarray) -> float:
+    """Euclidean norm, rescaled only if the sum of squares leaves the normal range."""
+    squares = np.dot(flat, flat)
+    if _TINY <= squares and isfinite(squares):
+        return float(np.sqrt(squares))
+    big = np.max(np.abs(flat), initial=0.0)
+    return float(big * np.linalg.norm(flat / big)) if big else 0.0
+
+
 def _sum_ints(a: tuple[np.ndarray, int], b: tuple[np.ndarray, int], sign: int,
               tol: float) -> Matrix:
     """na/da + sign * nb/db over lcm(da, db)."""
@@ -390,7 +399,30 @@ def _sum_ints(a: tuple[np.ndarray, int], b: tuple[np.ndarray, int], sign: int,
 # -- exact elimination: the integer echelon Subspace, and Bareiss det/inv ------
 
 
-class Subspace:
+class _Span:
+    """What ``Subspace`` and ``FloatSubspace`` share: the rank, and coordinates from ``_solve``."""
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        return len(self._picked)
+
+    def coords(self, v) -> list | None:
+        """Coordinates of v in the added vectors, or None if v is outside the span.
+
+        Vectors that did not raise the rank get coordinate 0, as the free
+        variables of ``exact_solve`` do.
+        """
+        solved = self._solve(v)
+        if solved is None:
+            return None
+        out = [self._coord(0, 1)] * self._added
+        for picked, x in zip(self._picked, solved[0]):
+            out[picked[0]] = self._coord(x, solved[1])
+        return out
+
+
+class Subspace(_Span):
     """Exact span of rational vectors, kept in reduced row echelon form.
 
     The only exact row reduction: ``_kernel``, ``rref``, ``exact_nullspace``
@@ -408,6 +440,7 @@ class Subspace:
     """
 
     __slots__ = ("pivots", "length", "_rows", "_heads", "_lcm", "_picked", "_added", "_inv")
+    _coord = staticmethod(Fraction)
 
     def __init__(self, vecs=()):
         self.pivots: list[int] = []
@@ -422,9 +455,6 @@ class Subspace:
         self._inv: tuple[list[list[int]], int] | None = None  # of the picked block, see coords
         for v in vecs:
             self.add(v)
-
-    def __len__(self) -> int:
-        return len(self.pivots)
 
     @property
     def rows(self) -> list[list[Fraction]]:
@@ -513,25 +543,89 @@ class Subspace:
         at = [a[p] for p in self.pivots]
         return [sum(map(mul, at, col)) for col in cols], d * den
 
-    def coords(self, v) -> list[Fraction] | None:
-        """Coordinates of v in the added vectors, or None if v is outside the span.
-
-        Vectors that did not raise the rank get coordinate 0, as the free
-        variables of ``exact_solve`` do.
-        """
-        solved = self._solve(v)
-        if solved is None:
-            return None
-        out = [Fraction(0)] * self._added
-        for (index, _, _), x in zip(self._picked, solved[0]):
-            out[index] = Fraction(x, solved[1])
-        return out
-
     def matrices(self) -> list[Matrix]:
         """The echelon rows as square exact matrices."""
         n = isqrt(self.length or 0)
         return [Matrix.from_ints(np.array(r, dtype=object).reshape(n, n), h)
                 for r, h in zip(self._rows, self._heads)]
+
+
+class FloatSubspace(_Span):
+    """Float twin of ``Subspace``, with its interface, kept as orthonormal rows.
+
+    One rule decides rank and membership: v is in the span exactly when the
+    norm of its residual after projection on the rows (Gram-Schmidt run
+    twice, Björck 1994) is at most ``tol``, the largest of the span's floor
+    and of the ``abs_tol`` of v and of the vectors that raised the rank (an
+    array has none), or at most rounding, length * eps * |v|.  ``add``
+    raises the rank exactly when v is not in the span, and never past the
+    vector length, so adding until nothing is new ends at every tolerance.
+    ``coords`` are least squares over the vectors that raised the rank.
+    """
+
+    __slots__ = ("length", "tol", "rows", "_picked", "_added", "_mtol")
+    _coord = staticmethod(truediv)  # x / 1: the float x
+
+    def __init__(self, vecs=(), tol: float = 0.0):
+        self.length: int | None = None
+        self.tol = float(tol)
+        self.rows = np.empty((0, 0))  # orthonormal, one per rank raiser
+        self._picked: list[tuple[int, np.ndarray]] = []  # (index, vector) of each rank raiser
+        self._added = 0
+        self._mtol = 0.0  # the largest Matrix.tol of a rank raiser
+        for v in vecs:
+            self.add(v)
+
+    def _reduce(self, v) -> tuple[np.ndarray, float, np.ndarray, bool]:
+        """(x, abs_tol, residual, in the span) for v."""
+        if isinstance(v, Matrix):
+            x, t = v.float_array().ravel(), v.abs_tol()
+        else:
+            x, t = np.asarray(v, dtype=float).ravel(), 0.0
+        r = x
+        if self.length is not None:
+            if len(x) != self.length:
+                raise ValueError(f"a length-{len(x)} vector in a span of length-{self.length} "
+                                 "vectors")
+            for _ in range(2):
+                r = r - (self.rows @ r) @ self.rows
+        cut = max(self.tol, t, len(x) * _EPS * _norm(x))
+        return x, t, r, len(self) == self.length or _norm(r) <= cut
+
+    def add(self, v) -> bool:
+        """Adjoin v to the span; True when the rank rises."""
+        x, t, r, inside = self._reduce(v)
+        if self.length is None:
+            self.length, self.rows = len(x), np.empty((0, len(x)))
+        self._added += 1
+        if inside:
+            return False
+        u = r / _norm(r)
+        u = u - (self.rows @ u) @ self.rows  # once more at unit scale: r may be near rounding
+        self.rows = np.vstack([self.rows, u / _norm(u)])
+        self._picked.append((self._added - 1, x))
+        self.tol = max(self.tol, t)
+        if isinstance(v, Matrix):
+            self._mtol = max(self._mtol, v.tol)
+        return True
+
+    def __contains__(self, v) -> bool:
+        return self._reduce(v)[3]
+
+    def _solve(self, v) -> tuple[list[float], int] | None:
+        """(x, 1): v = sum_k x[k] times the k-th rank raiser, by least squares; None if outside."""
+        x, _, _, inside = self._reduce(v)
+        if not inside:
+            return None
+        if not self._picked:
+            return [], 1
+        sol = np.linalg.lstsq(np.array([p for _, p in self._picked]).T, x, rcond=None)[0]
+        return [float(c) for c in sol], 1
+
+    def matrices(self) -> list[Matrix]:
+        """The rows as square float matrices, at the largest tol of the rank raisers."""
+        n = isqrt(self.length or 0)
+        return [Matrix(row.reshape(n, n).copy(), APPROX, self._mtol) for row in self.rows]
 
 
 def rref(rows: list[list]) -> tuple[list[list[Fraction]], list[int]]:

@@ -26,6 +26,7 @@ from .liealg import LieAlgebraData, algebra_from_basis, is_solvable
 from .matrix_core import (
     APPROX,
     EXACT,
+    FloatSubspace,
     Matrix,
     Subspace,
     _kernel,
@@ -65,9 +66,17 @@ def engel_flag(g: LieAlgebraData) -> Flag:
     for b in g.basis:
         if not b.is_nilpotent():
             raise NotNilpotentAlgebra("a basis element is not nilpotent")
-    if not g.is_exact:
-        return _engel_flag_float(g)
-    return _flag_from_columns(_pulled_back_columns(g, _joint_kernel_vector))
+    if g.is_exact:
+        return _flag_from_columns(_pulled_back_columns(g, _joint_kernel_vector))
+    tol = max(b.abs_tol() for b in g.basis) if g.basis else 1e-12
+
+    def kernel_vector(blocks, width):
+        kernel = _svd_kernel(np.vstack(blocks) if blocks else np.zeros((0, width)), tol, width)
+        if kernel.shape[0] == 0:
+            raise NotNilpotentAlgebra("joint kernel vanished before the flag completed")
+        return kernel[0]
+
+    return _flag_from_columns([list(map(float, c)) for c in _pulled_back_float(g, kernel_vector)])
 
 
 def _joint_kernel_vector(blocks: list[np.ndarray], width: int) -> tuple[list[int], int]:
@@ -106,28 +115,18 @@ def _pulled_back_columns(g: LieAlgebraData, pick) -> list[list[Fraction]]:
     return cols
 
 
-def _engel_flag_float(g: LieAlgebraData) -> Flag:
+def _pulled_back_float(g: LieAlgebraData, pick) -> list[np.ndarray]:
+    """Orthonormal flag columns, each a unit vector of the complement of those so far.
+
+    ``pick(blocks, width)`` chooses it from the basis elements' actions on that complement.
+    """
     n = g.ambient
-    tol = max(b.abs_tol() for b in g.basis) if g.basis else 1e-12
     cols: list[np.ndarray] = []
     while len(cols) < n:
-        k = len(cols)
-        q = _orthocomplement(cols, n)
-        stacked = np.vstack([q.T @ b.float_array() @ q for b in g.basis]) if g.basis \
-            else np.zeros((0, n - k))
-        kernel = _svd_kernel(stacked, tol, n - k)
-        if kernel.shape[0] == 0:
-            raise NotNilpotentAlgebra("joint kernel vanished before the flag completed")
-        cols.append(q @ kernel[0])
-    return _flag_from_columns([list(map(float, c)) for c in cols])
-
-
-def _orthocomplement(cols: list[np.ndarray], n: int) -> np.ndarray:
-    if not cols:
-        return np.eye(n)
-    a = np.array(cols).T
-    qfull, _ = np.linalg.qr(a, mode="complete")
-    return qfull[:, len(cols):]
+        # orthonormal columns spanning the complement (cols are orthonormal: singular values 1)
+        q = _svd_kernel(np.array(cols), 0.5, n).T
+        cols.append(q @ pick([q.T @ b.float_array() @ q for b in g.basis], n - len(cols)))
+    return cols
 
 
 # -- common eigenvectors (Lie's theorem, split case) ----------------------------
@@ -137,11 +136,22 @@ def common_eigenvector(g: LieAlgebraData) -> tuple[list, list]:
     """A joint eigenvector v and its character (one eigenvalue per basis element)."""
     if g.is_exact:
         try:
-            w = _joint_eigenspace_exact(Subspace(g.basis), g.ambient)
+            w = _joint_eigenspace(Subspace(g.basis), g.ambient)
             return w.rows[0], _character_exact(g, w._rows[0])
         except _Irrational:
             pass
-    return _common_eigenvector_float(g)
+    tol = max(b.abs_tol() for b in g.basis) if g.basis else 1e-12
+    ops = _operator_span([b.float_array() for b in g.basis], tol)
+    v = _joint_eigenspace(ops, g.ambient).rows[0]
+    chars = []
+    for b in g.basis:
+        image = b.float_array() @ v
+        pivot = int(np.argmax(np.abs(v)))
+        lam = image[pivot] / v[pivot]
+        if np.linalg.norm(image - lam * v) > 10 * tol * (1 + abs(lam)):
+            raise PostconditionFailed("common eigenvector candidate is not joint")
+        chars.append(float(lam))
+    return [float(x) for x in v], chars
 
 
 def _character_exact(g: LieAlgebraData, v: list[int]) -> list[Fraction]:
@@ -157,18 +167,23 @@ def _character_exact(g: LieAlgebraData, v: list[int]) -> list[Fraction]:
     return chars
 
 
-def _joint_eigenspace_exact(ops: Subspace, n: int) -> Subspace:
-    """A nonzero subspace of Q^n on which every operator in span(ops) acts as a scalar.
+def _joint_eigenspace(ops: Subspace | FloatSubspace, n: int) -> Subspace | FloatSubspace:
+    """A nonzero subspace of R^n on which every operator in span(ops) acts as a scalar.
 
-    ``ops`` holds the operators flattened row-major.  Classic induction:
-    shrink to a codimension-one ideal containing the derived span, recurse,
-    then split one remaining operator over the recursive eigenspace by a
-    rational eigenvalue.
+    ``ops`` holds the operators flattened row-major: rationals, or unit-scale
+    floats (``_operator_span``) whose ``tol`` is that of every test here.
+    Classic induction: shrink to a codimension-one ideal containing the
+    derived span, recurse, then split one remaining operator over the
+    recursive eigenspace by its smallest (on the exact track, rational) real
+    eigenvalue.
     """
+    exact = isinstance(ops, Subspace)
     if not ops:
-        return Subspace([int(i == j) for i in range(n)] for j in range(n))
+        units = [[int(i == j) for i in range(n)] for j in range(n)]
+        return Subspace(units) if exact else FloatSubspace(units)
     mats = ops.matrices()
-    ideal = Subspace(bracket(a, b) for a, b in combinations(mats, 2))  # the derived span
+    derived = (bracket(a, b) for a, b in combinations(mats, 2))
+    ideal = Subspace(derived) if exact else FloatSubspace(derived, ops.tol)
     if len(ideal) >= len(ops):
         raise NotSolvable("derived span did not shrink")
     # any codimension-one subspace containing the derived span is an ideal: extend
@@ -178,12 +193,24 @@ def _joint_eigenspace_exact(ops: Subspace, n: int) -> Subspace:
             ideal.add(z)
         elif z not in ideal:
             break
-    w = _joint_eigenspace_exact(ideal, n)
+    else:
+        raise NumericalFailure("no direction extends the derived span at the working tolerance")
+    w = _joint_eigenspace(ideal, n)
     # restrict z to the recursive eigenspace (invariant in characteristic zero)
-    r = restriction(z, w)
-    if r is None:
-        raise PostconditionFailed("eigenspace is not stable under the action")
-    out = eigenspace(r, _rational_eigenvalue(r), w)
+    if exact:
+        r = restriction(z, w)
+        if r is None:
+            raise PostconditionFailed("eigenspace is not stable under the action")
+        out = eigenspace(r, _rational_eigenvalue(r), w)
+    else:  # in the eigenspace's orthonormal basis
+        r = w.rows @ z.float_array() @ w.rows.T
+        real = sorted((v for v in np.linalg.eigvals(r) if abs(v.imag) <= ops.tol * (1 + abs(v))),
+                      key=lambda v: v.real)
+        if not real:
+            raise NotSplit("the action has no real eigenvalue at this step")
+        shifted = r - real[0].real * np.eye(len(r))
+        out = FloatSubspace(_svd_kernel(shifted, max(ops.tol, 1e-12 * (1.0 + np.linalg.norm(r))),
+                                        len(r)) @ w.rows)
     if not out:
         raise PostconditionFailed("restricted operator lost its eigenvalue")
     return out
@@ -200,68 +227,10 @@ def _rational_eigenvalue(r: Matrix) -> Fraction:
     raise NotSplit("the action has no real eigenvalue at this step")
 
 
-def _common_eigenvector_float(g: LieAlgebraData):
-    n = g.ambient
-    tol = max(b.abs_tol() for b in g.basis) if g.basis else 1e-12
-    w = _joint_eigenspace_float([b.float_array() for b in g.basis], n, tol)
-    v = w[0]
-    chars = []
-    for b in g.basis:
-        image = b.float_array() @ v
-        pivot = int(np.argmax(np.abs(v)))
-        lam = image[pivot] / v[pivot]
-        if np.linalg.norm(image - lam * v) > 10 * tol * (1 + abs(lam)):
-            raise PostconditionFailed("common eigenvector candidate is not joint")
-        chars.append(float(lam))
-    return [float(x) for x in v], chars
-
-
-def _joint_eigenspace_float(ops: list[np.ndarray], n: int, tol: float) -> list[np.ndarray]:
-    """Float ``_joint_eigenspace_exact``; tol is absolute for the input rows."""
-    rows = np.array([o.ravel() for o in ops]) if ops else np.zeros((0, n * n))
-    if rows.size == 0:
-        return [np.eye(n)[i] for i in range(n)]
-    _, s, vt = np.linalg.svd(rows)
-    rank = int(np.sum(s > tol))
-    if rank == 0:
-        return [np.eye(n)[i] for i in range(n)]
-    unit_tol = tol / s[0]  # for the unit-scale rows built from vt, and for r
-    basis = [vt[i].reshape(n, n) for i in range(rank)]
-    derived = [a @ b - b @ a for a in basis for b in basis]
-    drows = np.array([d.ravel() for d in derived])
-    dsv = np.linalg.svd(drows, compute_uv=False)
-    drank = int(np.sum(dsv > unit_tol))
-    if drank >= rank:
-        raise NotSolvable("derived span did not shrink")
-    # ideal = derived span extended to codimension one; z = the last direction
-    _, _, dvt = np.linalg.svd(drows)
-    ideal = [dvt[i].reshape(n, n) for i in range(drank)]
-    z = None
-    for b in basis:
-        cand = np.array([m.ravel() for m in ideal] + [b.ravel()])
-        r = int(np.sum(np.linalg.svd(cand, compute_uv=False) > unit_tol))
-        if r > len(ideal):
-            if len(ideal) < rank - 1:
-                ideal.append(b)
-            else:
-                z = b
-                break
-    if z is None:
-        raise NumericalFailure("no direction extends the derived span at the working tolerance")
-    w = _joint_eigenspace_float(ideal, n, unit_tol)
-    q, _ = np.linalg.qr(np.array(w).T)  # orthonormalize the eigenspace
-    r = q.T @ z @ q
-    vals = np.linalg.eigvals(r)
-    real = sorted((v for v in vals if abs(v.imag) <= unit_tol * (1 + abs(v))),
-                  key=lambda v: v.real)
-    if not real:
-        raise NotSplit("the action has no real eigenvalue at this step")
-    lam = real[0].real
-    shifted = r - lam * np.eye(r.shape[0])
-    kern = _svd_kernel(shifted, max(unit_tol, 1e-12 * (1.0 + np.linalg.norm(r))), r.shape[0])
-    if kern.shape[0] == 0:
-        raise PostconditionFailed("restricted operator lost its eigenvalue")
-    return [q @ kv for kv in kern]
+def _operator_span(ops: list[np.ndarray], tol: float) -> FloatSubspace:
+    """span(ops), tol absolute for them, at unit scale: ops and tol over the largest norm."""
+    scale = max((np.linalg.norm(o) for o in ops), default=0.0) or 1.0
+    return FloatSubspace((o.ravel() / scale for o in ops), tol / scale)
 
 
 # -- triangularization ---------------------------------------------------------------
@@ -280,14 +249,30 @@ def split_triangularize(g: LieAlgebraData) -> tuple[Matrix, Flag]:
         _check_real_spectrum(b)
     if g.is_exact:
         try:
-            return _split_triangularize_exact(g)
+            cols = _pulled_back_columns(g, _joint_eigenvector)
+            p, slack = Matrix.exact(cols).T, 0
         except _Irrational:
             try:
-                approx = algebra_from_float(g)
+                g = algebra_from_float(g)
             except ValueError as exc:  # the float copy of the basis is dependent at this tolerance
                 raise NumericalFailure(str(exc)) from None
-            return _split_triangularize_float(approx)
-    return _split_triangularize_float(g)
+    if not g.is_exact:
+        tol = max(b.abs_tol() for b in g.basis) if g.basis else 1e-12
+        cols = [list(map(float, c)) for c in _pulled_back_float(
+            g, lambda blocks, width: _joint_eigenspace(_operator_span(blocks, tol), width).rows[0])]
+        p, slack = Matrix(np.array(cols).T, APPROX, max(b.tol for b in g.basis)), 50 * tol
+    pinv = p.inv()
+    for b in g.basis:
+        m = (pinv @ b @ p).rows()
+        if any(abs(m[i][j]) > slack for i in range(g.ambient) for j in range(i)):
+            raise PostconditionFailed("conjugated basis element is not upper-triangular")
+    return p, _flag_from_columns(cols)
+
+
+def _joint_eigenvector(blocks: list[np.ndarray], width: int) -> tuple[list[int], int]:
+    """(v, den): v / den spans a joint eigenline of the exact quotient actions."""
+    space = _joint_eigenspace(Subspace(block.reshape(-1) for block in blocks), width)
+    return space._rows[0], space._heads[0]
 
 
 def algebra_from_float(g: LieAlgebraData) -> LieAlgebraData:
@@ -303,40 +288,3 @@ def _check_real_spectrum(b: Matrix):
         spec = spectrum(b)
         if any(abs(v.imag) > b.abs_tol() for v in spec.values()):
             raise NotSplit("a basis element has non-real eigenvalues at tolerance")
-
-
-def _split_triangularize_exact(g: LieAlgebraData) -> tuple[Matrix, Flag]:
-    n = g.ambient
-
-    def eigenvector(blocks, width):
-        space = _joint_eigenspace_exact(Subspace(block.reshape(-1) for block in blocks), width)
-        return space._rows[0], space._heads[0]
-
-    cols = _pulled_back_columns(g, eigenvector)
-    p = Matrix.exact(cols).T
-    pinv = p.inv()
-    for b in g.basis:
-        m = (pinv @ b @ p).rows()
-        if any(m[i][j] != 0 for i in range(n) for j in range(i)):
-            raise PostconditionFailed("conjugated basis element is not upper-triangular")
-    return p, _flag_from_columns(cols)
-
-
-def _split_triangularize_float(g: LieAlgebraData) -> tuple[Matrix, Flag]:
-    n = g.ambient
-    tol = max(b.abs_tol() for b in g.basis) if g.basis else 1e-12
-    cols: list[np.ndarray] = []
-    while len(cols) < n:
-        k = len(cols)
-        q = _orthocomplement(cols, n)
-        quo = [q.T @ b.float_array() @ q for b in g.basis]
-        w = _joint_eigenspace_float(quo, n - k, tol)[0]
-        v = q @ w
-        cols.append(v / np.linalg.norm(v))
-    p = Matrix(np.array(cols).T, APPROX, max(b.tol for b in g.basis))
-    pinv = p.inv()
-    for b in g.basis:
-        m = (pinv @ b @ p).data
-        if np.max(np.abs(np.tril(m, -1))) > 50 * tol:
-            raise PostconditionFailed("conjugated basis element is not upper-triangular")
-    return p, _flag_from_columns([list(map(float, c)) for c in cols])

@@ -309,6 +309,35 @@ def test_cartan_kan_algebra_of_another_size_exit_two(tmp_path, capsys, track):
     assert json.loads(capsys.readouterr().out)["error"] == "MalformedInput"
 
 
+def test_cartan_kak_rejects_an_algebra_before_computing(tmp_path, capsys, monkeypatch):
+    from nashkit import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("kak --algebra computed something")
+
+    monkeypatch.setattr(cli, "split_triangularize", never)
+    monkeypatch.setattr(cli, "polar_kak", never)
+    so2 = write(tmp_path, "so2.json", {"basis": [{"mode": "exact", "entries": [[0, -1], [1, 0]]}]})
+    x = write(tmp_path, "x.json", {"mode": "exact", "entries": [["2", "0"], ["1", "3"]]})
+    assert cli.main(["cartan", "kak", "--algebra", so2, x]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"] == "MalformedInput" and "kan only" in out["detail"]
+
+
+@pytest.mark.parametrize("argv", [["--tol", "abc", "classify", "{m}"], ["bogus"], [],
+                                  ["lie", "bogus", "{m}"], ["--seed", "x", "selftest"]])
+def test_argv_the_parser_rejects_ends_in_json(tmp_path, argv):
+    m = write(tmp_path, "m.json", {"mode": "exact", "entries": [["1", "0"], ["0", "1"]]})
+    code, out, err = run_cli([a.format(m=m) for a in argv])
+    assert code == 2 and json.loads(out)["error"] == "MalformedInput"
+    assert "usage" not in err
+
+
+def test_help_prints_usage_and_exits_zero():
+    code, out, _ = run_cli(["--help"])
+    assert code == 0 and out.startswith("usage: nashkit")
+
+
 def test_jordan_additive_algebra_cli(tmp_path):
     path = write(tmp_path, "m.json",
                  {"mode": "exact", "entries": [["1", "-2"], ["2", "1"]]})
@@ -375,14 +404,16 @@ _FUZZ_FINDINGS = [  # inputs that ended in a traceback, or were accepted, before
     (["--tol=1e-300", "jordan"], {"mode": "approx", "entries": [[-7.583759826295733, 5.738608933449143],
                                                                [-7.583759826295733, 5.738608933449143]]},
      3, "NotInvertible"),
-    # a float bracket closure whose membership and rank tests disagree looped forever
+    # a float bracket closure whose membership and rank tests disagreed looped forever, then
+    # failed; with one residual rule it settles: two generic 2 x 2 generators span gl2 ...
     (["--tol", "0.5", "lie", "close"], {"generators": [
         {"mode": "approx", "entries": [[-1.8039522160855288, 7], [-3, -6]]},
-        {"mode": "exact", "entries": [[-5, 0], [7, "-9/3"]]}]}, 4, "NumericalFailure"),
+        {"mode": "exact", "entries": [[-5, 0], [7, "-9/3"]]}]}, 0, {"dim": 4}),
+    # ... and at tol 0 these two close to gl3, which is not solvable
     (["--tol", "0", "--approx", "flag", "split"], {"generators": [
         {"mode": "exact", "entries": [[-2, "-3/4", "5/3"], [0, 7, "-4/3"], [-9, -9, -3]]},
         {"mode": "exact", "entries": [[-1, -1, "-4/3"], [7, -4, 6], ["1/3", "-5/4", 9]]}]},
-     4, "NumericalFailure"),
+     3, "NotSolvable"),
     # irrational eigenvalues send the split to the float track, where the basis is dependent at tol 1
     (["--tol", "1", "flag", "split"], {"basis": [{"mode": "exact", "entries": [[2, 1], [1, 1]]}]},
      4, "NumericalFailure"),
@@ -392,12 +423,15 @@ _FUZZ_FINDINGS = [  # inputs that ended in a traceback, or were accepted, before
 ]
 
 
-@pytest.mark.parametrize("argv, doc, exit_code, error", _FUZZ_FINDINGS)
-def test_fuzz_findings_end_in_json(tmp_path, capsys, argv, doc, exit_code, error):
+@pytest.mark.parametrize("argv, doc, exit_code, reply", _FUZZ_FINDINGS)
+def test_fuzz_findings_end_in_json(tmp_path, capsys, argv, doc, exit_code, reply):
+    # reply: the error name, or entries the reply must hold
     from nashkit.cli import main
 
     assert main(argv + [write(tmp_path, "in.json", doc)]) == exit_code
-    assert json.loads(capsys.readouterr().out)["error"] == error
+    out = json.loads(capsys.readouterr().out)
+    want = {"error": reply} if isinstance(reply, str) else reply
+    assert {k: out.get(k) for k in want} == want
 
 
 @pytest.mark.parametrize("command", ["engel", "split"])
@@ -516,3 +550,30 @@ def test_cli_fuzzed_inputs_end_in_json(tmp_path_factory, call):
     assert code in (0, 2, 3, 4), (argv, doc, out.getvalue())
     json.loads(out.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+# every argv, accepted by the parser or not, ends in one JSON reply (selftest, which runs
+# the battery, and --help, which prints usage and exits 0, are left out)
+_TOKENS = ["jordan", "snsplit", "classify", "explog", "lie", "flag", "cartan", "replica",
+           "bogus", "--exact", "--approx", "--tol", "--seed", "--json", "--mode", "--setting",
+           "--domain", "--kind", "--rep", "--algebra", "--bogus", "mul", "add", "group",
+           "algebra", "exp", "log", "nilpotent", "close", "series", "levi", "engel", "split",
+           "kak", "kan", "natural", "0", "1e-8", "abc", "-1", "{matrix}", "{algebra}", "{missing}"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from(_TOKENS), max_size=6))
+def test_any_argv_ends_in_one_json_reply(tmp_path_factory, tokens):
+    from nashkit.cli import main
+
+    folder = tmp_path_factory.mktemp("argv")
+    unit = {"mode": "exact", "entries": [["0", "1"], ["0", "0"]]}
+    paths = {"matrix": write(folder, "m.json", {"mode": "exact", "entries": [[2, 1], [0, 2]]}),
+             "algebra": write(folder, "a.json", {"generators": [unit]}),
+             "missing": str(folder / "missing.json")}
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([t.format(**paths) for t in tokens])
+    assert code in (0, 2, 3, 4), (tokens, out.getvalue())
+    assert len(out.getvalue().splitlines()) == 1 and json.loads(out.getvalue()) is not None
+    assert not err.getvalue()

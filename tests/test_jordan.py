@@ -24,7 +24,15 @@ from nashkit.jordan import (
     multiplicative_jordan,
     sn_split,
 )
-from nashkit.matrix_core import Matrix, Polynomial, char_poly, rational_eigenvalues, squarefree_part
+from nashkit.matrix_core import (
+    FloatSubspace,
+    Matrix,
+    Polynomial,
+    Subspace,
+    char_poly,
+    rational_eigenvalues,
+    squarefree_part,
+)
 
 
 def test_sn_split_examples():
@@ -209,6 +217,21 @@ def test_abelian_ehu_split_examples():
     assert abelian_ehu_split([]) == ([], [], [])
 
 
+@pytest.mark.parametrize("rows, dims", [
+    ([[2, 1], [0, 2]], (0, 1, 1)),  # h = 2 I and u = E12: the parts leave the input's span
+    ([[1, -1], [1, 1]], (1, 1, 0)),  # e = a rotation generator, h = I
+])
+@pytest.mark.parametrize("track", ["exact", "approx"])
+def test_abelian_split_of_one_element_holds_its_parts(rows, dims, track):
+    x = Matrix.exact(rows) if track == "exact" else Matrix.approx(rows)
+    bases = abelian_ehu_split([x])
+    assert tuple(map(len, bases)) == dims
+    assert all(b.mode == x.mode for basis in bases for b in basis)
+    e, h, u = additive_jordan(x).parts()
+    for part, basis in zip((e, h, u), bases):
+        assert part.is_zero() or part in (Subspace if track == "exact" else FloatSubspace)(basis)
+
+
 def test_abelian_split_rejects_overlapping_parts(monkeypatch):
     # parts whose spans overlap (here e = h) fail the dimension count that proves the sum direct
     def overlapping(x):
@@ -218,6 +241,8 @@ def test_abelian_split_rejects_overlapping_parts(monkeypatch):
     monkeypatch.setattr(jordan, "additive_jordan", overlapping)
     with pytest.raises(PostconditionFailed, match="do not split the input"):
         abelian_ehu_split([Matrix.diagonal([2, 2])])
+    with pytest.raises(PostconditionFailed, match="do not split the input"):
+        abelian_ehu_split([Matrix.approx([[2, 0], [0, 2]])])
 
 
 def test_abelian_split_rejects_noncommuting():

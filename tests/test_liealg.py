@@ -29,7 +29,7 @@ from nashkit.liealg import (
     trace_form,
     unipotent_radical,
 )
-from nashkit.matrix_core import Matrix
+from nashkit.matrix_core import FloatSubspace, Matrix, Subspace
 from nashkit.selftest import REDUCTIVE_MEMBERS, _random_unimodular, battery, reductive_corpus
 
 
@@ -65,6 +65,19 @@ def test_lie_closure_of_zero_generators_keeps_their_size():
     assert engel_flag(closed) == engel_flag(empty)
     assert split_triangularize(closed) == split_triangularize(empty)
     assert common_eigenvector(closed) == common_eigenvector(empty)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-300])
+def test_float_lie_closure_ends_below_rounding(tol):
+    # every rounding residual is above such a tolerance; each round still raises the
+    # rank, which stops at n^2, so the closure ends (it once looped forever)
+    gens = [[[-2, -0.75, 5 / 3], [0, 7, -4 / 3], [-9, -9, -3]],
+            [[-1, -1, -4 / 3], [7, -4, 6], [1 / 3, -1.25, 9]]]
+    g = lie_closure([Matrix.approx(m, tol) for m in gens])
+    assert g.dim == 9 and g.structure_constants.shape == (9, 9, 9)
+    sl2 = [Matrix.approx([[0, 1], [0, 0]], tol), Matrix.approx([[0, 0], [1, 0]], tol)]
+    assert lie_closure(sl2).dim == 3
+    assert lie_closure([Matrix.approx(np.eye(2), tol)]).dim == 1
 
 
 def test_structure_constants_match_brackets():
@@ -331,17 +344,24 @@ def _members():
 
 
 def _reference_structure_constants(basis, exact):
-    """Both orders of every pair bracketed and coordinatized on their own."""
+    """Both orders of every pair bracketed and coordinatized on their own.
+
+    Float coordinates are least squares over the basis vectors.
+    """
     d = len(basis)
     sc = np.empty((d, d, d), dtype=object if exact else float)
     sc[:] = Fraction(0) if exact else 0.0
+    cols = np.array([b.float_array().ravel() for b in basis]).T
     for i in range(d):
         for j in range(d):
             if i != j:
                 br = bracket(basis[i], basis[j])
-                coords = (gj.solve([list(col) for col in zip(*(b.vec() for b in basis))],
-                                   list(br.vec())) if exact else liealg._f_coords(br, basis))
-                sc[i, j] = coords
+                if exact:
+                    sc[i, j] = gj.solve([list(col) for col in zip(*(b.vec() for b in basis))],
+                                        list(br.vec()))
+                else:
+                    sol, *_ = np.linalg.lstsq(cols, br.float_array().ravel(), rcond=None)
+                    sc[i, j] = [float(c) for c in sol]
     return sc
 
 
@@ -367,10 +387,10 @@ def _conjugate_basis(name, seed):
 @given(_conjugates)
 def test_structure_constants_match_both_orders_reference(member):
     basis = _conjugate_basis(*member)
-    got = liealg._structure_constants(basis, True)
+    got = liealg._structure_constants(basis, Subspace(basis))
     assert (got == _reference_structure_constants(basis, True)).all()
     floats = [b.to_approx() for b in basis]
-    got = liealg._structure_constants(floats, False)
+    got = liealg._structure_constants(floats, FloatSubspace(floats))
     assert got.tobytes() == _reference_structure_constants(floats, False).tobytes()  # bit for bit
 
 

@@ -14,10 +14,12 @@ from integer_form import check_integer_form
 from nashkit._span import bracket, eigenspace, intersect, restriction
 from nashkit.liealg import ADJOINT, NATURAL, LieAlgebraData, trace_form
 from nashkit.matrix_core import (
+    FloatSubspace,
     Matrix,
     Subspace,
     exact_nullspace,
     exact_solve,
+    float_rank,
     nullspace,
     rational_eigenvalues,
     rref,
@@ -424,6 +426,102 @@ def test_mixed_input_kinds_match_gauss_jordan(data):
     solution = exact_solve(rows, rhs)
     assert solution == gj.solve(refs, rhs)
     assert solution is None or _plain_fractions(solution)
+
+
+# -- FloatSubspace: one residual rule for rank and membership ----------------------------
+
+_floats = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, 1e-300, -1e-170, 1e-9, 1.0]))
+_floors = st.sampled_from([0.0, 1e-300, 1e-12, 1e-6, 0.5])
+
+
+@st.composite
+def float_feeds(draw):
+    """(vectors, floor): raw float arrays, or approx matrices carrying their own tol."""
+    if draw(st.booleans()):
+        length = draw(st.integers(1, 6))
+        vec = st.lists(_floats, min_size=length, max_size=length).map(np.array)
+    else:
+        n, tol = draw(st.integers(1, 2)), draw(_floors)
+        vec = st.lists(_floats, min_size=n * n, max_size=n * n).map(
+            lambda xs: Matrix.approx(np.reshape(xs, (n, n)), tol))
+    return draw(st.lists(vec, min_size=1, max_size=8)), draw(_floors)
+
+
+def _flat(v):
+    return v.float_array().ravel() if isinstance(v, Matrix) else v
+
+
+@settings(max_examples=200, deadline=None)
+@given(float_feeds())
+def test_float_membership_iff_add_keeps_the_rank(data):
+    vecs, floor = data
+    space = FloatSubspace(tol=floor)
+    for v in vecs:
+        inside = v in space
+        assert space.add(v) == (not inside)
+        assert v in space
+        assert len(space) <= min(space.length, len(vecs))
+    q = space.rows
+    assert np.allclose(q @ q.T, np.eye(len(q)), atol=1e-12)
+    # what stayed out of the rank lies within the largest tolerance of the span, so
+    # the stacked vectors are that close (up to rounding) to rank len(space)
+    stacked = np.array([_flat(v) for v in vecs])
+    tol = max([space.tol] + [v.abs_tol() for v in vecs if isinstance(v, Matrix)])
+    big = np.max(np.abs(stacked)) or 1.0  # the SVD runs at unit scale, clear of underflow
+    slack = np.sqrt(len(vecs)) * tol / big + 1e-12 * np.linalg.norm(stacked / big)
+    assert float_rank(stacked / big, slack) <= len(space)
+
+
+@st.composite
+def clear_rank_feeds(draw):
+    """Small int vectors, often dependent, at a rounding-sized offset, and a floor well above it."""
+    length = draw(st.integers(1, 5))
+    vec = st.lists(st.integers(-2, 2), min_size=length, max_size=length)
+    vecs = draw(st.lists(vec, min_size=1, max_size=6))
+    noise = draw(st.sampled_from([0.0, 1e-15]))
+    return [np.array(v, dtype=float) + noise for v in vecs], draw(st.sampled_from([1e-9, 1e-7]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(clear_rank_feeds())
+def test_float_rank_matches_singular_values_when_they_are_clear(data):
+    vecs, floor = data
+    stacked = np.array(vecs)
+    s = np.linalg.svd(stacked, compute_uv=False)
+    assume(not any(floor / 10 <= x <= 10 * floor for x in s))
+    assert len(FloatSubspace(vecs, floor)) == float_rank(stacked, floor)
+
+
+def test_float_rank_is_the_residual_not_the_smallest_singular_value():
+    # (100, 1) is 1 away from the line through (1, 0), above the floor 0.5, so the
+    # rank is 2; yet the stacked pair is 0.0099 (its smallest singular value) from
+    # a rank-one pair: no rule that sees only residuals reads that
+    vecs = [np.array([1.0, 0.0]), np.array([100.0, 1.0])]
+    assert len(FloatSubspace(vecs, 0.5)) == 2
+    assert float_rank(np.array(vecs), 0.5) == 1
+
+
+def test_float_rank_stops_at_the_vector_length():
+    # a full span holds every vector, whatever its residual; and below any floor,
+    # a residual at rounding level counts as 0
+    space = FloatSubspace([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
+    assert not space.add(np.array([1 / 3, 1 / 7])) and len(space) == 2
+    with np.errstate(over="ignore"):  # the norm of 1e300 is taken rescaled
+        assert np.array([1e300, -1e-300]) in space
+    line = FloatSubspace([np.array([1.0, 1.0, 1.0]) / 3])
+    assert np.array([1 / 3, 1 / 3, 1 / 3]) * 7 in line and len(line) == 1
+
+
+def test_float_coords_are_least_squares_over_the_rank_raisers():
+    a, b = Matrix.approx([[1.0, 2.0], [0.0, 0.0]]), Matrix.approx([[0.0, 1.0], [1.0, 0.0]])
+    space = FloatSubspace([a, a.scale(2.0), b])
+    assert len(space) == 2
+    coords = space.coords(a.scale(3.0) - b)
+    assert np.allclose(coords, [3.0, 0.0, -1.0]) and coords[1] == 0.0
+    assert space.coords(Matrix.approx([[0.0, 0.0], [0.0, 1.0]])) is None
+    assert [m.n for m in space.matrices()] == [2, 2]
+    with pytest.raises(ValueError):
+        space.add(np.zeros(3))
 
 
 def test_tracer_self_test_passes():
