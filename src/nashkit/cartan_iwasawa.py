@@ -31,7 +31,6 @@ from .errors import (
     NotThetaStable,
     PostconditionFailed,
 )
-from .explog import exp_hyperbolic, log_hyperbolic
 from .liealg import LieAlgebraData, algebra_from_basis
 from .matrix_core import (
     APPROX,
@@ -66,10 +65,6 @@ class KANTriple:
     n: Matrix
 
 
-def _half(m: Matrix) -> Matrix:
-    return m.scale(Fraction(1, 2) if m.mode == EXACT else 0.5)
-
-
 def cartan_split(g: LieAlgebraData) -> CartanSplit:
     """Eigenspace split of negative-transpose on a stable algebra."""
     if not g.is_exact:
@@ -77,7 +72,7 @@ def cartan_split(g: LieAlgebraData) -> CartanSplit:
     space = Subspace(g.basis)
     skews, syms = [], []
     for b in g.basis:
-        skew, sym = _half(b - b.T), _half(b + b.T)
+        skew, sym = (b - b.T).scale(Fraction(1, 2)), (b + b.T).scale(Fraction(1, 2))
         for part in (skew, sym):
             if not part.is_zero() and part not in space:
                 raise NotThetaStable("algebra is not stable under negative-transpose")
@@ -229,14 +224,14 @@ def nilpotent_part_n(rd: RootDatum) -> LieAlgebraData:
 
 
 def polar_kak(x: Matrix) -> tuple[Matrix, Matrix]:
-    """x = k exp(X) with k orthogonal and X symmetric: X = log(x^T x) / 2."""
+    """x = k exp(X), k orthogonal and X symmetric, from one SVD x = U S V^T: k = U V^T and
+    X = V log(S) V^T (Higham, Functions of Matrices, 2008, ch. 8); x^T x is never formed."""
     if not x.is_invertible():
         raise NotInvertible("polar factorization needs an invertible input")
-    gram = x.T @ x
-    big_x = _half(log_hyperbolic(gram))
-    big_x = _half(big_x + big_x.T)  # symmetrize away roundoff
-    k = x.to_approx() @ exp_hyperbolic(-big_x)
-    return k, big_x
+    u, sigma, vt = np.linalg.svd(x.float_array())
+    big_x = (vt.T * np.log(sigma)) @ vt
+    big_x = (big_x + big_x.T) / 2  # symmetrize away roundoff
+    return Matrix(u @ vt, APPROX, x.tol), Matrix(big_x, APPROX, x.tol)
 
 
 def iwasawa_kan(x: Matrix, adapted_basis: Matrix | None = None) -> KANTriple:

@@ -9,6 +9,7 @@ exponential loci (trivial elliptic part) via log(x) = log(x_h) + log(x_u).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import frexp
 
 import numpy as np
 
@@ -29,7 +30,7 @@ def exp_nilpotent(x: Matrix) -> Matrix:
     acc = Matrix.identity(x.n, x.mode, x.tol)
     term = Matrix.identity(x.n, x.mode, x.tol)
     for k in range(1, x.n):
-        term = (term @ x).scale(Fraction(1, k) if x.mode == EXACT else 1.0 / k)
+        term = (term @ x).scale(Fraction(1, k))
         acc = acc + term
     return acc
 
@@ -43,39 +44,23 @@ def log_unipotent(x: Matrix) -> Matrix:
     power = Matrix.identity(x.n, x.mode, x.tol)
     for k in range(1, x.n):
         power = power @ y
-        c = Fraction((-1) ** (k + 1), k) if x.mode == EXACT else (-1.0) ** (k + 1) / k
-        acc = acc + power.scale(c)
+        acc = acc + power.scale(Fraction((-1) ** (k + 1), k))
     return acc
 
 
-def _scalar_map_exact(x: Matrix, values, fn) -> Matrix:
-    """Apply fn to the rational eigenvalues through exact eigenprojections.
-
-    The terms are summed from the largest eigenvalue down; that order fixes
-    the float result bit for bit.
-    """
-    values = values[::-1]
-    projs = eigenprojections(x, [Polynomial.of([-lam, 1]) for lam in values])
-    out = np.zeros((x.n, x.n))
-    for lam, p in zip(values, projs):
-        out = out + fn(float(lam)) * p.float_array()
-    return Matrix(out, APPROX, x.tol)
-
-
-def _hyperbolic_map(x: Matrix, fn, scipy_name: str) -> Matrix:
-    """fn (np.exp or np.log) of the hyperbolic x: exact eigenprojections, else eigh, else scipy."""
-    if x.mode == EXACT:
-        values = rational_eigenvalues(x)
-        if values is not None:
-            return _scalar_map_exact(x, values, fn)
-    a = x.float_array()
-    if np.allclose(a, a.T, atol=x.abs_tol()):
-        w, v = np.linalg.eigh(a)
-        return Matrix(v @ np.diag(fn(w)) @ v.T, APPROX, x.tol)
-    import scipy.linalg  # on first use only, so importing nashkit does not load scipy
-
-    # logm may return a complex array; np.real of a real array is that array
-    return Matrix(np.real(getattr(scipy.linalg, scipy_name)(a)), APPROX, x.tol)
+def _hyperbolic_map(x: Matrix, fn) -> Matrix:
+    """fn (np.exp or np.log) of x, which ``classify`` certified semisimple with real spectrum:
+    exact eigenprojections, else one eigendecomposition x = V diag(w) V^-1."""
+    if x.mode == EXACT and (values := rational_eigenvalues(x)) is not None:
+        # summed from the largest eigenvalue down: that order fixes the float result bit for bit
+        values = values[::-1]
+        projs = eigenprojections(x, [Polynomial.of([-lam, 1]) for lam in values])
+        out = np.zeros((x.n, x.n))
+        for lam, p in zip(values, projs):
+            out = out + fn(float(lam)) * p.float_array()
+        return Matrix(out, APPROX, x.tol)
+    w, v = np.linalg.eig(x.float_array())
+    return Matrix(np.real((v * fn(w)) @ np.linalg.inv(v)), APPROX, x.tol)
 
 
 def exp_hyperbolic(x: Matrix) -> Matrix:
@@ -84,7 +69,7 @@ def exp_hyperbolic(x: Matrix) -> Matrix:
         raise NotHyperbolic("input must be semisimple with real spectrum")
     if x.is_zero():
         return Matrix.identity(x.n, x.mode, x.tol)
-    return _hyperbolic_map(x, np.exp, "expm")
+    return _hyperbolic_map(x, np.exp)
 
 
 def log_hyperbolic(x: Matrix) -> Matrix:
@@ -93,7 +78,7 @@ def log_hyperbolic(x: Matrix) -> Matrix:
         raise NotHyperbolic("input must be semisimple with positive real spectrum")
     if x == Matrix.identity(x.n, x.mode, x.tol):
         return Matrix.zero(x.n, x.mode, x.tol).to_approx()
-    return _hyperbolic_map(x, np.log, "logm")
+    return _hyperbolic_map(x, np.log)
 
 
 def log_exponential(x: Matrix) -> Matrix:
@@ -109,7 +94,15 @@ def log_exponential(x: Matrix) -> Matrix:
 
 
 def matrix_exp(x: Matrix) -> Matrix:
-    """General matrix exponential (scaling and squaring); verification utility."""
-    import scipy.linalg
-
-    return Matrix(scipy.linalg.expm(x.float_array()), APPROX, x.tol)
+    """General matrix exponential, independent of the Jordan code (a verification utility):
+    the degree-16 Taylor polynomial of exp(a / 2^s), for s with ||a / 2^s||_inf <= 1/2, squared
+    s times (Moler and Van Loan, "Nineteen dubious ways...", 2003, method 3)."""
+    a = x.float_array()
+    s = max(0, frexp(np.linalg.norm(a, np.inf))[1] + 1)
+    a, e, term = a / 2.0 ** s, np.eye(x.n), np.eye(x.n)
+    for k in range(1, 17):
+        term = term @ a / k
+        e = e + term
+    for _ in range(s):
+        e = e @ e
+    return Matrix(e, APPROX, x.tol)

@@ -157,11 +157,13 @@ def lie_closure(generators: list[Matrix], ambient: int | None = None) -> LieAlge
         return algebra_from_basis([], generators[0].n if generators else ambient)
     space = Subspace() if all(m.mode == EXACT for m in gens) else FloatSubspace()
     basis = independent_subset(gens, space)
+    done = 0  # every pair within basis[:done] was bracketed in an earlier round
     while True:
-        new = [br for a, b in combinations(basis, 2)
+        new = [br for i, a in enumerate(basis) for b in basis[max(i + 1, done):]
                if not (br := bracket(a, b)).is_zero() and space.add(br)]
         if not new:
             break
+        done = len(basis)
         basis += new
     # basis is exactly the vectors that raised the rank of space
     return LieAlgebraData(basis[0].n, tuple(basis), _structure_constants(basis, space))

@@ -905,15 +905,19 @@ def char_poly(m: Matrix) -> Polynomial:
         m = Matrix.exact([[Fraction(float(x)) for x in row] for row in m.data])
     nums, d = m.ints
     diag = np.arange(n)
-    coeffs = [Fraction(1)]  # c_{n-k}, starting with leading 1
+    ints = [d ** n]  # c_k(N) * d^(n-k) from k = 0 on; made primitive, the int form
     mk = np.identity(n, dtype=object)
     for k in range(1, n + 1):
         am = np.dot(nums, mk)
         ck = -sum(am[diag, diag]) // k
-        coeffs.append(Fraction(ck, d ** k))
+        ints.append(ck * d ** (n - k))
         mk = am
         mk[diag, diag] += ck
-    return Polynomial.of(list(reversed(coeffs)))
+    g = gcd(*ints)
+    ints = tuple(c // g for c in reversed(ints))
+    out = Polynomial.of([Fraction(c, ints[-1]) for c in ints])
+    object.__setattr__(out, "ints", ints)
+    return out
 
 
 def _neg_prem(a: list[int], b: list[int]) -> list[int]:

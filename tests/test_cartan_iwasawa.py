@@ -13,7 +13,7 @@ from nashkit.cartan_iwasawa import (
     restricted_roots,
 )
 from nashkit.errors import NotAbelian, NotInvertible, NotThetaStable
-from nashkit.explog import exp_hyperbolic
+from nashkit.explog import exp_hyperbolic, matrix_exp
 from nashkit.jordan import ALGEBRA, classify
 from nashkit.liealg import algebra_from_basis
 from nashkit.matrix_core import Matrix
@@ -183,6 +183,27 @@ def test_polar_kak_examples():
     assert (x3 - x3.T).norm() <= 1e-12
     recon = k3 @ exp_hyperbolic(x3)
     assert (recon - shear.to_approx()).norm() <= 1e-10
+
+
+def test_polar_kak_ill_conditioned():
+    # cond 1e4: log(x^T x) once failed here, as x^T x has cond 1e8
+    k, big_x = polar_kak(Matrix.diagonal([100, 1, Fraction(1, 100)]))
+    assert (k - Matrix.identity(3).to_approx()).norm() <= 1e-12
+    want = np.diag([np.log(100), 0.0, np.log(0.01)])
+    assert np.allclose(big_x.data, want, rtol=0, atol=1e-12)
+    rng = np.random.default_rng(31)
+    eye = np.eye(3)
+    for _ in range(200):
+        # an SL3 draw U diag(100, 1, 0.01) V^T, U and V Haar-orthogonal with det 1
+        u, v = (np.linalg.qr(rng.normal(size=(3, 3)))[0] for _ in range(2))
+        u[:, 0] *= np.sign(np.linalg.det(u))
+        v[:, 0] *= np.sign(np.linalg.det(v))
+        x = u @ np.diag([100.0, 1.0, 0.01]) @ v.T
+        k, big_x = polar_kak(Matrix.approx(x))
+        assert np.max(np.abs(k.data.T @ k.data - eye)) <= 1e-12
+        assert np.array_equal(big_x.data, big_x.data.T)
+        recon = k @ matrix_exp(big_x)
+        assert np.linalg.norm(recon.data - x) <= 1e-10 * np.linalg.norm(x)
 
 
 def test_polar_kak_rejects_singular():

@@ -108,6 +108,30 @@ def test_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def _codes_and_loaded(calls, module):
+    """Run main(argv) for each argv of calls in one fresh process: the exit codes, and
+    whether module was loaded, as that process prints them."""
+    code = ("import contextlib, io, json, sys\n"
+            "from nashkit.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(codes, sys.argv[2] in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(calls), module],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_float_calls_leave_scipy_unloaded(tmp_path):
+    # scipy is a test and benchmark oracle only: no float route of the library loads it
+    kak = write(tmp_path, "kak.json", {"mode": "approx", "entries": [[2.0, 1.0], [0.5, 3.0]]})
+    # semisimple with eigenvalues 1 and 2, not symmetric
+    hyp = write(tmp_path, "hyp.json", {"mode": "approx", "entries": [[1.0, 0.7], [0.0, 2.0]]})
+    calls = [["cartan", "kak", kak], ["explog", "exp", "--domain", "hyperbolic", hyp],
+             ["explog", "log", "--domain", "hyperbolic", hyp], ["--seed", "0", "selftest"]]
+    assert _codes_and_loaded(calls, "scipy") == f"{[0] * len(calls)} False"
+
+
 def test_exact_calls_leave_sympy_unloaded(tmp_path):
     code = "import sys, nashkit.cli; print('sympy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -135,15 +159,7 @@ def test_exact_calls_leave_sympy_unloaded(tmp_path):
              ["classify", quartic], ["classify", "--setting", "algebra", quartic],
              ["snsplit", quartic], ["jordan", quartic], ["jordan", "--mode", "add", quartic],
              ["jordan", six], ["--seed", "0", "selftest"]]
-    code = ("import contextlib, io, json, sys\n"
-            "from nashkit.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
-            "print(codes, 'sympy' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code, json.dumps(calls)],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == f"{[0] * len(calls)} False"
+    assert _codes_and_loaded(calls, "sympy") == f"{[0] * len(calls)} False"
 
 
 def test_overflowing_float_input_prints_no_warning(tmp_path):
@@ -160,12 +176,14 @@ def test_overflowing_float_input_prints_no_warning(tmp_path):
 
 
 def test_underflowing_float_input_prints_no_warning(tmp_path):
-    # an eigenvalue of x^T x underflows to 0.0, and its log is -inf before the
-    # NumericalFailure: numpy's divide and invalid warnings must not reach stderr
+    # the smaller singular value is far below 1e-154, so x^T x would underflow; the SVD
+    # polar factor never forms it: k swaps the coordinates and X_00 = log(_TINY)
     path = write(tmp_path, "tiny.json", {"mode": "approx", "entries": [[0, 1], [_TINY, 0]]})
     code, out, err = run_cli(["--exact", "cartan", "kak", path])
-    assert code == 4 and err == ""
-    assert json.loads(out)["error"] == "NumericalFailure"
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert np.allclose(doc["k"]["entries"], [[0, 1], [1, 0]], rtol=0, atol=1e-12)
+    assert np.allclose(doc["X"]["entries"], [[np.log(_TINY), 0], [0, 0]], rtol=1e-15, atol=1e-12)
 
 
 def test_cluster_ambiguity_exit_four(tmp_path):
@@ -387,12 +405,14 @@ _FUZZ_FINDINGS = [  # inputs that ended in a traceback, or were accepted, before
     # exactly invertible, singular in floats once promoted
     (["--exact", "jordan"], {"mode": "approx", "entries": [[0, 1], [_TINY, 1]]},
      3, "NotInvertible"),
-    # x^T x overflows
+    # x^T x overflows, and an eigenvalue of x^T x underflows to 0.0; the SVD polar factor
+    # forms neither, and the replies hold the factors to 12 decimals
     (["cartan", "kak"], {"mode": "approx", "entries": [[6.899029938689414e283]]},
-     4, "NumericalFailure"),
-    # an eigenvalue of x^T x underflows to 0.0 before its log is taken
+     0, {"k": {"mode": "approx", "entries": [[1.0]]},
+         "X": {"mode": "approx", "entries": [[round(np.log(6.899029938689414e283), 12)]]}}),
     (["--exact", "cartan", "kak"], {"mode": "approx", "entries": [[0, 1], [_TINY, 0]]},
-     4, "NumericalFailure"),
+     0, {"k": {"mode": "approx", "entries": [[0.0, 1.0], [1.0, 0.0]]},
+         "X": {"mode": "approx", "entries": [[round(np.log(_TINY), 12), 0.0], [0.0, 0.0]]}}),
     # an ambient size that is not an int
     (["flag", "engel"], {"basis": [], "ambient": "x"}, 2, "MalformedInput"),
     # an ambient size other than the matrices' size
@@ -425,11 +445,11 @@ _FUZZ_FINDINGS = [  # inputs that ended in a traceback, or were accepted, before
 
 @pytest.mark.parametrize("argv, doc, exit_code, reply", _FUZZ_FINDINGS)
 def test_fuzz_findings_end_in_json(tmp_path, capsys, argv, doc, exit_code, reply):
-    # reply: the error name, or entries the reply must hold
+    # reply: the error name, or entries the reply must hold, its floats rounded to 12 decimals
     from nashkit.cli import main
 
     assert main(argv + [write(tmp_path, "in.json", doc)]) == exit_code
-    out = json.loads(capsys.readouterr().out)
+    out = json.loads(capsys.readouterr().out, parse_float=lambda v: round(float(v), 12))
     want = {"error": reply} if isinstance(reply, str) else reply
     assert {k: out.get(k) for k in want} == want
 

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from nashkit.errors import (
     NotExponentialElement,
@@ -98,3 +99,30 @@ def test_log_exponential_on_triangular_group():
         x = Matrix.exact(rows)
         back = matrix_exp(log_exponential(x))
         assert (back - x.to_approx()).norm() <= 1e-9 * (1 + x.norm())
+
+
+def test_matrix_exp_matches_scipy():
+    rng = np.random.default_rng(41)
+    for n in range(1, 7):
+        for scale in (1e-3, 1.0, 4.0):
+            a = scale * rng.normal(size=(n, n))
+            ref = scipy.linalg.expm(a)
+            got = matrix_exp(Matrix.approx(a)).data
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert matrix_exp(Matrix.zero(3)) == Matrix.identity(3).to_approx()
+
+
+def test_nonsymmetric_hyperbolic_maps_match_scipy():
+    # P diag(w) P^-1 for a well-conditioned P: semisimple, real spectrum, not symmetric
+    rng = np.random.default_rng(43)
+    for n in range(2, 7):
+        for _ in range(5):
+            p = rng.normal(size=(n, n)) + n * np.eye(n)
+            w = rng.uniform(-2.0, 2.0, size=n)
+            w[-1] = w[0]  # a repeated eigenvalue
+            x = p @ np.diag(w) @ np.linalg.inv(p)
+            ex = scipy.linalg.expm(x)
+            assert np.linalg.norm(exp_hyperbolic(Matrix.approx(x)).data - ex) <= 1e-10 * np.linalg.norm(ex)
+            y = p @ np.diag(np.exp(w[:-1].tolist() + [w[-1] + 0.5])) @ np.linalg.inv(p)
+            ly = np.real(scipy.linalg.logm(y))
+            assert np.linalg.norm(log_hyperbolic(Matrix.approx(y)).data - ly) <= 1e-10 * (1 + np.linalg.norm(ly))

@@ -50,6 +50,20 @@ def test_lie_closure_generates_sl2():
     assert in_span(Matrix.diagonal([1, -1]), list(g.basis))
 
 
+def test_lie_closure_brackets_each_pair_once(monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return bracket(a, b)
+
+    monkeypatch.setattr(liealg, "bracket", counted)
+    g = lie_closure([unit(0, 1, 3), unit(1, 2, 3), unit(2, 0, 3)])  # sl3, in three rounds
+    # a round brackets only the pairs with a member new since the last round, so each
+    # pair of the final basis is bracketed once there, and once more for the structure constants
+    assert g.dim == 8 and len(calls) == g.dim * (g.dim - 1)
+
+
 def test_lie_closure_trivial_cases():
     assert lie_closure([], ambient=2).dim == 0
     g = lie_closure([Matrix.identity(3)])

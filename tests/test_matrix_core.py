@@ -267,6 +267,14 @@ def test_eval_matrix_matches_fraction_horner(m, coeffs, approx):
 
 
 @settings(max_examples=60, deadline=None)
+@given(st.one_of(_exact_matrices(), _exact_matrices().map(Matrix.to_approx)))
+def test_char_poly_int_form_matches_the_one_built_from_its_coefficients(m):
+    # char_poly hands over its Faddeev-LeVerrier ints; Polynomial builds them from Fractions
+    p = char_poly(m)
+    assert p.ints == Polynomial(p.coeffs).ints
+
+
+@settings(max_examples=60, deadline=None)
 @given(_exact_matrices())
 def test_char_poly_matches_sympy(m):
     expected = [_from_sympy(c) for c in _sympy(m).charpoly().all_coeffs()]
