@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import isqrt
 
 import numpy as np
@@ -31,6 +32,8 @@ from .matrix_core import (
     Polynomial,
     Subspace,
     _horner_float,
+    _inv_exact,
+    _kernel,
     char_poly,
     count_real_roots,
     float_rank,
@@ -81,8 +84,6 @@ class JordanTriple:
 
 
 def _rational_sqrt(x: Fraction) -> Fraction | None:
-    if x < 0:
-        return None
     np_, dp = isqrt(x.numerator), isqrt(x.denominator)
     if np_ * np_ == x.numerator and dp * dp == x.denominator:
         return Fraction(np_, dp)
@@ -220,44 +221,24 @@ def _sn_split_approx(x: Matrix, spec) -> tuple[Matrix, Matrix]:
 
 
 def eigenprojections(s: Matrix, factors: list[Polynomial]) -> list[Matrix]:
-    """Projections onto the kernels of q_j(s) for pairwise coprime monic q_j.
+    """Projections p_j onto K_j = ker q_j(s) along the other K_i, for pairwise coprime q_j.
 
-    The q_j must multiply to a polynomial killing s (here: its squarefree
-    characteristic polynomial).  p_j = rest_j(s) u_j(s) for rest_j the
-    product of the other q_i, a prefix times a suffix product of the q_i(s),
-    and u_j its inverse mod q_j: the first column of rest_j(C_j)^-1 for C_j
-    the companion matrix of q_j, as a(C_j) is multiplication by a on
-    Q[t]/(q_j) in the basis 1, t, ...  The p_j sum to the identity.
+    s is exact, and the q_j must multiply to a polynomial killing it (here:
+    its squarefree characteristic polynomial), so R^n is the direct sum of
+    the K_j.  The int kernel bases of the q_j(s) are the columns of one n x n
+    matrix B, inverted once (Bareiss), and p_j = B[:, K_j] B^-1[K_j, :]; the
+    p_j sum to the identity.  Raises ``PostconditionFailed`` unless B is square
+    and invertible, as when the q_j share a root of s or their product misses one.
     """
-    k = len(factors)
-    vals = [q.eval_matrix(s) for q in factors]
-    # before[j] = vals[0] ... vals[j-1] and after[j] = vals[j+1] ... vals[k-1]; None if empty
-    before, after = [None] * k, [None] * k
-    for j in range(1, k):
-        before[j] = _times(before[j - 1], vals[j - 1])
-        after[k - 1 - j] = _times(vals[k - j], after[k - j])
-    projs = []
-    for j, q in enumerate(factors):
-        d = q.degree
-        c = Matrix.exact([[int(i == m + 1) for m in range(d - 1)] + [-q.coeffs[i]]
-                          for i in range(d)])
-        rest_c = Matrix.identity(d, EXACT, s.tol)
-        for other in factors[:j] + factors[j + 1:]:
-            rest_c = rest_c @ other.eval_matrix(c)
-        try:
-            nums, den = rest_c.inv().ints
-        except NotInvertible:
-            raise PostconditionFailed("projection factors are not coprime") from None
-        u = Polynomial.of([Fraction(row[0], den) for row in nums]).eval_matrix(s)
-        projs.append(_times(_times(before[j], after[j]), u))
-    return projs
-
-
-def _times(a: Matrix | None, b: Matrix | None) -> Matrix | None:
-    """a @ b, with None standing for the identity."""
-    if a is None:
-        return b
-    return a if b is None else a @ b
+    bases = [_kernel(q.eval_matrix(s).ints[0].tolist())[0] for q in factors]
+    cols = [v for basis in bases for v in basis]
+    b = np.array(cols, dtype=object).reshape(len(cols), s.n).T
+    if len(cols) != s.n or (binv := _inv_exact(b, 1)) is None:
+        raise PostconditionFailed("the kernels of the factors do not split the space")
+    nums, den = binv.ints
+    ends = list(accumulate(map(len, bases), initial=0))
+    return [Matrix.from_ints(np.dot(b[:, i:j], nums[i:j]), den, s.tol)
+            for i, j in zip(ends, ends[1:])]
 
 
 def _on_clusters(spec, s: Matrix, fn) -> Matrix:
@@ -380,12 +361,12 @@ def classify(x: Matrix, setting: str) -> ElementClass:
     if x.mode == EXACT:
         f = squarefree_part(char_poly(x))
         semisimple = f.eval_matrix(x).is_zero()
+        # f = 1 only for n = 0, where every predicate holds vacuously
+        unipotent = f.degree == 0 or f == Polynomial.of([-1 if setting == GROUP else 0, 1])
         if setting == GROUP:
-            unipotent = f == Polynomial.of([-1, 1])
             exponential = _all_roots_positive(f)
             elliptic = semisimple and _roots_modulus_one(f)
         else:
-            unipotent = f == Polynomial.of([0, 1])
             exponential = _all_roots_real(f)
             elliptic = semisimple and _roots_purely_imaginary(f)
         hyperbolic = semisimple and exponential

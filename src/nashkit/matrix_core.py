@@ -374,7 +374,9 @@ class Matrix:
     def is_invertible(self) -> bool:
         if self.mode == EXACT:
             return self.det() != 0
-        return bool(min(np.linalg.svd(self._data, compute_uv=False), default=0.0) > self.abs_tol())
+        # a 0 x 0 matrix has no singular value and is invertible, as its exact det is 1
+        svals = np.linalg.svd(self._data, compute_uv=False)
+        return bool(min(svals, default=np.inf) > self.abs_tol())
 
 
 def _norm(flat: np.ndarray) -> float:

@@ -134,6 +134,8 @@ def _pulled_back_float(g: LieAlgebraData, pick) -> list[np.ndarray]:
 
 def common_eigenvector(g: LieAlgebraData) -> tuple[list, list]:
     """A joint eigenvector v and its character (one eigenvalue per basis element)."""
+    if g.ambient == 0:
+        raise ValueError("R^0 has no eigenvector")
     if g.is_exact:
         try:
             w = _joint_eigenspace(Subspace(g.basis), g.ambient)

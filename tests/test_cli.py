@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import signal
 import subprocess
 import sys
 
@@ -552,6 +553,26 @@ def _cli_calls(draw):
     return track + draw(st.sampled_from(_ALGEBRA_COMMANDS)), draw(_algebra_json(n)), None
 
 
+class _Stalled(Exception):
+    """A fuzzed CLI call ran past its wall-clock limit."""
+
+
+@contextlib.contextmanager
+def _wall_clock_limit(argv, doc, seconds=120):
+    """Fail the example with its argv and input document after ``seconds``, well before
+    ``faulthandler_timeout`` (300 s), so hypothesis reports, shrinks and stores a stalling input."""
+    def stalled(signum, frame):
+        raise _Stalled(f"no reply after {seconds} s: argv {argv!r}, input {json.dumps(doc)}")
+
+    previous = signal.signal(signal.SIGALRM, stalled)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @settings(max_examples=400, deadline=None)
 @given(_cli_calls())
 def test_cli_fuzzed_inputs_end_in_json(tmp_path_factory, call):
@@ -565,7 +586,8 @@ def test_cli_fuzzed_inputs_end_in_json(tmp_path_factory, call):
         (folder / "algebra.json").write_text(json.dumps(algebra))
         argv = argv + ["--algebra", str(folder / "algebra.json")]
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            _wall_clock_limit(argv, {"input": doc, "algebra": algebra}):
         code = main(argv + [str(path)])  # an uncaught exception fails the test here
     assert code in (0, 2, 3, 4), (argv, doc, out.getvalue())
     json.loads(out.getvalue())
@@ -587,12 +609,13 @@ def test_any_argv_ends_in_one_json_reply(tmp_path_factory, tokens):
     from nashkit.cli import main
 
     folder = tmp_path_factory.mktemp("argv")
-    unit = {"mode": "exact", "entries": [["0", "1"], ["0", "0"]]}
-    paths = {"matrix": write(folder, "m.json", {"mode": "exact", "entries": [[2, 1], [0, 2]]}),
-             "algebra": write(folder, "a.json", {"generators": [unit]}),
+    matrix = {"mode": "exact", "entries": [[2, 1], [0, 2]]}
+    algebra = {"generators": [{"mode": "exact", "entries": [["0", "1"], ["0", "0"]]}]}
+    paths = {"matrix": write(folder, "m.json", matrix), "algebra": write(folder, "a.json", algebra),
              "missing": str(folder / "missing.json")}
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            _wall_clock_limit(tokens, {"matrix": matrix, "algebra": algebra}):
         code = main([t.format(**paths) for t in tokens])
     assert code in (0, 2, 3, 4), (tokens, out.getvalue())
     assert len(out.getvalue().splitlines()) == 1 and json.loads(out.getvalue()) is not None

@@ -439,3 +439,63 @@ def test_eigenprojections_split_the_identity(factors):
         assert p.trace() == q.degree  # the rank of the projection onto ker q(s)
         total = total + p
     assert total == Matrix.identity(s.n)
+
+
+@pytest.mark.parametrize("factors", [
+    [Polynomial.of([-2, 1]), Polynomial.of([-2, 1])],  # not coprime: B has a repeated column
+    [Polynomial.of([-2, 1])],  # t - 3 dropped: the product does not kill s, B is not square
+])
+def test_eigenprojections_reject_kernels_that_do_not_split(factors):
+    with pytest.raises(PostconditionFailed):
+        eigenprojections(Matrix.exact([[2, 1], [0, 3]]), factors)
+
+
+# -- edge sizes: 0 x 0 is invertible, unipotent and nilpotent, vacuously, on both tracks --------
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_edge_sizes_give_one_answer_on_both_tracks(n):
+    from nashkit.explog import exp_hyperbolic, log_hyperbolic
+
+    # s, n, additive e h u, multiplicative e h u, exp and log of x = [[3]] or the 0 x 0 matrix
+    want = np.array([3, 0, 0, 3, 0, 1, 3, 1, np.exp(3), np.log(3)])[:, None, None] * np.ones((n, n))
+    vacuous = n == 0
+    for x in (Matrix.exact([[3]] if n else []), Matrix.approx(np.full((n, n), 3.0))):
+        parts = [*sn_split(x), *additive_jordan(x).parts(), *multiplicative_jordan(x).parts(),
+                 exp_hyperbolic(x), log_hyperbolic(x)]
+        np.testing.assert_allclose([p.float_array() for p in parts], want, atol=1e-12)
+        for setting in (GROUP, ALGEBRA):
+            c = classify(x, setting)
+            assert (c.elliptic, c.hyperbolic, c.unipotent, c.semisimple, c.exponential) == (
+                vacuous, True, vacuous, True, True)
+        assert x.is_invertible() and (x.inv() @ x).close_to(Matrix.identity(n, x.mode))
+        assert x.is_nilpotent() == vacuous
+        if n == 0:
+            assert eigenprojections(x, []) == []
+        else:
+            with pytest.raises(PostconditionFailed):
+                eigenprojections(x, [])
+
+
+# -- branches that no other test reaches -----------------------------------------------------
+
+
+def test_classify_float_non_semisimple():
+    c = classify(Matrix.approx([[1.0, 1.0], [0.0, 1.0]]), GROUP)
+    assert not c.semisimple and c.unipotent
+
+
+def test_irrational_modulus_promotes_to_float():
+    # eigenvalues +-i / sqrt(2): on no rational circle, so e and h leave the exact track
+    x = Matrix.exact([[0, -1], [Fraction(1, 2), 0]])
+    t = multiplicative_jordan(x)
+    assert t.e.mode == t.h.mode == "approx"
+    assert (t.e @ t.h @ t.u).close_to(x.to_approx())
+    np.testing.assert_allclose(t.h.float_array(), np.sqrt(0.5) * np.eye(2), atol=1e-12)
+
+
+def test_multiplicative_float_one_cluster():
+    t = multiplicative_jordan(Matrix.approx([[2.0, 1.0], [0.0, 2.0]]))
+    np.testing.assert_allclose(t.e.float_array(), np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(t.h.float_array(), 2 * np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(t.u.float_array(), [[1.0, 0.5], [0.0, 1.0]], atol=1e-12)

@@ -78,6 +78,8 @@ def test_spectrum_examples():
     assert s2.clusters == ((-1j, 1), (1j, 1))
     s3 = spectrum(Matrix.exact([[2, 1], [0, 2]]))
     assert s3.clusters == ((2 + 0j, 2),)
+    s4 = spectrum(Matrix.exact([[0, 2], [1, 0]]))  # an irrational real quadratic factor
+    np.testing.assert_allclose(s4.values(), [-np.sqrt(2), np.sqrt(2)])
 
 
 def test_spectrum_multiplicities_sum():

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from nashkit.errors import NotNilpotentAlgebra, NotSolvable, NotSplit
@@ -76,6 +77,25 @@ def test_common_eigenvector_examples():
     assert all(c == 0 for c in chars)
 
 
+def test_common_eigenvector_promotes_irrational_eigenvalues():
+    # eigenvalues +-sqrt(2): the exact step cannot pick one, so the float track does
+    g = algebra_from_basis([Matrix.exact([[0, 2], [1, 0]])])
+    v, (lam,) = common_eigenvector(g)
+    assert all(isinstance(x, float) for x in v) and abs(abs(lam) - 2 ** 0.5) <= 1e-12
+    assert np.linalg.norm(g.basis[0].float_array() @ v - lam * np.array(v)) <= 1e-12
+
+
+@pytest.mark.parametrize("track", [Matrix.exact, Matrix.approx])
+def test_common_eigenvector_rejects_rotations(track):
+    with pytest.raises(NotSplit):
+        common_eigenvector(algebra_from_basis([track([[0, -1], [1, 0]])]))
+
+
+def test_common_eigenvector_of_r0_raises():
+    with pytest.raises(ValueError, match="R\\^0 has no eigenvector"):
+        common_eigenvector(algebra_from_basis([]))
+
+
 def test_split_triangularize_swaps_lower_triangular():
     lt2 = algebra_from_basis([unit(0, 0, 2), unit(1, 1, 2), unit(1, 0, 2)])
     p, flag = split_triangularize(lt2)
@@ -108,9 +128,10 @@ def test_split_triangularize_battery():
 
 
 def test_split_triangularize_rejects_rotations():
-    so2 = algebra_from_basis([Matrix.exact([[0, -1], [1, 0]])])
-    with pytest.raises(NotSplit):
-        split_triangularize(so2)
+    for track in (Matrix.exact, Matrix.approx):
+        so2 = algebra_from_basis([track([[0, -1], [1, 0]])])
+        with pytest.raises(NotSplit):
+            split_triangularize(so2)
 
 
 def test_split_triangularize_rejects_unsolvable():
