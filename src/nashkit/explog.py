@@ -64,11 +64,9 @@ def _hyperbolic_map(x: Matrix, fn) -> Matrix:
 
 
 def exp_hyperbolic(x: Matrix) -> Matrix:
-    """exp of a semisimple matrix with real spectrum."""
+    """exp of a semisimple matrix with real spectrum; always float."""
     if not classify(x, ALGEBRA).hyperbolic:
         raise NotHyperbolic("input must be semisimple with real spectrum")
-    if x.is_zero():
-        return Matrix.identity(x.n, x.mode, x.tol)
     return _hyperbolic_map(x, np.exp)
 
 
@@ -76,8 +74,6 @@ def log_hyperbolic(x: Matrix) -> Matrix:
     """log of a semisimple matrix with positive real spectrum; always float."""
     if not classify(x, GROUP).hyperbolic:
         raise NotHyperbolic("input must be semisimple with positive real spectrum")
-    if x == Matrix.identity(x.n, x.mode, x.tol):
-        return Matrix.zero(x.n, x.mode, x.tol).to_approx()
     return _hyperbolic_map(x, np.log)
 
 

@@ -3,9 +3,10 @@
 Every invertible real matrix factors uniquely as e*h*u with e semisimple of
 modulus-one spectrum, h semisimple of positive real spectrum, u unipotent,
 all commuting; every matrix splits additively as e+h+u with purely
-imaginary / real / nilpotent spectra.  The exact track resolves both
-splittings with rational arithmetic whenever the spectral data is decidable
-over the rationals, and silently promotes to the float track otherwise.
+imaginary / real / nilpotent spectra.  On the exact track one plan,
+``_exact_parts``, builds the parts of both from rational weights on each
+irreducible factor of the characteristic polynomial; where a weight is
+irrational, that plan is the one place that promotes the input to floats.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import isqrt
+from math import isqrt, lcm
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .matrix_core import (
     Matrix,
     Polynomial,
     Subspace,
+    _combine,
     _horner_float,
     _inv_exact,
     _kernel,
@@ -133,15 +135,6 @@ def _roots_modulus_one(f: Polynomial) -> bool:
     for k in range(1, m + 1):
         acc = acc + basis[k].scale(f.coeffs[m + k])
     return count_real_roots(acc, Fraction(-2), Fraction(2)) == m
-
-
-def _shifted_imaginary_part(q: Polynomial) -> Fraction | None:
-    """The common real part a when all roots of the irreducible q are a + bi; None otherwise."""
-    d = q.degree
-    a = -q.coeffs[d - 1] / d
-    if _roots_purely_imaginary(q.compose_shift(a)):
-        return a
-    return None
 
 
 # -- semisimple / nilpotent splitting ------------------------------------------
@@ -252,88 +245,82 @@ def _on_clusters(spec, s: Matrix, fn) -> Matrix:
     return Matrix(_horner_float([float(c.real) for c in coeffs], s.float_array()), APPROX, s.tol)
 
 
-# -- additive decomposition -------------------------------------------------------
+# -- the two decompositions: one exact plan, rational weights per irreducible factor -----
 
 
-def _jordan_factors(x: Matrix) -> list[Polynomial]:
-    """Monic irreducible factors of the characteristic polynomial of an exact x."""
-    return [q for q, _ in irreducible_factors(char_poly(x))]
+def _real_part(q: Polynomial) -> tuple | None:
+    """Weights ((a, b),) of Re z = a z + b on the roots z of irreducible q; or None."""
+    if _all_roots_real(q):
+        return ((1, 0),)
+    a = -q.coeffs[q.degree - 1] / q.degree
+    return ((0, a),) if _roots_purely_imaginary(q.compose_shift(a)) else None
+
+
+def _modulus_phase(q: Polynomial) -> tuple | None:
+    """Weights (a, b) of |z| = a z + b, then of z/|z|, on the roots z of irreducible q; or None."""
+    if q.degree == 2 and q.coeffs[1] ** 2 - 4 * q.coeffs[0] < 0:
+        rho = _rational_sqrt(q.coeffs[0])
+        return None if rho is None else ((0, rho), (1 / rho, 0))
+    if _all_roots_positive(q):
+        return (1, 0), (0, 1)
+    if _all_roots_negative(q):
+        return (-1, 0), (0, -1)
+    return None
+
+
+def _affine(s: Matrix, projs: list[Matrix], pairs: list) -> Matrix:
+    """sum_j (a_j s + b_j) p_j for rational pairs (a_j, b_j): s A + B, A and B each one int sum."""
+    sums = []
+    for ws in ([a for a, _ in pairs], [b for _, b in pairs]):
+        den = lcm(*(Fraction(w).denominator for w in ws))
+        sums.append(_combine([int(w * den) for w in ws], projs, s.n, den))
+    return s @ sums[0] + sums[1] if any(a for a, _ in pairs) else sums[1]
+
+
+def _exact_parts(x: Matrix, rule, count: int) -> tuple[Matrix, Matrix, list[Matrix]] | None:
+    """(s, n, parts) of an exact x, or None if rule(q) is None on an irreducible factor q of chi_x.
+
+    rule(q) gives ``count`` rational pairs (a, b), one per part; part k is
+    sum_j (a_jk s + b_jk) p_j over the eigenprojections p_j.
+    """
+    factors = [q for q, _ in irreducible_factors(char_poly(x))]
+    weights = [rule(q) for q in factors]
+    if None in weights:
+        return None
+    s, n = sn_split(x)
+    projs = eigenprojections(s, factors)
+    return s, n, [_affine(s, projs, [w[k] for w in weights]) for k in range(count)]
 
 
 def additive_jordan(x: Matrix) -> JordanTriple:
     """x = e + h + u, commuting; spectra purely imaginary / real / {0}."""
-    if x.mode != EXACT:
-        return _additive_jordan_approx(x)
-    factors = _jordan_factors(x)
-    plan = []
-    for q in factors:
-        if _all_roots_real(q):
-            plan.append(("real", None))
-            continue
-        a = _shifted_imaginary_part(q)
-        if a is None:
-            return _additive_jordan_approx(x.to_approx())
-        plan.append(("shift", a))
-    s, n = sn_split(x)
-    projs = eigenprojections(s, factors)
-    h = Matrix.zero(x.n, EXACT)
-    for (kind, a), p in zip(plan, projs):
-        h = h + (s @ p if kind == "real" else p.scale(a))
-    e = s - h
-    return JordanTriple(e, h, n, ADDITIVE)
-
-
-def _additive_jordan_approx(x: Matrix) -> JordanTriple:
+    if x.mode == EXACT:
+        plan = _exact_parts(x, _real_part, 1)
+        if plan is not None:
+            s, n, (h,) = plan
+            return JordanTriple(s - h, h, n, ADDITIVE)
+        x = x.to_approx()
     spec = spectrum(x)
     s, n = _sn_split_approx(x, spec)
     h = _on_clusters(spec, s, lambda c: c.real)
     return JordanTriple(s - h, h, n, ADDITIVE)
 
 
-# -- multiplicative decomposition ---------------------------------------------------
-
-
 def multiplicative_jordan(x: Matrix) -> JordanTriple:
     """x = e * h * u, commuting; spectra on the circle / positive / {1}."""
     if not x.is_invertible():
         raise NotInvertible("multiplicative decomposition needs an invertible input")
-    if x.mode != EXACT:
-        return _multiplicative_jordan_approx(x)
-    factors = _jordan_factors(x)
-    plan = []
-    for q in factors:
-        if q.degree == 2 and q.coeffs[1] ** 2 - 4 * q.coeffs[0] < 0:
-            rho = _rational_sqrt(q.coeffs[0])
-            if rho is None:
-                return _multiplicative_jordan_approx(x.to_approx())
-            plan.append(("circle", rho))
-        elif _all_roots_positive(q):
-            plan.append(("pos", None))
-        elif _all_roots_negative(q):
-            plan.append(("neg", None))
-        else:
-            return _multiplicative_jordan_approx(x.to_approx())
-    s, n = sn_split(x)
-    projs = eigenprojections(s, factors)
-    e = Matrix.zero(x.n, EXACT)
-    h = Matrix.zero(x.n, EXACT)
-    for (kind, rho), p in zip(plan, projs):
-        if kind == "pos":
-            e, h = e + p, h + s @ p
-        elif kind == "neg":
-            e, h = e - p, h - s @ p
-        else:
-            e = e + (s @ p).scale(Fraction(1) / rho)
-            h = h + p.scale(rho)
-    u = Matrix.identity(x.n) + s.inv() @ n
-    if not (e @ h @ u).close_to(x):
-        raise PostconditionFailed("multiplicative parts fail to reassemble the input")
-    return JordanTriple(e, h, u, MULTIPLICATIVE)
-
-
-def _multiplicative_jordan_approx(x: Matrix) -> JordanTriple:
-    if not x.is_invertible():  # an exact input promoted here may be singular in floats
-        raise NotInvertible("matrix is singular at the working tolerance")
+    if x.mode == EXACT:
+        plan = _exact_parts(x, _modulus_phase, 2)
+        if plan is not None:
+            s, n, (h, e) = plan
+            u = Matrix.identity(x.n) + s.inv() @ n
+            if not (e @ h @ u).close_to(x):
+                raise PostconditionFailed("multiplicative parts fail to reassemble the input")
+            return JordanTriple(e, h, u, MULTIPLICATIVE)
+        x = x.to_approx()
+        if not x.is_invertible():  # a promoted exact input may be singular in floats
+            raise NotInvertible("matrix is singular at the working tolerance")
     spec = spectrum(x)
     if 0 in spec.values():  # at tol 0 an eigenvalue of 0.0 gets past is_invertible
         raise NotInvertible("matrix is singular at the working tolerance")

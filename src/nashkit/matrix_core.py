@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import gcd, isfinite, isqrt, lcm
+from math import frexp, gcd, isfinite, isqrt, lcm, ldexp
 from operator import mul, truediv
 from typing import Iterable, Sequence
 
@@ -381,7 +381,8 @@ class Matrix:
 
 def _norm(flat: np.ndarray) -> float:
     """Euclidean norm, rescaled only if the sum of squares leaves the normal range."""
-    squares = np.dot(flat, flat)
+    with np.errstate(over="ignore"):  # an overflow gives inf, which is rescaled below
+        squares = np.dot(flat, flat)
     if _TINY <= squares and isfinite(squares):
         return float(np.sqrt(squares))
     big = np.max(np.abs(flat), initial=0.0)
@@ -579,20 +580,26 @@ class FloatSubspace(_Span):
             self.add(v)
 
     def _reduce(self, v) -> tuple[np.ndarray, float, np.ndarray, bool]:
-        """(x, abs_tol, residual, in the span) for v."""
+        """(x, abs_tol, residual, in the span) for v; the residual is that of x 2^k (below)."""
         if isinstance(v, Matrix):
             x, t = v.float_array().ravel(), v.abs_tol()
         else:
             x, t = np.asarray(v, dtype=float).ravel(), 0.0
-        r = x
+        # rounding is a share of the size only in the normal range, so an x whose rounding
+        # falls below it is projected as x 2^k at unit size (exact), and r is compared unscaled
+        size = _norm(x)
+        k = -frexp(size)[1] if 0 < size < _TINY / (len(x) * _EPS) else 0
+        r = np.ldexp(x, k) if k else x
+        rounding = len(x) * _EPS * (_norm(r) if k else size)
         if self.length is not None:
             if len(x) != self.length:
                 raise ValueError(f"a length-{len(x)} vector in a span of length-{self.length} "
                                  "vectors")
             for _ in range(2):
                 r = r - (self.rows @ r) @ self.rows
-        cut = max(self.tol, t, len(x) * _EPS * _norm(x))
-        return x, t, r, len(self) == self.length or _norm(r) <= cut
+        res = _norm(r)
+        inside = res <= rounding or ldexp(res, -k) <= max(self.tol, t)
+        return x, t, r, len(self) == self.length or inside
 
     def add(self, v) -> bool:
         """Adjoin v to the span; True when the rank rises."""

@@ -18,7 +18,7 @@ from nashkit.explog import (
     log_unipotent,
     matrix_exp,
 )
-from nashkit.matrix_core import Matrix
+from nashkit.matrix_core import APPROX, Matrix
 from nashkit.selftest import strict_upper_fixtures
 
 
@@ -56,7 +56,9 @@ def test_hyperbolic_examples():
     assert abs(l.entry(0, 0) - np.log(2)) <= 1e-12
     assert abs(l.entry(1, 1) + np.log(2)) <= 1e-12
     assert abs(l.entry(0, 1)) <= 1e-12
-    assert exp_hyperbolic(Matrix.zero(2)) == Matrix.identity(2)
+    # both maps always return float, also at the exact zero and identity
+    assert exp_hyperbolic(Matrix.zero(2)) == Matrix.identity(2, APPROX)
+    assert log_hyperbolic(Matrix.identity(2)) == Matrix.zero(2, APPROX)
     e = exp_hyperbolic(Matrix.approx([[np.log(4), 0.0], [0.0, 0.0]]))
     assert abs(e.entry(0, 0) - 4.0) <= 1e-12 and abs(e.entry(1, 1) - 1.0) <= 1e-12
 

@@ -494,6 +494,39 @@ def test_irrational_modulus_promotes_to_float():
     np.testing.assert_allclose(t.h.float_array(), np.sqrt(0.5) * np.eye(2), atol=1e-12)
 
 
+# -- the exact plan: the weights of each part on the roots of one irreducible factor ----------
+
+
+@pytest.mark.parametrize("coeffs, real_part, modulus_phase", [
+    ([-2, 1], ((1, 0),), ((1, 0), (0, 1))),  # t - 2
+    ([3, 1], ((1, 0),), ((-1, 0), (0, -1))),  # t + 3
+    ([-2, 0, 1], ((1, 0),), None),  # t^2 - 2: roots +-sqrt(2), of both signs
+    ([5, -2, 1], ((0, 1),), None),  # t^2 - 2t + 5: roots 1 +- 2i, modulus sqrt(5)
+    ([4, 0, 1], ((0, 0),), ((0, 2), (Fraction(1, 2), 0))),  # t^2 + 4: roots +-2i, modulus 2
+    ([2, 0, 1], ((0, 0),), None),  # t^2 + 2: modulus sqrt(2)
+    ([1, 0, 0, 0, 1], None, None),  # t^4 + 1: roots (+-1 +- i) / sqrt(2)
+])
+def test_exact_plan_rules(coeffs, real_part, modulus_phase):
+    q = Polynomial.of(coeffs)
+    assert jordan._real_part(q) == real_part
+    assert jordan._modulus_phase(q) == modulus_phase
+
+
+@pytest.mark.parametrize("decompose", [additive_jordan, multiplicative_jordan])
+def test_one_promoting_factor_sends_the_input_to_floats(decompose):
+    # chi = (t - 2)^2 (t^4 + 1): t - 2 has rational weights, t^4 + 1 has none for either rule
+    block = _companion(Polynomial.of([1, 0, 0, 0, 1])).rows()
+    x = Matrix.exact([[2, 1, 0, 0, 0, 0], [0, 2, 0, 0, 0, 0]]
+                     + [[0, 0, *row] for row in block])
+    t = decompose(x)
+    assert [p.mode for p in t.parts()] == ["approx"] * 3
+    whole = t.e @ t.h @ t.u if decompose is multiplicative_jordan else t.e + t.h + t.u
+    assert whole.close_to(x.to_approx())
+    np.testing.assert_allclose(t.u.float_array()[:2, :2],
+                               [[0, 1], [0, 0]] if decompose is additive_jordan else
+                               [[1, 0.5], [0, 1]], atol=1e-12)
+
+
 def test_multiplicative_float_one_cluster():
     t = multiplicative_jordan(Matrix.approx([[2.0, 1.0], [0.0, 2.0]]))
     np.testing.assert_allclose(t.e.float_array(), np.eye(2), atol=1e-12)

@@ -506,10 +506,17 @@ def test_float_rank_stops_at_the_vector_length():
     # a residual at rounding level counts as 0
     space = FloatSubspace([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
     assert not space.add(np.array([1 / 3, 1 / 7])) and len(space) == 2
-    with np.errstate(over="ignore"):  # the norm of 1e300 is taken rescaled
-        assert np.array([1e300, -1e-300]) in space
+    assert np.array([1e300, -1e-300]) in space  # its norm is taken rescaled
     line = FloatSubspace([np.array([1.0, 1.0, 1.0]) / 3])
     assert np.array([1 / 3, 1 / 3, 1 / 3]) * 7 in line and len(line) == 1
+
+
+def test_float_span_holds_the_subnormal_vectors_it_adds():
+    # below the normal range rounding is a fixed step of 5e-324, not a share of the size, so
+    # such a vector is projected scaled up by a power of two; unscaled, its residual stayed 5e-324
+    for v in (np.array([5e-324] * 3), Matrix.approx([[0.0, 5e-324], [5e-324, 5e-324]], 0.0)):
+        space = FloatSubspace()
+        assert space.add(v) and v in space and not space.add(v) and len(space) == 1
 
 
 def test_float_coords_are_least_squares_over_the_rank_raisers():
