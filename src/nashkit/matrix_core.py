@@ -381,8 +381,7 @@ class Matrix:
 
 def _norm(flat: np.ndarray) -> float:
     """Euclidean norm, rescaled only if the sum of squares leaves the normal range."""
-    with np.errstate(over="ignore"):  # an overflow gives inf, which is rescaled below
-        squares = np.dot(flat, flat)
+    squares = np.vdot(flat, flat)  # np.dot would warn where the sum overflows; vdot gives inf
     if _TINY <= squares and isfinite(squares):
         return float(np.sqrt(squares))
     big = np.max(np.abs(flat), initial=0.0)

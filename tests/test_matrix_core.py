@@ -166,6 +166,7 @@ def test_matrix_json_rejects_garbage():
         matrix_from_json({"mode": "weird", "entries": [[1]]})
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the overflowing sum is rescaled silently
 def test_norm_survives_overflowing_squares():
     m = Matrix.approx([[1e200, 1.0], [0.0, 1e200]])
     assert np.isclose(m.norm(), np.sqrt(2.0) * 1e200)

@@ -501,6 +501,7 @@ def test_float_rank_is_the_residual_not_the_smallest_singular_value():
     assert float_rank(np.array(vecs), 0.5) == 1
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the norm of 1e300 is rescaled silently
 def test_float_rank_stops_at_the_vector_length():
     # a full span holds every vector, whatever its residual; and below any floor,
     # a residual at rounding level counts as 0
