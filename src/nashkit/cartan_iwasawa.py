@@ -226,9 +226,10 @@ def nilpotent_part_n(rd: RootDatum) -> LieAlgebraData:
 def polar_kak(x: Matrix) -> tuple[Matrix, Matrix]:
     """x = k exp(X), k orthogonal and X symmetric, from one SVD x = U S V^T: k = U V^T and
     X = V log(S) V^T (Higham, Functions of Matrices, 2008, ch. 8); x^T x is never formed."""
-    if not x.is_invertible():
-        raise NotInvertible("polar factorization needs an invertible input")
     u, sigma, vt = np.linalg.svd(x.float_array())
+    # Matrix.is_invertible's rule on this SVD; an exact x keeps its det, as its floats may not
+    if not (x.is_invertible() if x.mode == EXACT else min(sigma, default=np.inf) > x.abs_tol()):
+        raise NotInvertible("polar factorization needs an invertible input")
     big_x = (vt.T * np.log(sigma)) @ vt
     big_x = (big_x + big_x.T) / 2  # symmetrize away roundoff
     return Matrix(u @ vt, APPROX, x.tol), Matrix(big_x, APPROX, x.tol)

@@ -3,15 +3,16 @@ reductivity, unipotent radical, and reductive complements.
 
 The heavy structure computations (radical, unipotent radical, complement
 lifting) are exact-only: rank decisions compound, and the statements being
-computed are exact.  Closure, series, trace forms and the reductivity test
-also run on the float track.  Closure, series and structure constants run
-one path for both tracks: every span question goes to a
-``matrix_core.Subspace`` or, on the float track, a ``FloatSubspace``, whose
-one residual rule decides rank and membership alike.
+computed are exact.  Closure, series, structure constants, trace forms and
+the reductivity test run one path for both tracks.  Every span question
+goes to a ``matrix_core.Subspace`` or, on the float track, a
+``FloatSubspace``, whose one residual rule decides rank and membership
+alike.  Every trace Gram, natural or Killing, is one product over a stack
+of matrices, and g is reductive when its natural Gram is invertible.
 
 The radical is read off the structure constants: [g, g] in coordinates,
-paired with the natural trace Gram.  The postcondition checks run on the
-matrix lists they are given, without building a ``LieAlgebraData``.
+paired with the natural Gram.  The postcondition checks run on the matrix
+lists they are given, without building a ``LieAlgebraData``.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .errors import (
 from .jordan import additive_jordan
 from .matrix_core import (
     APPROX,
+    DEFAULT_TOL,
     EXACT,
     FloatSubspace,
     Matrix,
@@ -49,7 +51,6 @@ from .matrix_core import (
     _kernel,
     _scaled,
     exact_solve,
-    float_rank,
 )
 
 NATURAL = "natural"
@@ -107,19 +108,21 @@ def _require_exact(mats, what: str):
 # -- construction ---------------------------------------------------------------
 
 
-def _structure_constants(basis: list[Matrix], space: Subspace | FloatSubspace) -> np.ndarray:
+def _structure_constants(basis: list[Matrix], space: Subspace | FloatSubspace,
+                         brackets: dict[tuple[int, int], Matrix] | None = None) -> np.ndarray:
     """sc[i, j, k]: coefficient of basis[k] in [basis[i], basis[j]].
 
     Coordinates come from ``space``, whose last rank-raising vectors are
     basis; those along its earlier ones, an ideal's, are dropped, so sc is
     taken modulo that ideal.  An exact space gives Fractions, a float one
-    least-squares floats.
+    least-squares floats.  ``brackets``, when given, holds [basis[i], basis[j]]
+    at (i, j) for every i < j, and no pair is bracketed here.
     """
     d, exact = len(basis), isinstance(space, Subspace)
     sc = np.empty((d, d, d), dtype=object if exact else float)
     sc[:] = Fraction(0) if exact else 0.0
     for i, j in combinations(range(d), 2):
-        coords = coords_in_span(bracket(basis[i], basis[j]), space)
+        coords = coords_in_span(brackets[i, j] if brackets else bracket(basis[i], basis[j]), space)
         if coords is None:
             raise ValueError("basis is not bracket closed")
         xs, den = coords
@@ -157,16 +160,19 @@ def lie_closure(generators: list[Matrix], ambient: int | None = None) -> LieAlge
         return algebra_from_basis([], generators[0].n if generators else ambient)
     space = Subspace() if all(m.mode == EXACT for m in gens) else FloatSubspace()
     basis = independent_subset(gens, space)
+    brackets: dict[tuple[int, int], Matrix] = {}  # (i, j): [basis[i], basis[j]], i < j
     done = 0  # every pair within basis[:done] was bracketed in an earlier round
     while True:
-        new = [br for i, a in enumerate(basis) for b in basis[max(i + 1, done):]
-               if not (br := bracket(a, b)).is_zero() and space.add(br)]
+        fresh = {(i, j): bracket(basis[i], basis[j])
+                 for i in range(len(basis)) for j in range(max(i + 1, done), len(basis))}
+        brackets.update(fresh)
+        new = [br for br in fresh.values() if not br.is_zero() and space.add(br)]
         if not new:
             break
         done = len(basis)
         basis += new
-    # basis is exactly the vectors that raised the rank of space
-    return LieAlgebraData(basis[0].n, tuple(basis), _structure_constants(basis, space))
+    # basis is exactly the vectors that raised the rank of space, and every pair is bracketed
+    return LieAlgebraData(basis[0].n, tuple(basis), _structure_constants(basis, space, brackets))
 
 
 # -- series and solvability --------------------------------------------------------
@@ -214,61 +220,40 @@ def _brackets_inside(pairs, mats: list[Matrix]) -> bool:
 # -- trace forms ---------------------------------------------------------------------
 
 
-def _trace_gram(ms: list[Matrix]) -> tuple[np.ndarray, int]:
-    """Integer form (G, D) of the exact natural Gram tr(m_i m_j) = G[i, j] / D.
-
-    tr(X Y) = vec(X) . vec(Y^T), so with every m over the lcm L of the
-    denominators, all traces are one integer product over L * L, and no
-    product matrix is built.
-    """
-    k, n = len(ms), ms[0].n
-    den = lcm(*(m.ints[1] for m in ms))
-    a = np.array([nums.reshape(-1) * (den // d) for nums, d in (m.ints for m in ms)],
-                 dtype=object)
-    return np.dot(a, a.reshape(k, n, n).transpose(0, 2, 1).reshape(k, n * n).T), den * den
+def _stack(ms: list[Matrix]) -> tuple[np.ndarray, int | None]:
+    """ms as a k x n x n array: ints over their common denominator, or floats (None)."""
+    if all(m.mode == EXACT for m in ms):
+        den = lcm(*(m.ints[1] for m in ms))
+        return np.array([nums * (den // d) for nums, d in (m.ints for m in ms)], dtype=object), den
+    return np.array([m.float_array() for m in ms]), None
 
 
-def _killing_gram(sc: np.ndarray) -> Matrix:
-    """Exact Killing Gram tr(ad_i ad_j) = sum_{k,l} sc[i,k,l] sc[j,l,k].
-
-    One product of the integer structure constants, flattened over (k, l)
-    and (l, k).
-    """
-    d = len(sc)
-    nums, den = _scaled(sc)
-    gram = np.dot(nums.reshape(d, d * d), nums.transpose(0, 2, 1).reshape(d, d * d).T)
-    return Matrix.from_ints(gram, den * den)
+def _gram(stack: np.ndarray, den: int | None, tol: float = DEFAULT_TOL) -> Matrix:
+    """Gram tr(A_i A_j) of a k x n x n stack A, ints over den or floats (den None), as one
+    product by tr(X Y) = vec(X) . vec(Y^T).  ad_i is sc[i] transposed, so the Killing form
+    stacks the structure constants."""
+    k, n = stack.shape[:2]
+    gram = np.dot(stack.reshape(k, n * n), stack.transpose(0, 2, 1).reshape(k, n * n).T)
+    return Matrix(gram, APPROX, tol) if den is None else Matrix.from_ints(gram, den * den)
 
 
 def trace_form(g: LieAlgebraData, rep: str = NATURAL) -> TraceFormGram:
     """Gram matrix tr(rho(b_i) rho(b_j)); rho = inclusion or adjoint."""
     if rep not in (NATURAL, ADJOINT):
         raise ValueError(f"rep must be {NATURAL!r} or {ADJOINT!r}")
-    d = g.dim
-    if d == 0:
+    if g.dim == 0:
         return TraceFormGram(Matrix.exact([]), rep)
-    if g.is_exact:
-        if rep == NATURAL:
-            return TraceFormGram(Matrix.from_ints(*_trace_gram(list(g.basis))), rep)
-        return TraceFormGram(_killing_gram(g.structure_constants), rep)
     if rep == NATURAL:
-        entries = [[(g.basis[i] @ g.basis[j]).trace() for j in range(d)] for i in range(d)]
+        stack, den = _stack(list(g.basis))
     else:
         sc = g.structure_constants
-        entries = [[sum(sc[i, k, l] * sc[j, l, k] for k in range(d) for l in range(d))
-                    for j in range(d)] for i in range(d)]
-    tol = max(b.tol for b in g.basis)
-    return TraceFormGram(Matrix.approx([[float(x) for x in row] for row in entries], tol), rep)
+        stack, den = _scaled(sc) if g.is_exact else (sc, None)
+    return TraceFormGram(_gram(stack, den, max(b.tol for b in g.basis)), rep)
 
 
 def is_reductive(g: LieAlgebraData) -> bool:
     """Nondegeneracy of the natural trace form."""
-    gram = trace_form(g, NATURAL).gram
-    if gram.n == 0:
-        return True
-    if gram.mode == EXACT:
-        return gram.det() != 0
-    return float_rank(gram.data, gram.abs_tol()) == gram.n
+    return trace_form(g, NATURAL).gram.is_invertible()
 
 
 # -- radical -----------------------------------------------------------------------
@@ -286,7 +271,7 @@ def radical(g: LieAlgebraData) -> list[Matrix]:
     nums, _ = _scaled(g.structure_constants)  # scaling keeps every span and kernel
     if not nums.any():
         return list(g.basis)
-    gram, _ = _trace_gram(list(g.basis))
+    gram, _ = _gram(*_stack(list(g.basis))).ints  # a positive multiple keeps the kernel
     kernel, den = _kernel(np.dot(nums.reshape(d * d, d), gram).tolist())
     rad = [_combine(k, g.basis, g.ambient, den) for k in kernel]
     _check_radical(g, rad)
@@ -305,7 +290,7 @@ def _check_radical(g: LieAlgebraData, rad: list[Matrix]):
         quo = _structure_constants(comp, space)
     except ValueError:
         raise PostconditionFailed("quotient brackets fall outside the algebra") from None
-    if comp and _killing_gram(quo).det() == 0:
+    if comp and not _gram(*_scaled(quo)).is_invertible():
         raise PostconditionFailed("quotient by the radical has degenerate Killing form")
 
 
@@ -330,7 +315,7 @@ def unipotent_radical(g: LieAlgebraData) -> list[Matrix]:
     while frontier:
         frontier = [w for w in (b @ f for b in g.basis for f in frontier) if env_space.add(w)]
     env = env_space.matrices()
-    gram, _ = _trace_gram(env)
+    gram, _ = _gram(*_stack(env)).ints
     rad_env = [_combine(k, env, g.ambient) for k in _kernel(gram.tolist())[0]]
     out = intersect(rad_env, list(g.basis))
     _check_unipotent_radical(g, out)
@@ -430,7 +415,7 @@ def _check_levi(g: LieAlgebraData, decomp: LeviDecomp, not_closed: Exception | N
         raise PostconditionFailed("complement and unipotent radical do not split the algebra")
     if not _brackets_inside(combinations(levi, 2), levi):
         raise not_closed or PostconditionFailed("complement is not a subalgebra")
-    if levi and Matrix.from_ints(*_trace_gram(levi)).det() == 0:
+    if levi and not _gram(*_stack(levi)).is_invertible():
         raise PostconditionFailed("complement is not reductive")
     if not _brackets_inside(product(levi, unip), unip):
         raise PostconditionFailed("unipotent radical is not stable under the complement")

@@ -209,6 +209,22 @@ def test_polar_kak_ill_conditioned():
 def test_polar_kak_rejects_singular():
     with pytest.raises(NotInvertible):
         polar_kak(Matrix.exact([[1, 1], [1, 1]]))
+    with pytest.raises(NotInvertible):
+        polar_kak(Matrix.approx([[1, 1], [1, 1 + 1e-12]]))
+
+
+def test_polar_kak_takes_one_svd_of_a_float_input(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return svd(*args, **kwargs)
+
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    polar_kak(Matrix.approx([[2.0, 1.0], [0.5, 3.0]]))
+    # the invertibility test reads the singular values of the SVD that gives k and X
+    assert calls == [True]
 
 
 def test_iwasawa_kan_examples():

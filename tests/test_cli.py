@@ -441,6 +441,12 @@ _FUZZ_FINDINGS = [  # inputs that ended in a traceback, or were accepted, before
     # a tolerance below 0, or not finite: -1 made every predicate false, nan raised NotInvertible
     *[(["--tol", tol, "--approx", "jordan"], {"mode": "exact", "entries": [[2, 1], [0, 3]]},
        2, "MalformedInput") for tol in ("-1", "nan", "inf")],
+    # a float Killing Gram whose sums overflow: the entries of sl2 scaled by 9e153 are finite,
+    # and so are its structure constants, but tr(ad_i ad_j) is not
+    (["lie", "trace-form", "--rep", "adjoint"], {"basis": [
+        {"mode": "approx", "entries": [[9e153, 0], [0, -9e153]]},
+        {"mode": "approx", "entries": [[0, 9e153], [0, 0]]},
+        {"mode": "approx", "entries": [[0, 0], [9e153, 0]]}]}, 4, "NumericalFailure"),
 ]
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import gauss_jordan as gj
 from nashkit import liealg
-from nashkit._span import bracket, in_span, span_basis, span_dim
+from nashkit._span import bracket, in_span, span_basis, span_dim, span_of
 from nashkit.errors import ExactModeRequired, LiftFailed, NotInAlgebra, PostconditionFailed
 from nashkit.liealg import (
     ADJOINT,
@@ -59,9 +59,9 @@ def test_lie_closure_brackets_each_pair_once(monkeypatch):
 
     monkeypatch.setattr(liealg, "bracket", counted)
     g = lie_closure([unit(0, 1, 3), unit(1, 2, 3), unit(2, 0, 3)])  # sl3, in three rounds
-    # a round brackets only the pairs with a member new since the last round, so each
-    # pair of the final basis is bracketed once there, and once more for the structure constants
-    assert g.dim == 8 and len(calls) == g.dim * (g.dim - 1)
+    # a round brackets only the pairs with a member new since the last round, and the
+    # structure constants read the brackets the rounds kept, so each pair is bracketed once
+    assert g.dim == 8 and len(calls) == g.dim * (g.dim - 1) // 2
 
 
 def test_lie_closure_trivial_cases():
@@ -406,6 +406,41 @@ def test_structure_constants_match_both_orders_reference(member):
     floats = [b.to_approx() for b in basis]
     got = liealg._structure_constants(floats, FloatSubspace(floats))
     assert got.tobytes() == _reference_structure_constants(floats, False).tobytes()  # bit for bit
+
+
+def _closure_matches_fresh_structure_constants(gens):
+    for mats in (gens, [m.to_approx() for m in gens]):
+        g = lie_closure(mats)
+        fresh = liealg._structure_constants(list(g.basis), span_of(g.basis))
+        if g.is_exact:
+            assert (g.structure_constants == fresh).all()
+        else:
+            assert g.structure_constants.tobytes() == fresh.tobytes()  # bit for bit
+
+
+def test_closure_structure_constants_match_fresh_brackets_on_the_battery():
+    # the brackets the closure kept give what bracketing its basis anew gives
+    for g in _members().values():
+        _closure_matches_fresh_structure_constants(list(g.basis))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_conjugates)
+def test_closure_structure_constants_match_fresh_brackets(member):
+    _closure_matches_fresh_structure_constants(_conjugate_basis(*member))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_conjugates)
+def test_float_trace_forms_match_the_exact_ones(member):
+    basis = _conjugate_basis(*member)
+    exact, floats = algebra_from_basis(basis), algebra_from_basis([b.to_approx() for b in basis])
+    for rep in (NATURAL, ADJOINT):
+        want = trace_form(exact, rep).gram.float_array()
+        got = trace_form(floats, rep).gram
+        assert got.mode == "approx"
+        assert np.max(np.abs(got.data - want)) <= 1e-12 * (1 + np.max(np.abs(want)))
+    assert is_reductive(floats) == is_reductive(exact)
 
 
 @settings(max_examples=60, deadline=None)

@@ -467,7 +467,8 @@ def test_float_membership_iff_add_keeps_the_rank(data):
     # the stacked vectors are that close (up to rounding) to rank len(space)
     stacked = np.array([_flat(v) for v in vecs])
     tol = max([space.tol] + [v.abs_tol() for v in vecs if isinstance(v, Matrix)])
-    big = np.max(np.abs(stacked)) or 1.0  # the SVD runs at unit scale, clear of underflow
+    # the SVD runs at unit scale, clear of underflow; floored at tol, so tol / big stays finite
+    big = max(np.max(np.abs(stacked)), tol) or 1.0
     slack = np.sqrt(len(vecs)) * tol / big + 1e-12 * np.linalg.norm(stacked / big)
     assert float_rank(stacked / big, slack) <= len(space)
 
