@@ -3,10 +3,11 @@
 Every invertible real matrix factors uniquely as e*h*u with e semisimple of
 modulus-one spectrum, h semisimple of positive real spectrum, u unipotent,
 all commuting; every matrix splits additively as e+h+u with purely
-imaginary / real / nilpotent spectra.  On the exact track one plan,
-``_exact_parts``, builds the parts of both from rational weights on each
-irreducible factor of the characteristic polynomial; where a weight is
-irrational, that plan is the one place that promotes the input to floats.
+imaginary / real / nilpotent spectra.  The exact track builds the parts of
+both from rational weights on each irreducible factor of the characteristic
+polynomial (``_exact_parts``, the one place that promotes to floats where a
+weight is irrational); the float track from one eigendecomposition of the
+semisimple part, constant on each cluster's eigenspace.  Both check e*h*u = x.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .matrix_core import (
     _horner_float,
     _inv_exact,
     _kernel,
+    _norm,
     char_poly,
     count_real_roots,
     float_rank,
@@ -185,20 +187,17 @@ def _sn_split_approx(x: Matrix, spec) -> tuple[Matrix, Matrix]:
     """The float Newton step, for the clusters of spec = spectrum(x)."""
     coeffs = _squarefree_from_clusters(spec)
     dcoeffs = [k * c for k, c in enumerate(coeffs)][1:]
-    a = x.float_array()
-    scale = 1.0
-    for center, _ in spec.clusters:
-        scale *= 1.0 + np.linalg.norm(a) + abs(center)
-    thresh = max(x.tol, 1e-13) * scale
-    s = a.copy()
+    size = x.norm()
+    thresh = max(x.tol, 1e-13) * prod(1.0 + size + abs(c) for c in spec.values())
+    s = x.float_array().copy()
     fs = _horner_float(coeffs, s)
-    res = np.linalg.norm(fs)
+    res = _norm(fs.ravel())
     for _ in range(40):
         if res <= thresh:
             break
         s_new = s - fs @ np.linalg.inv(_horner_float(dcoeffs, s))
         fs_new = _horner_float(coeffs, s_new)
-        res_new = np.linalg.norm(fs_new)
+        res_new = _norm(fs_new.ravel())
         if res_new >= res:
             raise NumericalFailure(
                 f"semisimple/nilpotent iteration stalled at residual {res_new:.3e}"
@@ -234,15 +233,20 @@ def eigenprojections(s: Matrix, factors: list[Polynomial]) -> list[Matrix]:
             for i, j in zip(ends, ends[1:])]
 
 
-def _on_clusters(spec, s: Matrix, fn) -> Matrix:
-    """f(s) for f = fn on the clusters of spec: fn(c) I for one cluster, else the real polynomial
-    interpolating fn on the centers, at s (Higham, Functions of Matrices, 2008, section 1.2)."""
-    zs = [c for c, _ in spec.clusters]
-    if len(zs) == 1:
-        return Matrix(fn(zs[0]) * np.eye(s.n), APPROX, s.tol)
-    v = np.vander(np.array(zs, dtype=complex), increasing=True)
-    coeffs = np.linalg.solve(v, np.array([fn(z) for z in zs], dtype=complex))
-    return Matrix(_horner_float([float(c.real) for c in coeffs], s.float_array()), APPROX, s.tol)
+def _on_eigenspaces(spec, s: Matrix, *fns) -> list[Matrix]:
+    """Re(V diag(fn(c)) V^-1) for each fn, s = V diag(w) V^-1 and c the spec centers nearest w.
+
+    s is semisimple only to tolerance, so the eigenvectors of one cluster may be
+    nearly parallel: an orthonormal basis of their span replaces them."""
+    if not s.n:  # no eigenvalue to match to a center
+        return [s] * len(fns)
+    w, v = np.linalg.eig(s.float_array())
+    centers = np.array(spec.values())
+    nearest = np.abs(w[:, None] - centers).argmin(axis=1)
+    for j in np.flatnonzero(np.bincount(nearest) > 1):
+        v[:, nearest == j] = np.linalg.qr(v[:, nearest == j])[0]
+    vinv = np.linalg.inv(v)
+    return [Matrix(((v * fn(centers)[nearest]) @ vinv).real, APPROX, s.tol) for fn in fns]
 
 
 # -- the two decompositions: one exact plan, rational weights per irreducible factor -----
@@ -302,7 +306,7 @@ def additive_jordan(x: Matrix) -> JordanTriple:
         x = x.to_approx()
     spec = spectrum(x)
     s, n = _sn_split_approx(x, spec)
-    h = _on_clusters(spec, s, lambda c: c.real)
+    (h,) = _on_eigenspaces(spec, s, np.real)
     return JordanTriple(s - h, h, n, ADDITIVE)
 
 
@@ -310,29 +314,22 @@ def multiplicative_jordan(x: Matrix) -> JordanTriple:
     """x = e * h * u, commuting; spectra on the circle / positive / {1}."""
     if not x.is_invertible():
         raise NotInvertible("multiplicative decomposition needs an invertible input")
-    if x.mode == EXACT:
-        plan = _exact_parts(x, _modulus_phase, 2)
-        if plan is not None:
-            s, n, (h, e) = plan
-            u = Matrix.identity(x.n) + s.inv() @ n
-            if not (e @ h @ u).close_to(x):
-                raise PostconditionFailed("multiplicative parts fail to reassemble the input")
-            return JordanTriple(e, h, u, MULTIPLICATIVE)
-        x = x.to_approx()
-        if not x.is_invertible():  # a promoted exact input may be singular in floats
+    plan = _exact_parts(x, _modulus_phase, 2) if x.mode == EXACT else None
+    if plan is None:
+        if x.mode == EXACT:
+            x = x.to_approx()
+            if not x.is_invertible():  # a promoted exact input may be singular in floats
+                raise NotInvertible("matrix is singular at the working tolerance")
+        spec = spectrum(x)
+        if 0 in spec.values():  # at tol 0 an eigenvalue of 0.0 gets past is_invertible
             raise NotInvertible("matrix is singular at the working tolerance")
-    spec = spectrum(x)
-    if 0 in spec.values():  # at tol 0 an eigenvalue of 0.0 gets past is_invertible
-        raise NotInvertible("matrix is singular at the working tolerance")
-    s, n = _sn_split_approx(x, spec)
-    # evaluate |lambda| and lambda/|lambda| as polynomials in s; going
-    # through h^-1 instead would amplify error on ill-conditioned spectra
-    h = _on_clusters(spec, s, abs)
-    if len(spec.clusters) == 1:
-        e = s.scale(1.0 / abs(spec.clusters[0][0]))
-    else:
-        e = _on_clusters(spec, s, lambda c: c / abs(c))
-    u = Matrix.identity(x.n, APPROX, x.tol) + s.inv() @ n
+        s, n = _sn_split_approx(x, spec)
+        plan = s, n, _on_eigenspaces(spec, s, np.abs, lambda c: c / np.abs(c))
+    s, n, (h, e) = plan
+    u = Matrix.identity(x.n, x.mode, x.tol) + s.inv() @ n
+    # exact equality on the exact track, so an exact x beyond the float range is checked too
+    if not (e @ h @ u).close_to(x, None if x.mode == EXACT else x.abs_tol()):
+        raise PostconditionFailed("multiplicative parts fail to reassemble the input")
     return JordanTriple(e, h, u, MULTIPLICATIVE)
 
 

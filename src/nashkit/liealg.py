@@ -233,7 +233,8 @@ def _gram(stack: np.ndarray, den: int | None, tol: float = DEFAULT_TOL) -> Matri
     product by tr(X Y) = vec(X) . vec(Y^T).  ad_i is sc[i] transposed, so the Killing form
     stacks the structure constants."""
     k, n = stack.shape[:2]
-    gram = np.dot(stack.reshape(k, n * n), stack.transpose(0, 2, 1).reshape(k, n * n).T)
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan Gram fails in Matrix
+        gram = np.dot(stack.reshape(k, n * n), stack.transpose(0, 2, 1).reshape(k, n * n).T)
     return Matrix(gram, APPROX, tol) if den is None else Matrix.from_ints(gram, den * den)
 
 

@@ -168,7 +168,7 @@ def test_overflowing_float_input_prints_no_warning(tmp_path):
     code, out, err = run_cli(["jordan", path])
     assert code == 0 and err == ""
     assert json.loads(out) == {
-        "e": {"mode": "approx", "entries": [[1.0, 1e-200], [0.0, 1.0]]},
+        "e": {"mode": "approx", "entries": [[1.0, 0.0], [0.0, 1.0]]},
         "h": {"mode": "approx", "entries": [[1e200, 0.0], [0.0, 1e200]]},
         "u": {"mode": "approx", "entries": [[1.0, 0.0], [0.0, 1.0]]},
         "class": {"elliptic": False, "hyperbolic": True, "unipotent": False,
@@ -375,6 +375,16 @@ def test_selftest_cli_deterministic_and_green():
     assert out1 == out2  # byte-identical reports for a fixed seed
     doc = json.loads(out1)
     assert doc["all_passed"] and len(doc["results"]) == 12
+
+
+def test_selftest_report_matches_the_committed_one(capsys):
+    from pathlib import Path
+
+    from nashkit.cli import main
+
+    assert main(["--seed", "0", "selftest"]) == 0
+    want = Path(__file__).parent / "data" / "selftest_seed0.txt"
+    assert capsys.readouterr().out == want.read_text()
 
 
 def test_tol_env_override(tmp_path, monkeypatch):

@@ -532,3 +532,69 @@ def test_multiplicative_float_one_cluster():
     np.testing.assert_allclose(t.e.float_array(), np.eye(2), atol=1e-12)
     np.testing.assert_allclose(t.h.float_array(), 2 * np.eye(2), atol=1e-12)
     np.testing.assert_allclose(t.u.float_array(), [[1.0, 0.5], [0.0, 1.0]], atol=1e-12)
+
+
+def test_float_input_near_the_float_range_warns_nowhere():
+    # the norms of x and of the Newton residual must not square past the float range
+    x = Matrix.approx([[1e200, 1], [0, 1e200]])
+    s, n = sn_split(x)
+    add, mul = additive_jordan(x), multiplicative_jordan(x)
+    for whole in (s + n, add.e + add.h + add.u, mul.e @ mul.h @ mul.u):
+        assert whole.close_to(x, x.abs_tol())
+
+
+# -- float parts on many clusters --------------------------------------------------------------
+
+
+def _normal(pairs: list[tuple[float, float]], seed: int) -> Matrix:
+    """Q D Q^T, D with the blocks r R(theta) for (r, theta) in pairs, Q orthogonal from a QR."""
+    n = 2 * len(pairs)
+    d = np.zeros((n, n))
+    for k, (r, theta) in enumerate(pairs):
+        d[2 * k:2 * k + 2, 2 * k:2 * k + 2] = r * np.array([[np.cos(theta), -np.sin(theta)],
+                                                            [np.sin(theta), np.cos(theta)]])
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    return Matrix.approx(q @ d @ q.T)
+
+
+def _assert_float_parts_accurate(x: Matrix):
+    a, size = x.float_array(), x.norm()
+    for decompose in (additive_jordan, multiplicative_jordan):
+        e, h, u = (p.float_array() for p in decompose(x).parts())
+        whole = e @ h @ u if decompose is multiplicative_jordan else e + h + u
+        assert np.linalg.norm(whole - a) <= 1e-12 * size
+        assert np.linalg.norm(e @ h - h @ e) <= 1e-12 * size ** 2
+        if decompose is multiplicative_jordan:  # e of a normal x is orthogonal
+            assert np.linalg.norm(e.T @ e - np.eye(x.n)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [16, 20])
+def test_float_parts_on_many_clusters(n):
+    # n/2 pairs of moduli 0.2 .. 20: a polynomial in s through as many centers is far off in floats
+    m = n // 2
+    _assert_float_parts_accurate(
+        _normal([(r, 0.3 + 2.5 * k / m) for k, r in enumerate(np.geomspace(0.2, 20, m))], 2))
+
+
+@pytest.mark.parametrize("decompose, e", [(additive_jordan, 0.0), (multiplicative_jordan, 1.0)])
+def test_float_parts_of_a_cluster_left_defective_in_s(decompose, e):
+    # x is 2 I to tolerance, so s = x, whose four eigenvectors are nearly parallel
+    x = Matrix.approx(2 * np.eye(4) + 1e-9 * np.eye(4, k=1))
+    t = decompose(x)
+    np.testing.assert_allclose(t.h.float_array(), 2 * np.eye(4), rtol=0, atol=x.abs_tol())
+    np.testing.assert_allclose(t.e.float_array(), e * np.eye(4), rtol=0, atol=x.abs_tol())
+
+
+def test_float_parts_that_fail_to_reassemble_raise(monkeypatch):
+    monkeypatch.setattr(jordan, "_on_eigenspaces", lambda spec, s, *fns: [s, s])
+    with pytest.raises(PostconditionFailed):
+        multiplicative_jordan(Matrix.approx([[2.0, 1.0], [0.0, 3.0]]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=1, max_size=10,
+                unique=True), st.integers(0, 2**32 - 1))
+def test_float_parts_of_normal_matrices(cells, seed):
+    # distinct cells of a grid of moduli 0.2 .. 20 and angles 0.2 .. 2.9 keep the pairs apart
+    _assert_float_parts_accurate(_normal([(0.2 * 100 ** (i / 9), 0.2 + 0.3 * j) for i, j in cells],
+                                         seed))

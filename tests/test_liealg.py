@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 import gauss_jordan as gj
 from nashkit import liealg
 from nashkit._span import bracket, in_span, span_basis, span_dim, span_of
-from nashkit.errors import ExactModeRequired, LiftFailed, NotInAlgebra, PostconditionFailed
+from nashkit.errors import (
+    ExactModeRequired,
+    LiftFailed,
+    NotInAlgebra,
+    NumericalFailure,
+    PostconditionFailed,
+)
 from nashkit.liealg import (
     ADJOINT,
     DERIVED,
@@ -138,6 +144,17 @@ def test_trace_form_edge_cases(bat):
     assert trace_form(bat["zero"], NATURAL).gram.n == 0
     nil = algebra_from_basis([unit(0, 1)])
     assert trace_form(nil, NATURAL).gram == Matrix.exact([[0]])
+
+
+def test_overflowing_float_gram_raises_numerical_failure():
+    # outside the CLI's np.errstate too: neither the overflow nor inf - inf may warn first
+    h, e, f = Matrix.diagonal([1, -1]), unit(0, 1), unit(1, 0)
+    g = algebra_from_basis([b.to_approx().scale(9e153) for b in (h, e, f)])
+    with pytest.raises(NumericalFailure):
+        trace_form(g, ADJOINT)
+    signs = np.random.default_rng(0).choice([-1e200, 1e200], size=(20, 6, 6))
+    with pytest.raises(NumericalFailure):
+        liealg._gram(signs, None)
 
 
 def test_trace_form_congruent_under_rebasing():
