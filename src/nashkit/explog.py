@@ -19,8 +19,9 @@ from .errors import (
     NotNilpotent,
     NotUnipotent,
 )
-from .jordan import ALGEBRA, GROUP, classify, multiplicative_jordan, eigenprojections
-from .matrix_core import APPROX, EXACT, Matrix, Polynomial, rational_eigenvalues
+from .jordan import (ALGEBRA, GROUP, _classify_exact, classify, eigenprojections,
+                     multiplicative_jordan)
+from .matrix_core import APPROX, EXACT, Matrix, Polynomial, _distinct_rational_roots, char_poly
 
 
 def exp_nilpotent(x: Matrix) -> Matrix:
@@ -48,10 +49,15 @@ def log_unipotent(x: Matrix) -> Matrix:
     return acc
 
 
-def _hyperbolic_map(x: Matrix, fn) -> Matrix:
-    """fn (np.exp or np.log) of x, which ``classify`` certified semisimple with real spectrum:
-    exact eigenprojections, else one eigendecomposition x = V diag(w) V^-1."""
-    if x.mode == EXACT and (values := rational_eigenvalues(x)) is not None:
+def _hyperbolic_map(x: Matrix, setting: str, fn, complaint: str) -> Matrix:
+    """fn (np.exp or np.log) of x, which ``classify(x, setting)`` must find hyperbolic (else
+    ``NotHyperbolic(complaint)``): exact eigenprojections when the eigenvalues are rational, else
+    one eigendecomposition x = V diag(w) V^-1.  Both steps read one characteristic polynomial
+    of an exact x."""
+    chi = char_poly(x) if x.mode == EXACT else None
+    if not (classify(x, setting) if chi is None else _classify_exact(x, setting, chi)).hyperbolic:
+        raise NotHyperbolic(complaint)
+    if chi is not None and (values := _distinct_rational_roots(chi)) is not None:
         # summed from the largest eigenvalue down: that order fixes the float result bit for bit
         values = values[::-1]
         projs = eigenprojections(x, [Polynomial.of([-lam, 1]) for lam in values])
@@ -65,16 +71,13 @@ def _hyperbolic_map(x: Matrix, fn) -> Matrix:
 
 def exp_hyperbolic(x: Matrix) -> Matrix:
     """exp of a semisimple matrix with real spectrum; always float."""
-    if not classify(x, ALGEBRA).hyperbolic:
-        raise NotHyperbolic("input must be semisimple with real spectrum")
-    return _hyperbolic_map(x, np.exp)
+    return _hyperbolic_map(x, ALGEBRA, np.exp, "input must be semisimple with real spectrum")
 
 
 def log_hyperbolic(x: Matrix) -> Matrix:
     """log of a semisimple matrix with positive real spectrum; always float."""
-    if not classify(x, GROUP).hyperbolic:
-        raise NotHyperbolic("input must be semisimple with positive real spectrum")
-    return _hyperbolic_map(x, np.log)
+    return _hyperbolic_map(x, GROUP, np.log,
+                           "input must be semisimple with positive real spectrum")
 
 
 def log_exponential(x: Matrix) -> Matrix:

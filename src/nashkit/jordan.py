@@ -5,9 +5,16 @@ modulus-one spectrum, h semisimple of positive real spectrum, u unipotent,
 all commuting; every matrix splits additively as e+h+u with purely
 imaginary / real / nilpotent spectra.  The exact track builds the parts of
 both from rational weights on each irreducible factor of the characteristic
-polynomial (``_exact_parts``, the one place that promotes to floats where a
-weight is irrational); the float track from one eigendecomposition of the
-semisimple part, constant on each cluster's eigenspace.  Both check e*h*u = x.
+polynomial chi (``_exact_parts``, the one place that promotes to floats where
+a weight is irrational).  Factors with equal weights form one weight class,
+and each part takes one eigenprojection per class, none when one class holds
+every factor (as for the additive parts of a real spectrum).  The float track
+builds them from one eigendecomposition of the semisimple part, constant on
+each cluster's eigenspace.  Both tracks check that e*h*u = x, and the float
+additive split that h commutes with s.  An exact call computes chi once
+(``sn_split`` computes its own) and reads invertibility from
+chi(0) = (-1)^n det x; ``_classify_exact`` lets the callers of ``classify`` in
+``explog`` and ``replica`` hand theirs over.
 """
 
 from __future__ import annotations
@@ -272,34 +279,47 @@ def _modulus_phase(q: Polynomial) -> tuple | None:
     return None
 
 
+def _weighted(ws: list, mats: list[Matrix], n: int) -> Matrix:
+    """sum_j w_j m_j for rational w_j and exact n x n m_j, one int sum over a common denominator."""
+    den = lcm(*(Fraction(w).denominator for w in ws))
+    return _combine([int(w * den) for w in ws], mats, n, den)
+
+
 def _affine(s: Matrix, projs: list[Matrix], pairs: list) -> Matrix:
     """sum_j (a_j s + b_j) p_j for rational pairs (a_j, b_j): s A + B, A and B each one int sum."""
-    sums = []
-    for ws in ([a for a, _ in pairs], [b for _, b in pairs]):
-        den = lcm(*(Fraction(w).denominator for w in ws))
-        sums.append(_combine([int(w * den) for w in ws], projs, s.n, den))
-    return s @ sums[0] + sums[1] if any(a for a, _ in pairs) else sums[1]
+    a, b = ([w[i] for w in pairs] for i in (0, 1))
+    shift = _weighted(b, projs, s.n)
+    return s @ _weighted(a, projs, s.n) + shift if any(a) else shift
 
 
-def _exact_parts(x: Matrix, rule, count: int) -> tuple[Matrix, Matrix, list[Matrix]] | None:
-    """(s, n, parts) of an exact x, or None if rule(q) is None on an irreducible factor q of chi_x.
+def _exact_parts(x: Matrix, chi: Polynomial, rule, count: int
+                 ) -> tuple[Matrix, Matrix, list[Matrix]] | None:
+    """(s, n, parts) of an exact x with characteristic polynomial chi, or None if rule(q) is None
+    on an irreducible factor q of chi.
 
-    rule(q) gives ``count`` rational pairs (a, b), one per part; part k is
-    sum_j (a_jk s + b_jk) p_j over the eigenprojections p_j.
+    rule(q) gives ``count`` rational pairs (a, b), one per part.  The factors
+    with equal pairs form one weight class, whose polynomial is their product;
+    part k is sum_j (a_jk s + b_jk) p_j over the eigenprojections p_j of the
+    classes, and a_k s + b_k I when one class holds every factor.
     """
-    factors = [q for q, _ in irreducible_factors(char_poly(x))]
-    weights = [rule(q) for q in factors]
-    if None in weights:
-        return None
+    classes: dict[tuple, Polynomial] = {}
+    for q, _ in irreducible_factors(chi):
+        weights = rule(q)
+        if weights is None:
+            return None
+        classes[weights] = classes[weights] * q if weights in classes else q
     s, n = sn_split(x)
-    projs = eigenprojections(s, factors)
-    return s, n, [_affine(s, projs, [w[k] for w in weights]) for k in range(count)]
+    if len(classes) == 1:  # the class's eigenspace is the whole space: nothing to project
+        ident = Matrix.identity(s.n, EXACT, s.tol)
+        return s, n, [_weighted(pair, [s, ident], s.n) for pair in next(iter(classes))]
+    projs = eigenprojections(s, list(classes.values()))
+    return s, n, [_affine(s, projs, [w[k] for w in classes]) for k in range(count)]
 
 
 def additive_jordan(x: Matrix) -> JordanTriple:
     """x = e + h + u, commuting; spectra purely imaginary / real / {0}."""
     if x.mode == EXACT:
-        plan = _exact_parts(x, _real_part, 1)
+        plan = _exact_parts(x, char_poly(x), _real_part, 1)
         if plan is not None:
             s, n, (h,) = plan
             return JordanTriple(s - h, h, n, ADDITIVE)
@@ -307,14 +327,21 @@ def additive_jordan(x: Matrix) -> JordanTriple:
     spec = spectrum(x)
     s, n = _sn_split_approx(x, spec)
     (h,) = _on_eigenspaces(spec, s, np.real)
+    # [s, h] = 0 within x.abs_tol() (1 + ||s||), checked on s / ||s|| to stay in the float range
+    size = s.norm() or 1.0
+    sa, ha = s.float_array() / size, h.float_array()
+    if _norm((sa @ ha - ha @ sa).ravel()) > x.abs_tol() * (1.0 + 1.0 / size):
+        raise PostconditionFailed("the hyperbolic part does not commute with the semisimple part")
     return JordanTriple(s - h, h, n, ADDITIVE)
 
 
 def multiplicative_jordan(x: Matrix) -> JordanTriple:
     """x = e * h * u, commuting; spectra on the circle / positive / {1}."""
-    if not x.is_invertible():
+    chi = char_poly(x) if x.mode == EXACT else None
+    # an exact x is decided by chi(0) = (-1)^n det x
+    if not (x.is_invertible() if chi is None else chi.coeffs[0]):
         raise NotInvertible("multiplicative decomposition needs an invertible input")
-    plan = _exact_parts(x, _modulus_phase, 2) if x.mode == EXACT else None
+    plan = None if chi is None else _exact_parts(x, chi, _modulus_phase, 2)
     if plan is None:
         if x.mode == EXACT:
             x = x.to_approx()
@@ -340,22 +367,29 @@ def classify(x: Matrix, setting: str) -> ElementClass:
     """Evaluate the elliptic/hyperbolic/unipotent/semisimple/exponential predicates."""
     if setting not in (GROUP, ALGEBRA):
         raise ValueError(f"setting must be {GROUP!r} or {ALGEBRA!r}")
+    if x.mode == EXACT:
+        return _classify_exact(x, setting, char_poly(x))
     if setting == GROUP and not x.is_invertible():
         raise NotInvertible("group elements must be invertible")
-    if x.mode == EXACT:
-        f = squarefree_part(char_poly(x))
-        semisimple = f.eval_matrix(x).is_zero()
-        # f = 1 only for n = 0, where every predicate holds vacuously
-        unipotent = f.degree == 0 or f == Polynomial.of([-1 if setting == GROUP else 0, 1])
-        if setting == GROUP:
-            exponential = _all_roots_positive(f)
-            elliptic = semisimple and _roots_modulus_one(f)
-        else:
-            exponential = _all_roots_real(f)
-            elliptic = semisimple and _roots_purely_imaginary(f)
-        hyperbolic = semisimple and exponential
-        return ElementClass(elliptic, hyperbolic, unipotent, semisimple, exponential)
     return _classify_approx(x, setting)
+
+
+def _classify_exact(x: Matrix, setting: str, chi: Polynomial) -> ElementClass:
+    """``classify`` of an exact x with characteristic polynomial chi; chi(0) = (-1)^n det x."""
+    if setting == GROUP and not chi.coeffs[0]:
+        raise NotInvertible("group elements must be invertible")
+    f = squarefree_part(chi)
+    semisimple = f.eval_matrix(x).is_zero()
+    # f = 1 only for n = 0, where every predicate holds vacuously
+    unipotent = f.degree == 0 or f == Polynomial.of([-1 if setting == GROUP else 0, 1])
+    if setting == GROUP:
+        exponential = _all_roots_positive(f)
+        elliptic = semisimple and _roots_modulus_one(f)
+    else:
+        exponential = _all_roots_real(f)
+        elliptic = semisimple and _roots_purely_imaginary(f)
+    hyperbolic = semisimple and exponential
+    return ElementClass(elliptic, hyperbolic, unipotent, semisimple, exponential)
 
 
 def _classify_approx(x: Matrix, setting: str) -> ElementClass:

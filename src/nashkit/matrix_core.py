@@ -12,7 +12,8 @@ that ``gcd(d, *nums) == 1`` (``d`` is then the lcm of the entry
 denominators).  The exact kernels run on it: ``+``, ``-``, ``@``, ``scale``,
 ``trace``, ``T``, equality and ``float_array`` here, ``_span.bracket`` and
 ``liealg``'s trace forms, polynomial evaluation, the characteristic
-polynomial (Faddeev-LeVerrier) and fraction-free (Bareiss) ``det``/``inv``.
+polynomial (Faddeev-LeVerrier, n - 2 matrix products for an n x n matrix)
+and fraction-free (Bareiss) ``det``/``inv``.
 A kernel's result is built from its integer output and reduced once.
 ``Matrix.data``, the read-only array of reduced ``Fraction`` entries that
 ``entry``/``rows``/``vec``, hashing and the JSON wire format read, is built
@@ -28,13 +29,15 @@ kernels (``float_rank``, ``nullspace``).  ``Polynomial`` arithmetic stays on
 ``Fraction``; its int forms, each built once, are ``ints``, the primitive
 int multiple, and ``sturm``, the Sturm sequence on Python ints (exact int
 division, no ``Fraction`` Euclid) divided by gcd(p, p'), led by the
-squarefree part, which inherits both.  Real-root counts, rational roots
-(p-adic lifting), factors and exact ``eval_matrix`` read them.  Spectral
-predicates are answered on the squarefree part without factoring it, so only
-a Jordan plan (``jordan``'s exact ``multiplicative_jordan`` and
-``additive_jordan``) and exact ``spectrum`` call ``irreducible_factors``:
-rational roots, then Zassenhaus's method (factoring mod a prime, Musser's
-degree-set test, a Hensel lift and recombination) for a rest of degree >= 4.
+squarefree part, which inherits both.  Exact ``eval_matrix`` reads ``ints``;
+rational roots (p-adic lifting), factors and squarefree parts read only the
+head of the sequence, so its tail is divided when a real-root count first
+reads it.  Spectral predicates are answered on the squarefree part without
+factoring it, so only a Jordan plan (``jordan``'s exact
+``multiplicative_jordan`` and ``additive_jordan``) and exact ``spectrum``
+call ``irreducible_factors``: rational roots, then Zassenhaus's method
+(factoring mod a prime, Musser's degree-set test, a Hensel lift and
+recombination) for a rest of degree >= 4.
 The library never imports sympy; only ``Polynomial.to_sympy`` and
 ``from_sympy`` need it.
 """
@@ -750,7 +753,8 @@ class Polynomial:
 
     Coefficients are stored lowest degree first; the leading coefficient is
     nonzero unless the polynomial is zero.  The int forms ``ints`` and
-    ``sturm`` are built on first access and stay out of ``==``/``hash``/``repr``.
+    ``sturm`` (with the remainders and the head it is built from) are built
+    on first access and stay out of ``==``/``hash``/``repr``.
     """
 
     coeffs: tuple[Fraction, ...]
@@ -830,13 +834,12 @@ class Polynomial:
         return tuple(x // g for x in ints)
 
     @cached_property
-    def sturm(self) -> tuple[tuple[int, ...], ...]:
-        """s_i = p_i / p_k for p_0 = p != 0, p_1 = p', p_(i+1) = -(p_(i-1) mod p_i), p_k != 0.
+    def _remainders(self) -> tuple[tuple[int, ...], ...]:
+        """p_0 = p != 0, p_1 = p', p_(i+1) = -(p_(i-1) mod p_i), up to p_k != 0.
 
         Each p_i is primitive on ints and a positive multiple of the rational
         one (pseudo-remainders divided by their content keep the ints small
-        where ``Fraction`` remainders grow).  p_k is gcd(p, p') times a
-        constant, so s_0 is +-the primitive squarefree part of p.
+        where ``Fraction`` remainders grow).  p_k is gcd(p, p') times a constant.
         """
         seq = [self.ints]
         b = [k * c for k, c in enumerate(seq[0])][1:]  # p' on ints, then made primitive
@@ -845,9 +848,25 @@ class Polynomial:
         while b:
             seq.append(b)
             b = _neg_prem(seq[-2], b)
-        if len(seq[-1]) > 1:  # repeated roots: divide every term by gcd(p, p')
-            seq = [_exact_quotient(s, seq[-1]) for s in seq]
         return tuple(map(tuple, seq))
+
+    @cached_property
+    def _sturm_head(self) -> tuple[int, ...]:
+        """s_0 = p_0 / p_k: +-the primitive squarefree part of p, all that factoring reads."""
+        seq = self._remainders
+        return seq[0] if len(seq[-1]) == 1 else tuple(_exact_quotient(seq[0], seq[-1]))
+
+    @cached_property
+    def sturm(self) -> tuple[tuple[int, ...], ...]:
+        """s_i = p_i / p_k over the remainders p_i: a Sturm sequence of s_0.
+
+        Only root counts read the tail, so it is divided by gcd(p, p') on
+        first access and the head ``_sturm_head`` on its own.
+        """
+        seq = self._remainders
+        if len(seq[-1]) == 1:
+            return seq
+        return (self._sturm_head, *(tuple(_exact_quotient(s, seq[-1])) for s in seq[1:]))
 
     def eval_matrix(self, m: Matrix) -> Matrix:
         if m.mode == APPROX:
@@ -905,8 +924,10 @@ def char_poly(m: Matrix) -> Polynomial:
 
     Faddeev-LeVerrier recursion on the integer matrix N = d * m, where every
     trace division is exact; the coefficient of t^(n-k) is then c_k(N) / d^k.
-    Float entries are lifted to exact rationals first so one code path
-    serves both modes.
+    Of the products N M_(k-1) it forms those for k = 2 .. n - 1, n - 2 in
+    all: N M_0 = N, and the last is read only through its trace.  Float
+    entries are lifted to exact rationals first so one code path serves both
+    modes.
     """
     n = m.n
     if m.mode == APPROX:
@@ -914,13 +935,14 @@ def char_poly(m: Matrix) -> Polynomial:
     nums, d = m.ints
     diag = np.arange(n)
     ints = [d ** n]  # c_k(N) * d^(n-k) from k = 0 on; made primitive, the int form
-    mk = np.identity(n, dtype=object)
-    for k in range(1, n + 1):
-        am = np.dot(nums, mk)
-        ck = -sum(am[diag, diag]) // k
+    mk = np.identity(n, dtype=object)  # M_0
+    for k in range(1, n):
+        mk = nums.copy() if k == 1 else np.dot(nums, mk)  # N M_(k-1)
+        ck = -sum(mk[diag, diag]) // k
         ints.append(ck * d ** (n - k))
-        mk = am
-        mk[diag, diag] += ck
+        mk[diag, diag] += ck  # M_k
+    if n:  # tr(N M_(n-1)) is the sum of the entrywise product of N and M_(n-1)^T
+        ints.append(-(nums * mk.T).sum() // n)
     g = gcd(*ints)
     ints = tuple(c // g for c in reversed(ints))
     out = Polynomial.of([Fraction(c, ints[-1]) for c in ints])
@@ -968,13 +990,15 @@ def _exact_quotient(a: list[int], b: list[int]) -> list[int] | None:
 
 
 def squarefree_part(p: Polynomial) -> Polynomial:
-    """p / gcd(p, p'), monic; it carries its int form, +-``p.sturm[0]``, and ``p.sturm``."""
+    """p / gcd(p, p'), monic; it carries its int form, +-``p._sturm_head``, and p's remainders,
+    whose Sturm sequence is one of the squarefree part too."""
     if p.is_zero():
         raise ZeroPolynomial("squarefree part of the zero polynomial")
-    f = p.sturm[0]
+    f = p._sturm_head
     out = Polynomial.of([Fraction(c, f[-1]) for c in f])
     object.__setattr__(out, "ints", f if f[-1] > 0 else tuple(-c for c in f))
-    object.__setattr__(out, "sturm", p.sturm)  # a Sturm sequence of out too
+    object.__setattr__(out, "_remainders", p._remainders)
+    object.__setattr__(out, "_sturm_head", f)
     return out
 
 
@@ -1210,14 +1234,14 @@ def irreducible_factors(p: Polynomial) -> list[tuple[Polynomial, int]]:
     """Monic irreducible factors over the rationals with multiplicities.
 
     Sorted by (degree, coeffs).  The work runs on int forms: each rational
-    root a/b of the squarefree part f = ``p.sturm[0]`` divides out b t - a,
+    root a/b of the squarefree part f = ``p._sturm_head`` divides out b t - a,
     and the rest of f is irreducible up to degree 3 and factored by
     ``_zassenhaus`` from degree 4.  Multiplicities come from exact division
     of ``p.ints``, needed only when deg f < deg p.
     """
     if p.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
-    f = p.sturm[0]
+    f = p._sturm_head
     repeated = len(f) < len(p.coeffs)
     f, factors = [c if f[-1] > 0 else -c for c in f], []
     for r in _rational_roots(f):
@@ -1277,11 +1301,16 @@ def count_real_roots(p: Polynomial, lo=None, hi=None) -> int:
     return changes(at_lo) - changes(signs(hi, 1)) + (at_lo[0] == 0)
 
 
-def rational_eigenvalues(m: Matrix) -> list[Fraction] | None:
-    """Distinct eigenvalues of an exact matrix, ascending; None unless all are rational."""
-    f = squarefree_part(char_poly(m))
+def _distinct_rational_roots(p: Polynomial) -> list[Fraction] | None:
+    """Distinct roots of p != 0, ascending; None unless all are rational."""
+    f = squarefree_part(p)
     roots = _rational_roots(f.ints)
     return sorted(roots) if len(roots) == f.degree else None
+
+
+def rational_eigenvalues(m: Matrix) -> list[Fraction] | None:
+    """Distinct eigenvalues of an exact matrix, ascending; None unless all are rational."""
+    return _distinct_rational_roots(char_poly(m))
 
 
 # -- spectra ---------------------------------------------------------------------

@@ -17,8 +17,8 @@ from math import gcd
 
 from .errors import IrrationalSpectrum, NotHyperbolic, NotPositiveRational
 from .explog import log_unipotent
-from .jordan import GROUP, classify
-from .matrix_core import EXACT, Matrix, rational_eigenvalues
+from .jordan import GROUP, _classify_exact, classify
+from .matrix_core import EXACT, Matrix, Polynomial, _distinct_rational_roots, char_poly
 
 HYPERBOLIC = "hyperbolic"
 UNIPOTENT = "unipotent"
@@ -161,9 +161,15 @@ def replica_hyperbolic(x: Matrix) -> ReplicaDatum:
         raise IrrationalSpectrum(
             "float spectra cannot certify rationality; use an exact input"
         )
-    if not classify(x, GROUP).hyperbolic:
+    chi = char_poly(x)
+    if not _classify_exact(x, GROUP, chi).hyperbolic:
         raise NotHyperbolic("input is not semisimple with positive real spectrum")
-    values = rational_eigenvalues(x)
+    return _hyperbolic_datum(chi)
+
+
+def _hyperbolic_datum(chi: Polynomial) -> ReplicaDatum:
+    """The replica of a hyperbolic element with characteristic polynomial chi."""
+    values = _distinct_rational_roots(chi)
     if values is None:
         raise IrrationalSpectrum("eigenvalues are not rational")
     lattice = exponent_lattice(values)
@@ -184,11 +190,12 @@ def replica_unipotent(x: Matrix) -> ReplicaDatum:
 
 def replica(x: Matrix) -> ReplicaDatum:
     """Dispatch on the element class: unipotent, then rational hyperbolic."""
-    cls = classify(x, GROUP)
+    chi = char_poly(x) if x.mode == EXACT else None
+    cls = classify(x, GROUP) if chi is None else _classify_exact(x, GROUP, chi)
     if cls.unipotent:
         return replica_unipotent(x)
     if cls.hyperbolic:
-        return replica_hyperbolic(x)
+        return replica_hyperbolic(x) if chi is None else _hyperbolic_datum(chi)
     raise NotHyperbolic(
         "replicas are computed for unipotent or rational-spectrum hyperbolic elements"
     )

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nashkit import jordan
+from nashkit import jordan, matrix_core
 from nashkit.errors import NotAbelian, NotInvertible, PostconditionFailed
 from nashkit.explog import matrix_exp
 from nashkit.jordan import (
@@ -30,6 +31,7 @@ from nashkit.matrix_core import (
     Polynomial,
     Subspace,
     char_poly,
+    irreducible_factors,
     rational_eigenvalues,
     squarefree_part,
 )
@@ -527,6 +529,107 @@ def test_one_promoting_factor_sends_the_input_to_floats(decompose):
                                [[1, 0.5], [0, 1]], atol=1e-12)
 
 
+# -- weight classes against the per-factor plan ---------------------------------------------
+
+
+def _per_factor_parts(x: Matrix, rule, count: int) -> list[Matrix]:
+    """The plan with one eigenprojection per irreducible factor q: part k is
+    sum_q (a_qk s + b_qk) p_q for the weights rule(q)."""
+    factors = [q for q, _ in irreducible_factors(char_poly(x))]
+    s, _ = sn_split(x)
+    ident, parts = Matrix.identity(x.n), [Matrix.zero(x.n)] * count
+    for q, p in zip(factors, eigenprojections(s, factors)):
+        for k, (a, b) in enumerate(rule(q)):
+            parts[k] = parts[k] + (s.scale(a) + ident.scale(b)) @ p
+    return parts
+
+
+# factors with rational weights for both rules, several sharing their weights: the real roots of
+# one sign for either rule, t^2 + 1 and t^2 - 6/5 t + 1 (roots on the circle), t^2 + 4 and
+# t^2 - 12/5 t + 4 (modulus 2), t^2 + 1 and t^2 + 4 (real part 0)
+_CLASSED = [Polynomial.of([-r, 1]) for r in (-2, -1, Fraction(1, 2), 2, 3)] + [
+    Polynomial.of(c) for c in ([1, 0, 1], [1, Fraction(-6, 5), 1], [4, 0, 1],
+                               [4, Fraction(-12, 5), 1], [25, -6, 1])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_CLASSED), st.integers(1, 2)), min_size=1, max_size=3)
+       .filter(lambda blocks: 2 <= sum(q.degree * k for q, k in blocks) <= 8),
+       st.integers(0, 2**16))
+def test_weight_classes_match_the_per_factor_plan(blocks, seed):
+    x, _ = _jordan_blocks([(_companion(q).rows(), k) for q, k in blocks])
+    c = _unimodular(len(x), seed)
+    x = c @ Matrix.exact(x) @ c.inv()
+    t = additive_jordan(x)
+    assert [t.h] == _per_factor_parts(x, jordan._real_part, 1)
+    t = multiplicative_jordan(x)
+    assert [t.h, t.e] == _per_factor_parts(x, jordan._modulus_phase, 2)
+
+
+# -- one characteristic polynomial per call, and no determinant beside it, counted -----------
+
+
+def _count(monkeypatch, name: str) -> list:
+    """Calls of matrix_core.<name>, wrapped in every nashkit module that holds it."""
+    calls, original = [], getattr(matrix_core, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+    for module in [m for key, m in sys.modules.items() if key.startswith("nashkit")]:
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _conjugated_triangular(diag: list) -> Matrix:
+    n = len(diag)
+    t = Matrix.exact([[diag[i] if i == j else int(j > i) for j in range(n)] for i in range(n)])
+    c = _unimodular(n, 3)
+    return c @ t @ c.inv()
+
+
+def test_replica_reads_one_characteristic_polynomial(monkeypatch):
+    from nashkit.replica import replica
+
+    x = _conjugated_triangular([2, 3, Fraction(1, 2)])  # distinct positive eigenvalues: hyperbolic
+    chis, dets = _count(monkeypatch, "char_poly"), _count(monkeypatch, "_det_exact")
+    assert replica(x).dimension == 2
+    assert (len(chis), len(dets)) == (1, 0)
+
+
+def test_exact_log_hyperbolic_reads_one_characteristic_polynomial(monkeypatch):
+    from nashkit.explog import log_hyperbolic
+
+    x = Matrix.exact([[2, 1], [0, 3]])
+    chis = _count(monkeypatch, "char_poly")
+    log_hyperbolic(x)
+    assert len(chis) == 1
+
+
+def test_exact_group_classify_takes_invertibility_from_chi(monkeypatch):
+    dets = _count(monkeypatch, "_det_exact")
+    assert classify(_conjugated_triangular([2, 2, -1, 3]), GROUP).exponential is False
+    with pytest.raises(NotInvertible):
+        classify(_conjugated_triangular([2, 0, 3]), GROUP)
+    with pytest.raises(NotInvertible):
+        multiplicative_jordan(_conjugated_triangular([2, 0, 3]))
+    assert dets == []
+
+
+def test_one_weight_class_needs_no_kernel(monkeypatch):
+    kernels = _count(monkeypatch, "_kernel")
+    t = additive_jordan(_conjugated_triangular([2, 2, -1, 3]))  # real spectrum: one class
+    assert t.e.is_zero() and kernels == []
+
+
+def test_multiplicative_jordan_takes_one_kernel_per_weight_class(monkeypatch):
+    kernels = _count(monkeypatch, "_kernel")
+    # classes: the positive roots 2 and 3, the negative root -1
+    t = multiplicative_jordan(_conjugated_triangular([2, 2, -1, 3]))
+    assert t.e @ t.e == Matrix.identity(4) and len(kernels) == 2
+
+
 def test_multiplicative_float_one_cluster():
     t = multiplicative_jordan(Matrix.approx([[2.0, 1.0], [0.0, 2.0]]))
     np.testing.assert_allclose(t.e.float_array(), np.eye(2), atol=1e-12)
@@ -589,6 +692,14 @@ def test_float_parts_that_fail_to_reassemble_raise(monkeypatch):
     monkeypatch.setattr(jordan, "_on_eigenspaces", lambda spec, s, *fns: [s, s])
     with pytest.raises(PostconditionFailed):
         multiplicative_jordan(Matrix.approx([[2.0, 1.0], [0.0, 3.0]]))
+
+
+def test_float_additive_part_that_fails_to_commute_raises(monkeypatch):
+    # h = [[1, 1], [0, 1]] does not commute with s = diag(2, 3)
+    monkeypatch.setattr(jordan, "_on_eigenspaces",
+                        lambda spec, s, *fns: [Matrix.approx([[1.0, 1.0], [0.0, 1.0]])])
+    with pytest.raises(PostconditionFailed):
+        additive_jordan(Matrix.approx([[2.0, 0.0], [0.0, 3.0]]))
 
 
 @settings(max_examples=100, deadline=None)
