@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matrix_core import EXACT, FloatSubspace, Matrix, Subspace, _kernel
+from .matrix_core import APPROX, EXACT, FloatSubspace, Matrix, Subspace, _kernel
 
 
 def span_of(mats: list[Matrix]) -> Subspace | FloatSubspace:
@@ -75,11 +75,13 @@ def span_dim(mats: list[Matrix]) -> int:
 
 
 def bracket(a: Matrix, b: Matrix) -> Matrix:
-    """[a, b] = ab - ba; exact operands give (na nb - nb na) / (da db) in one kernel."""
+    """[a, b] = ab - ba in one kernel: (na nb - nb na) / (da db) on exact operands, else floats."""
     if a.mode == b.mode == EXACT:
         (na, da), (nb, db) = a.ints, b.ints
         return Matrix.from_ints(np.dot(na, nb) - np.dot(nb, na), da * db, max(a.tol, b.tol))
-    return a @ b - b @ a
+    fa, fb = a.float_array(), b.float_array()
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan bracket fails in Matrix
+        return Matrix(np.dot(fa, fb) - np.dot(fb, fa), APPROX, max(a.tol, b.tol))
 
 
 def restriction(z: Matrix, space: Subspace) -> Matrix | None:

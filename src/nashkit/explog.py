@@ -41,10 +41,15 @@ def log_unipotent(x: Matrix) -> Matrix:
     y = x - Matrix.identity(x.n, x.mode, x.tol)
     if not y.is_nilpotent():
         raise NotUnipotent("logarithm series needs a unipotent input")
-    acc = Matrix.zero(x.n, x.mode, x.tol)
-    power = Matrix.identity(x.n, x.mode, x.tol)
-    for k in range(1, x.n):
-        power = power @ y
+    return _log_series(y)
+
+
+def _log_series(y: Matrix) -> Matrix:
+    """log(1 + y) = sum_(k < n) (-1)^(k+1) y^k / k for a nilpotent y, which is not checked."""
+    acc, power = Matrix.zero(y.n, y.mode, y.tol), y
+    for k in range(1, y.n):
+        if k > 1:
+            power = power @ y
         acc = acc + power.scale(Fraction((-1) ** (k + 1), k))
     return acc
 

@@ -41,8 +41,10 @@ from .matrix_core import (
     Polynomial,
     Subspace,
     _combine,
+    _finite,
     _horner_float,
     _inv_exact,
+    _inv_float,
     _kernel,
     _norm,
     char_poly,
@@ -159,7 +161,7 @@ def sn_split(x: Matrix) -> tuple[Matrix, Matrix]:
     track: the same step for the squarefree polynomial of the clusters.
     """
     if x.mode != EXACT:
-        return _sn_split_approx(x, spectrum(x))
+        return tuple(Matrix(a, APPROX, x.tol) for a in _sn_split_approx(x, spectrum(x)))
     f = squarefree_part(char_poly(x))
     df = f.derivative()
     s, fs = x, f.eval_matrix(x)
@@ -190,8 +192,8 @@ def _squarefree_from_clusters(spec) -> list[float]:
     return list(coeffs)
 
 
-def _sn_split_approx(x: Matrix, spec) -> tuple[Matrix, Matrix]:
-    """The float Newton step, for the clusters of spec = spectrum(x)."""
+def _sn_split_approx(x: Matrix, spec) -> tuple[np.ndarray, np.ndarray]:
+    """The float Newton step, for the clusters of spec = spectrum(x); s and n, finite arrays."""
     coeffs = _squarefree_from_clusters(spec)
     dcoeffs = [k * c for k, c in enumerate(coeffs)][1:]
     size = x.norm()
@@ -212,8 +214,7 @@ def _sn_split_approx(x: Matrix, spec) -> tuple[Matrix, Matrix]:
         s, fs, res = s_new, fs_new, res_new
     if res > thresh:
         raise NumericalFailure(f"semisimple/nilpotent iteration did not converge ({res:.3e})")
-    sm = Matrix(s, APPROX, x.tol)
-    return sm, x.to_approx() - sm
+    return _finite(s), _finite(x.float_array() - s)
 
 
 # -- exact generalized eigenprojections -----------------------------------------
@@ -240,20 +241,20 @@ def eigenprojections(s: Matrix, factors: list[Polynomial]) -> list[Matrix]:
             for i, j in zip(ends, ends[1:])]
 
 
-def _on_eigenspaces(spec, s: Matrix, *fns) -> list[Matrix]:
-    """Re(V diag(fn(c)) V^-1) for each fn, s = V diag(w) V^-1 and c the spec centers nearest w.
+def _on_eigenspaces(spec, s: np.ndarray, tol: float, *fns) -> list[Matrix]:
+    """Re(V diag(fn(c)) V^-1) at tol for each fn, s = V diag(w) V^-1, c the centers nearest w.
 
     s is semisimple only to tolerance, so the eigenvectors of one cluster may be
     nearly parallel: an orthonormal basis of their span replaces them."""
-    if not s.n:  # no eigenvalue to match to a center
-        return [s] * len(fns)
-    w, v = np.linalg.eig(s.float_array())
+    if not len(s):  # no eigenvalue to match to a center
+        return [Matrix(s, APPROX, tol)] * len(fns)
+    w, v = np.linalg.eig(s)
     centers = np.array(spec.values())
     nearest = np.abs(w[:, None] - centers).argmin(axis=1)
     for j in np.flatnonzero(np.bincount(nearest) > 1):
         v[:, nearest == j] = np.linalg.qr(v[:, nearest == j])[0]
     vinv = np.linalg.inv(v)
-    return [Matrix(((v * fn(centers)[nearest]) @ vinv).real, APPROX, s.tol) for fn in fns]
+    return [Matrix(((v * fn(centers)[nearest]) @ vinv).real, APPROX, tol) for fn in fns]
 
 
 # -- the two decompositions: one exact plan, rational weights per irreducible factor -----
@@ -326,13 +327,13 @@ def additive_jordan(x: Matrix) -> JordanTriple:
         x = x.to_approx()
     spec = spectrum(x)
     s, n = _sn_split_approx(x, spec)
-    (h,) = _on_eigenspaces(spec, s, np.real)
+    (h,) = _on_eigenspaces(spec, s, x.tol, np.real)
     # [s, h] = 0 within x.abs_tol() (1 + ||s||), checked on s / ||s|| to stay in the float range
-    size = s.norm() or 1.0
-    sa, ha = s.float_array() / size, h.float_array()
+    size = _norm(s.ravel()) or 1.0
+    sa, ha = s / size, h.float_array()
     if _norm((sa @ ha - ha @ sa).ravel()) > x.abs_tol() * (1.0 + 1.0 / size):
         raise PostconditionFailed("the hyperbolic part does not commute with the semisimple part")
-    return JordanTriple(s - h, h, n, ADDITIVE)
+    return JordanTriple(Matrix(s - ha, APPROX, x.tol), h, Matrix(n, APPROX, x.tol), ADDITIVE)
 
 
 def multiplicative_jordan(x: Matrix) -> JordanTriple:
@@ -342,20 +343,29 @@ def multiplicative_jordan(x: Matrix) -> JordanTriple:
     if not (x.is_invertible() if chi is None else chi.coeffs[0]):
         raise NotInvertible("multiplicative decomposition needs an invertible input")
     plan = None if chi is None else _exact_parts(x, chi, _modulus_phase, 2)
-    if plan is None:
-        if x.mode == EXACT:
-            x = x.to_approx()
-            if not x.is_invertible():  # a promoted exact input may be singular in floats
-                raise NotInvertible("matrix is singular at the working tolerance")
-        spec = spectrum(x)
-        if 0 in spec.values():  # at tol 0 an eigenvalue of 0.0 gets past is_invertible
+    if plan is not None:
+        s, n, (h, e) = plan
+        u = Matrix.identity(x.n, EXACT, x.tol) + s.inv() @ n
+        # exact equality, so an exact x beyond the float range is checked too
+        if e @ h @ u != x:
+            raise PostconditionFailed("multiplicative parts fail to reassemble the input")
+        return JordanTriple(e, h, u, MULTIPLICATIVE)
+    if x.mode == EXACT:
+        x = x.to_approx()
+        if not x.is_invertible():  # a promoted exact input may be singular in floats
             raise NotInvertible("matrix is singular at the working tolerance")
-        s, n = _sn_split_approx(x, spec)
-        plan = s, n, _on_eigenspaces(spec, s, np.abs, lambda c: c / np.abs(c))
-    s, n, (h, e) = plan
-    u = Matrix.identity(x.n, x.mode, x.tol) + s.inv() @ n
-    # exact equality on the exact track, so an exact x beyond the float range is checked too
-    if not (e @ h @ u).close_to(x, None if x.mode == EXACT else x.abs_tol()):
+    spec = spectrum(x)
+    if 0 in spec.values():  # at tol 0 an eigenvalue of 0.0 gets past is_invertible
+        raise NotInvertible("matrix is singular at the working tolerance")
+    s, n = _sn_split_approx(x, spec)
+    h, e = _on_eigenspaces(spec, s, x.tol, np.abs, lambda c: c / np.abs(c))
+    # u and e h u on arrays, by the products Matrix made; what overflows fails in Matrix or _finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = np.eye(x.n) + np.dot(_inv_float(s, x.tol * (1.0 + _norm(s.ravel()))), n)
+        diff = np.dot(np.dot(e.float_array(), h.float_array()), u) - x.float_array()
+    u = Matrix(u, APPROX, x.tol)
+    if not (np.abs(diff) <= x.abs_tol()).all():
+        _finite(diff)
         raise PostconditionFailed("multiplicative parts fail to reassemble the input")
     return JordanTriple(e, h, u, MULTIPLICATIVE)
 
@@ -395,14 +405,10 @@ def _classify_exact(x: Matrix, setting: str, chi: Polynomial) -> ElementClass:
 def _classify_approx(x: Matrix, setting: str) -> ElementClass:
     spec = spectrum(x)
     t = x.abs_tol()
-    a = x.float_array()
-    semisimple = True
-    for center, mult in spec.clusters:
-        shifted = a.astype(complex) - center * np.eye(x.n)
-        if float_rank(shifted, t) != x.n - mult:
-            semisimple = False
-            break
-    vals = spec.values()
+    vals, mults = spec.values(), np.array([k for _, k in spec.clusters])
+    # x - c I for every cluster center c (complex before the shift), one SVD for the stack
+    shifted = x.float_array().astype(complex) - np.array(vals)[:, None, None] * np.eye(x.n)
+    semisimple = not vals or bool((float_rank(shifted, t) == x.n - mults).all())
     real = all(abs(v.imag) <= t for v in vals)
     if setting == GROUP:
         positive = real and all(v.real > t for v in vals)

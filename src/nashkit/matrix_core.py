@@ -24,12 +24,12 @@ constructed from entries.
 reduction: ``_kernel`` (int kernel rows), ``rref``, ``exact_nullspace`` and
 ``exact_solve`` read one, and Bareiss stays the square determinant and
 inverse kernel.  ``FloatSubspace``, its float twin, answers every float span
-question by one residual rule; singular values remain for matrix rank and
-kernels (``float_rank``, ``nullspace``).  ``Polynomial`` arithmetic stays on
-``Fraction``; its int forms, each built once, are ``ints``, the primitive
-int multiple, and ``sturm``, the Sturm sequence on Python ints (exact int
-division, no ``Fraction`` Euclid) divided by gcd(p, p'), led by the
-squarefree part, which inherits both.  Exact ``eval_matrix`` reads ``ints``;
+question by one residual rule; singular values remain for matrix rank (of a
+whole stack in one ``float_rank`` call) and kernels (``nullspace``).
+``Polynomial`` arithmetic stays on ``Fraction``; its int forms, each built
+once, are ``ints``, the primitive int multiple, and ``sturm``, the Sturm
+sequence on Python ints (exact int division, no ``Fraction`` Euclid) divided
+by gcd(p, p'), led by the squarefree part, which inherits both.  Exact ``eval_matrix`` reads ``ints``;
 rational roots (p-adic lifting), factors and squarefree parts read only the
 head of the sequence, so its tail is divided when a real-root count first
 reads it.  Spectral predicates are answered on the squarefree part without
@@ -135,9 +135,9 @@ class Matrix:
         if mode not in (EXACT, APPROX):
             raise ValueError(f"unknown mode {mode!r}")
         if mode == APPROX:
-            data = np.asarray(data, dtype=float)
-            if not np.all(np.isfinite(data)):  # inputs are checked in Matrix.approx
-                raise NumericalFailure("a float result left the float range")
+            if data.dtype != np.float64:  # a float64 array is taken as it is
+                data = data.astype(float)
+            _finite(data)  # inputs are checked in Matrix.approx
         object.__setattr__(self, "n", data.shape[0])
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "_data", data)
@@ -200,7 +200,7 @@ class Matrix:
     @staticmethod
     def approx(rows, tol: float = DEFAULT_TOL) -> "Matrix":
         data = np.array(rows, dtype=float)
-        if not np.all(np.isfinite(data)):
+        if not np.isfinite(data).all():
             raise ValueError("entries must be finite")
         return Matrix(data, APPROX, tol)
 
@@ -252,6 +252,8 @@ class Matrix:
         return np.array([[p / d for p in row] for row in nums])
 
     def to_approx(self, tol: float | None = None) -> "Matrix":
+        if self.mode == APPROX and (tol is None or tol == self.tol):
+            return self
         return Matrix(self.float_array(), APPROX, self.tol if tol is None else tol)
 
     def vec(self) -> np.ndarray:
@@ -269,7 +271,7 @@ class Matrix:
         if self.mode == EXACT:
             return not any(self.ints[0].flat)
         t = self.abs_tol() if tol is None else tol
-        return bool(np.all(np.abs(self._data) <= t))
+        return bool((np.abs(self._data) <= t).all())
 
     def close_to(self, other: "Matrix", tol: float | None = None) -> bool:
         return (self - other).is_zero(tol)
@@ -347,8 +349,8 @@ class Matrix:
             return False
         if self.mode == EXACT:  # the reduced form is unique, so compare it
             (na, da), (nb, db) = self.ints, other.ints
-            return da == db and bool(np.all(na == nb))
-        return bool(np.all(self._data == other._data))
+            return da == db and bool((na == nb).all())
+        return bool((self._data == other._data).all())
 
     def __hash__(self):
         return hash((self.n, self.mode, tuple(self.vec())))
@@ -367,19 +369,34 @@ class Matrix:
             if out is None:
                 raise NotInvertible("exact matrix is singular")
             return out
-        try:
-            if self.is_invertible():
-                return Matrix(np.linalg.inv(self._data), APPROX, self.tol)
-        except np.linalg.LinAlgError:  # at tol 0 a pivot can vanish although no singular value does
-            pass
-        raise NotInvertible("matrix is singular at the working tolerance")
+        return Matrix(_inv_float(self._data, self.abs_tol()), APPROX, self.tol)
 
     def is_invertible(self) -> bool:
         if self.mode == EXACT:
             return self.det() != 0
-        # a 0 x 0 matrix has no singular value and is invertible, as its exact det is 1
-        svals = np.linalg.svd(self._data, compute_uv=False)
-        return bool(min(svals, default=np.inf) > self.abs_tol())
+        return _invertible_float(self._data, self.abs_tol())
+
+
+def _finite(a: np.ndarray) -> np.ndarray:
+    """a, once every entry is finite: the check each float ``Matrix`` makes."""
+    if not np.isfinite(a).all():
+        raise NumericalFailure("a float result left the float range")
+    return a
+
+
+def _invertible_float(a: np.ndarray, abs_tol: float) -> bool:
+    # every singular value exceeds abs_tol; a 0 x 0 matrix has none, as its exact det is 1
+    return bool(min(np.linalg.svd(a, compute_uv=False), default=np.inf) > abs_tol)
+
+
+def _inv_float(a: np.ndarray, abs_tol: float) -> np.ndarray:
+    """a^-1 for a float array a that ``_invertible_float`` accepts; else NotInvertible."""
+    try:
+        if _invertible_float(a, abs_tol):
+            return np.linalg.inv(a)
+    except np.linalg.LinAlgError:  # at tol 0 a pivot can vanish although no singular value does
+        pass
+    raise NotInvertible("matrix is singular at the working tolerance")
 
 
 def _norm(flat: np.ndarray) -> float:
@@ -387,7 +404,7 @@ def _norm(flat: np.ndarray) -> float:
     squares = np.vdot(flat, flat)  # np.dot would warn where the sum overflows; vdot gives inf
     if _TINY <= squares and isfinite(squares):
         return float(np.sqrt(squares))
-    big = np.max(np.abs(flat), initial=0.0)
+    big = np.abs(flat).max(initial=0.0)
     return float(big * np.linalg.norm(flat / big)) if big else 0.0
 
 
@@ -583,13 +600,11 @@ class FloatSubspace(_Span):
 
     def _reduce(self, v) -> tuple[np.ndarray, float, np.ndarray, bool]:
         """(x, abs_tol, residual, in the span) for v; the residual is that of x 2^k (below)."""
-        if isinstance(v, Matrix):
-            x, t = v.float_array().ravel(), v.abs_tol()
-        else:
-            x, t = np.asarray(v, dtype=float).ravel(), 0.0
+        x = (v.float_array() if isinstance(v, Matrix) else np.asarray(v, dtype=float)).ravel()
+        size = _norm(x)
+        t = v.tol * (1.0 + size) if isinstance(v, Matrix) else 0.0  # v.abs_tol(), from size
         # rounding is a share of the size only in the normal range, so an x whose rounding
         # falls below it is projected as x 2^k at unit size (exact), and r is compared unscaled
-        size = _norm(x)
         k = -frexp(size)[1] if 0 < size < _TINY / (len(x) * _EPS) else 0
         r = np.ldexp(x, k) if k else x
         rounding = len(x) * _EPS * (_norm(r) if k else size)
@@ -1346,7 +1361,7 @@ def _factor_roots(q: Polynomial) -> list[complex]:
     return [complex(z) for z in np.roots(coeffs)]
 
 
-def _cluster_values(values: np.ndarray, radius: float) -> list[tuple[complex, int]]:
+def _cluster_values(values: list[complex], radius: float) -> list[tuple[complex, int]]:
     """Single-linkage clustering of complex values at the given merge radius."""
     m = len(values)
     parent = list(range(m))
@@ -1391,7 +1406,7 @@ def spectrum(m: Matrix) -> Spectrum:
         clusters.sort(key=lambda ck: (ck[0].real, ck[0].imag))
         return Spectrum(tuple(clusters))
     radius = m.abs_tol()
-    values = np.linalg.eigvals(m.data)
+    values = np.linalg.eigvals(m.data).tolist()  # Python numbers: no numpy scalar per pair
     clusters = _cluster_values(values, radius)
     for i in range(len(clusters)):
         for j in range(i + 1, len(clusters)):
@@ -1420,13 +1435,12 @@ def _svd_kernel(a: np.ndarray, tol: float, width: int) -> np.ndarray:
     if a.shape[0] == 0:
         return np.eye(width)
     _, s, vt = np.linalg.svd(a)
-    rank = int(np.sum(s > tol))
-    return vt[rank:]
+    return vt[int((s > tol).sum()):]
 
 
-def float_rank(a: np.ndarray, thresh: float) -> int:
-    s = np.linalg.svd(a, compute_uv=False)
-    return int(np.sum(s > thresh))
+def float_rank(a: np.ndarray, thresh: float):
+    """Singular values above thresh: of a, or of each matrix of a stack (... x m x n), one SVD."""
+    return (np.linalg.svd(a, compute_uv=False) > thresh).sum(axis=-1)
 
 
 # -- JSON wire format --------------------------------------------------------------

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import IrrationalSpectrum, NotHyperbolic, NotPositiveRational
-from .explog import log_unipotent
+from .explog import _log_series, log_unipotent
 from .jordan import GROUP, _classify_exact, classify
 from .matrix_core import EXACT, Matrix, Polynomial, _distinct_rational_roots, char_poly
 
@@ -193,7 +193,11 @@ def replica(x: Matrix) -> ReplicaDatum:
     chi = char_poly(x) if x.mode == EXACT else None
     cls = classify(x, GROUP) if chi is None else _classify_exact(x, GROUP, chi)
     if cls.unipotent:
-        return replica_unipotent(x)
+        if chi is None:
+            return replica_unipotent(x)
+        # chi's squarefree part is t - 1, so x - I is nilpotent (Cayley-Hamilton): no check
+        gen = _log_series(x - Matrix.identity(x.n, EXACT, x.tol))
+        return ReplicaDatum(kind=UNIPOTENT, dimension=0 if gen.is_zero() else 1, generator=gen)
     if cls.hyperbolic:
         return replica_hyperbolic(x) if chi is None else _hyperbolic_datum(chi)
     raise NotHyperbolic(

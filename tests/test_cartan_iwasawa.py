@@ -12,7 +12,7 @@ from nashkit.cartan_iwasawa import (
     polar_kak,
     restricted_roots,
 )
-from nashkit.errors import NotAbelian, NotInvertible, NotThetaStable
+from nashkit.errors import NotAbelian, NotInvertible, NotThetaStable, PostconditionFailed
 from nashkit.explog import exp_hyperbolic, matrix_exp
 from nashkit.jordan import ALGEBRA, classify
 from nashkit.liealg import algebra_from_basis
@@ -225,6 +225,34 @@ def test_polar_kak_takes_one_svd_of_a_float_input(monkeypatch):
     polar_kak(Matrix.approx([[2.0, 1.0], [0.5, 3.0]]))
     # the invertibility test reads the singular values of the SVD that gives k and X
     assert calls == [True]
+
+
+def test_polar_factors_that_fail_to_reassemble_raise(monkeypatch):
+    svd = np.linalg.svd
+
+    def flipped(a, *args, **kwargs):  # U with its first column negated: U S V^T is not x
+        u, sigma, vt = svd(a, *args, **kwargs)
+        return u * np.array([-1.0] + [1.0] * (len(u) - 1)), sigma, vt
+    x = Matrix.approx([[2.0, 1.0], [0.5, 3.0]])
+    k, big_x = polar_kak(x)
+    assert (k @ matrix_exp(big_x)).close_to(x, x.abs_tol())
+    monkeypatch.setattr(np.linalg, "svd", flipped)
+    with pytest.raises(PostconditionFailed):
+        polar_kak(x)
+
+
+@pytest.mark.parametrize("adapted", [None, Matrix.exact([[1, 2], [0, 1]])])
+def test_kan_factors_that_fail_to_reassemble_raise(monkeypatch, adapted):
+    qr = np.linalg.qr
+
+    def stretched(a):  # Q with its last column doubled: Q R is not the input
+        q, r = qr(a)
+        return q * np.array([1.0] * (len(q) - 1) + [2.0]), r
+    x = Matrix.approx([[2.0, 1.0], [0.5, 3.0]])
+    iwasawa_kan(x, adapted)
+    monkeypatch.setattr(np.linalg, "qr", stretched)
+    with pytest.raises(PostconditionFailed):
+        iwasawa_kan(x, adapted)
 
 
 def test_iwasawa_kan_examples():

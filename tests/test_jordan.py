@@ -31,8 +31,10 @@ from nashkit.matrix_core import (
     Polynomial,
     Subspace,
     char_poly,
+    float_rank,
     irreducible_factors,
     rational_eigenvalues,
+    spectrum,
     squarefree_part,
 )
 
@@ -689,7 +691,7 @@ def test_float_parts_of_a_cluster_left_defective_in_s(decompose, e):
 
 
 def test_float_parts_that_fail_to_reassemble_raise(monkeypatch):
-    monkeypatch.setattr(jordan, "_on_eigenspaces", lambda spec, s, *fns: [s, s])
+    monkeypatch.setattr(jordan, "_on_eigenspaces", lambda spec, s, *_: [Matrix.approx(s)] * 2)
     with pytest.raises(PostconditionFailed):
         multiplicative_jordan(Matrix.approx([[2.0, 1.0], [0.0, 3.0]]))
 
@@ -709,3 +711,92 @@ def test_float_parts_of_normal_matrices(cells, seed):
     # distinct cells of a grid of moduli 0.2 .. 20 and angles 0.2 .. 2.9 keep the pairs apart
     _assert_float_parts_accurate(_normal([(0.2 * 100 ** (i / 9), 0.2 + 0.3 * j) for i, j in cells],
                                          seed))
+
+
+# -- float calls without per-call overhead: one stacked SVD, one Matrix per returned value ------
+
+
+def _svd_calls(monkeypatch) -> list:
+    calls, svd = [], np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+@pytest.mark.parametrize("values", [[2.0], [1.0, 2.0, 3.0], [-3.0, -1.0, 1.0, 2.0, 4.0, 5.0]])
+def test_float_classify_takes_one_svd_for_every_cluster(monkeypatch, values):
+    c = _unimodular(len(values), 2).float_array() if len(values) > 1 else np.eye(1)
+    x = Matrix.approx(c @ np.diag(values) @ np.linalg.inv(c))
+    calls = _svd_calls(monkeypatch)
+    assert classify(x, ALGEBRA).semisimple
+    assert calls == [(len(values), len(values), len(values))]  # one stack, x - c I per cluster
+    calls.clear()
+    classify(x, GROUP)
+    assert len(calls) == 2  # and the invertibility test
+
+
+@pytest.mark.parametrize("decompose", [multiplicative_jordan, additive_jordan])
+def test_float_jordan_builds_one_matrix_per_part(monkeypatch, decompose):
+    x = Matrix.approx([[2.0, 1.0, 0.5], [0.0, 2.0, -1.0], [1.0, 0.0, -3.0]])
+    built, init = [], Matrix.__init__
+
+    def counted(self, data, mode, tol=matrix_core.DEFAULT_TOL):
+        built.append(mode)
+        init(self, data, mode, tol)
+    monkeypatch.setattr(Matrix, "__init__", counted)
+    decompose(x)
+    assert built == ["approx"] * 3  # e, h and u; s, n and the reassembly stay arrays
+
+
+def _semisimple_per_cluster(x: Matrix) -> bool:
+    """The semisimplicity flag of float classify, one SVD per cluster."""
+    t, a = x.abs_tol(), x.float_array()
+    return all(float_rank(a.astype(complex) - center * np.eye(x.n), t) == x.n - mult
+               for center, mult in spectrum(x).clusters)
+
+
+_CENTERS = [(-2.0, 0.0), (1.0, 0.0), (3.0, 0.0), (1.0, 2.0), (-1.0, 0.5)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, len(_CENTERS) - 1), st.integers(1, 3)), max_size=4),
+       st.integers(0, 2**16))
+def test_stacked_semisimple_flag_matches_the_per_cluster_loop(blocks, seed):
+    # Jordan blocks of size 1-3 on real centers or on a + bi (a 2 x 2 rotation block), a center
+    # repeated across blocks, or none at all (0 x 0), conjugated by an integer unimodular matrix
+    cells = []
+    for k, size in blocks:
+        a, b = _CENTERS[k]
+        d = np.array([[a]]) if b == 0 else np.array([[a, -b], [b, a]])
+        cells.append(np.kron(np.eye(size), d) + np.kron(np.eye(size, k=1), np.eye(len(d))))
+    n = sum(len(c) for c in cells)
+    j = np.zeros((n, n))
+    at = 0
+    for c in cells:
+        j[at:at + len(c), at:at + len(c)] = c
+        at += len(c)
+    p = _unimodular(n, seed).float_array() if n > 1 else np.eye(n)
+    x = Matrix.approx(p @ j @ np.linalg.inv(p), tol=1e-6)
+    try:
+        want = _semisimple_per_cluster(x)
+    except matrix_core.ClusterAmbiguity:  # a defective block split its cluster
+        return
+    assert classify(x, ALGEBRA).semisimple == want
+    if all(size == 1 for _, size in blocks):
+        assert want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 4), st.integers(0, 2**16), st.sampled_from([1e-9, 1e-3]))
+def test_stacked_float_rank_is_the_rank_of_each_matrix(count, n, seed, thresh):
+    # U diag(s) V^T with orthogonal U, V and r singular values in [1, 2], the others 0
+    rng = np.random.default_rng(seed)
+    ranks = rng.integers(0, n + 1, size=count)
+    u, v = (np.linalg.qr(rng.standard_normal((count, n, n)))[0] for _ in range(2))
+    s = (np.arange(n) < ranks[:, None]) * rng.uniform(1, 2, size=(count, n))
+    stack = (u * s[:, None, :]) @ v.transpose(0, 2, 1)
+    assert float_rank(stack, thresh).tolist() == [float_rank(m, thresh) for m in stack]
+    assert float_rank(stack, thresh).tolist() == ranks.tolist()

@@ -150,6 +150,15 @@ def test_matrix_modes_and_promotion():
         Matrix.exact([[1, 1], [1, 1]]).inv()
 
 
+def test_float_matrix_takes_its_float64_array_and_is_its_own_approx():
+    a = np.array([[1.0, 2.0], [3.0, 4.0]])
+    m = Matrix(a, "approx")
+    assert m.data is a and not a.flags.writeable
+    assert m.to_approx() is m and m.to_approx(m.tol) is m
+    assert m.to_approx(1e-3).tol == 1e-3 and m.to_approx(1e-3) == m
+    assert Matrix(np.array([[1, 2], [3, 4]]), "approx").data.dtype == np.float64
+
+
 def test_matrix_json_roundtrip():
     m = Matrix.exact([[Fraction(1, 2), 3], [-2, Fraction(5, 7)]])
     assert matrix_from_json(matrix_to_json(m)) == m

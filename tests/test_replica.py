@@ -183,6 +183,27 @@ def test_replica_dispatch():
         replica(Matrix.exact([[0, -1], [1, 0]]))
 
 
+@pytest.mark.parametrize("n, matmuls", [(4, 2), (6, 4), (8, 6)])
+def test_exact_unipotent_replica_takes_the_log_series_only(monkeypatch, n, matmuls):
+    # I + a strictly upper triangular matrix, conjugated by I + the subdiagonal: replica has
+    # found chi = (t - 1)^n, so x - I is nilpotent and only the series y, y^2, ... is formed
+    u = Matrix.exact([[int(i == j) + (i + j) % 3 * (j > i) + (j == i + 1) for j in range(n)]
+                      for i in range(n)])
+    c = Matrix.exact([[int(i == j or i == j + 1) for j in range(n)] for i in range(n)])
+    x = c @ u @ c.inv()
+    calls, matmul = [], Matrix.__matmul__
+
+    def counted(a, b):
+        calls.append(a.mode)
+        return matmul(a, b)
+    monkeypatch.setattr(Matrix, "__matmul__", counted)
+    d = replica(x)
+    assert calls == ["exact"] * matmuls
+    monkeypatch.undo()
+    assert d.kind == "unipotent" and d == replica_unipotent(x)  # the checked path agrees
+    assert exp_nilpotent(d.generator) == x
+
+
 def test_minimality_against_brute_force():
     corpora = [
         [Fraction(2), Fraction(4), Fraction(8)],

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import gauss_jordan as gj
 from integer_form import check_integer_form
 from nashkit._span import bracket, eigenspace, intersect, restriction
+from nashkit.errors import NumericalFailure
 from nashkit.liealg import ADJOINT, NATURAL, LieAlgebraData, trace_form
 from nashkit.matrix_core import (
     FloatSubspace,
@@ -142,6 +143,29 @@ def test_bracket_matches_fraction_products(pair):
     ab, ba = _fraction_product(a, b), _fraction_product(b, a)
     assert out.rows() == [[x - y for x, y in zip(r, s)] for r, s in zip(ab, ba)]
     assert bracket(a, a).is_zero()
+
+
+def test_float_bracket_is_one_matrix_with_the_products_of_matmul(monkeypatch):
+    rng = np.random.default_rng(4)
+    a, b = (Matrix.approx(rng.standard_normal((4, 4)), tol=t) for t in (1e-8, 1e-6))
+    exact = Matrix.exact([[1, "1/3", 0, 2], [0, -1, 5, 0], [1, 1, 1, 1], [0, 0, "2/7", 3]])
+    want = [(x @ y - y @ x) for x, y in ((a, b), (a, exact), (exact, b))]
+    built, init = [], Matrix.__init__
+
+    def counted(self, data, mode, tol=1e-8):
+        built.append(mode)
+        init(self, data, mode, tol)
+    monkeypatch.setattr(Matrix, "__init__", counted)
+    got = [bracket(x, y) for x, y in ((a, b), (a, exact), (exact, b))]
+    assert built == ["approx"] * 3
+    for g, w in zip(got, want):  # the same bits and tolerance as ab - ba by Matrix arithmetic
+        assert g == w and g.tol == w.tol
+
+
+def test_overflowing_float_bracket_raises_without_a_warning():
+    big = Matrix.approx([[1e300, 1e300], [1e300, 1e300]])
+    with pytest.raises(NumericalFailure):
+        bracket(big, Matrix.approx([[1e300, 0], [0, -1e300]]))
 
 
 @settings(max_examples=60, deadline=None)
