@@ -37,9 +37,9 @@ from .matrix_core import (
     EXACT,
     Matrix,
     Subspace,
+    _check_reassembly,
     _combine,
     _kernel,
-    _norm,
     rational_eigenvalues,
 )
 
@@ -228,16 +228,16 @@ def polar_kak(x: Matrix) -> tuple[Matrix, Matrix]:
     """x = k exp(X), k orthogonal and X symmetric, from one SVD x = U S V^T: k = U V^T and
     X = V log(S) V^T (Higham, Functions of Matrices, 2008, ch. 8); x^T x is never formed.
     k V S V^T must give x back within x.abs_tol() in every entry."""
-    a = x.float_array()
-    u, sigma, vt = np.linalg.svd(a)
+    u, sigma, vt = np.linalg.svd(a := x.float_array())
     # Matrix.is_invertible's rule on this SVD; an exact x keeps its det, as its floats may not
     if not (x.is_invertible() if x.mode == EXACT else min(sigma, default=np.inf) > x.abs_tol()):
         raise NotInvertible("polar factorization needs an invertible input")
     big_x = (vt.T * np.log(sigma)) @ vt
     big_x = (big_x + big_x.T) / 2  # symmetrize away roundoff
-    k, big_x = Matrix(u @ vt, APPROX, x.tol), Matrix(big_x, APPROX, x.tol)
-    _check_reassembly(k.float_array() @ ((vt.T * sigma) @ vt), a, x.abs_tol(), "polar")
-    return k, big_x
+    k = u @ vt
+    _check_reassembly(k @ ((vt.T * sigma) @ vt), a, x.tol,
+                      "the polar factors fail to reassemble the input")
+    return Matrix(k, APPROX, x.tol), Matrix(big_x, APPROX, x.tol)
 
 
 def iwasawa_kan(x: Matrix, adapted_basis: Matrix | None = None) -> KANTriple:
@@ -261,13 +261,6 @@ def iwasawa_kan(x: Matrix, adapted_basis: Matrix | None = None) -> KANTriple:
     diag = np.diag(r).copy()
     a = np.diag(diag)
     n = r / diag[:, np.newaxis]
-    triple = KANTriple(*(Matrix(m, APPROX, x.tol) for m in (q, a, n)))
-    # the input of the QR is y, so its size sets the bound; without P, y = x and it is x.abs_tol()
-    _check_reassembly(q @ a @ n, y, x.tol * (1.0 + _norm(y.ravel())), "KAN")
-    return triple
-
-
-def _check_reassembly(whole: np.ndarray, a: np.ndarray, bound: float, name: str):
-    """Raise PostconditionFailed unless whole and a agree within bound in every entry."""
-    if not (np.abs(whole - a) <= bound).all():
-        raise PostconditionFailed(f"the {name} factors fail to reassemble the input")
+    # within y's own tolerance, as y (P^-1 x P, or x) is the input of the QR
+    _check_reassembly(q @ a @ n, y, x.tol, "the KAN factors fail to reassemble the input")
+    return KANTriple(*(Matrix(m, APPROX, x.tol) for m in (q, a, n)))

@@ -48,8 +48,7 @@ def _log_series(y: Matrix) -> Matrix:
     """log(1 + y) = sum_(k < n) (-1)^(k+1) y^k / k for a nilpotent y, which is not checked."""
     acc, power = Matrix.zero(y.n, y.mode, y.tol), y
     for k in range(1, y.n):
-        if k > 1:
-            power = power @ y
+        power = y if k == 1 else power @ y
         acc = acc + power.scale(Fraction((-1) ** (k + 1), k))
     return acc
 

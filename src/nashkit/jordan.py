@@ -40,6 +40,7 @@ from .matrix_core import (
     Matrix,
     Polynomial,
     Subspace,
+    _check_reassembly,
     _combine,
     _finite,
     _horner_float,
@@ -359,14 +360,13 @@ def multiplicative_jordan(x: Matrix) -> JordanTriple:
         raise NotInvertible("matrix is singular at the working tolerance")
     s, n = _sn_split_approx(x, spec)
     h, e = _on_eigenspaces(spec, s, x.tol, np.abs, lambda c: c / np.abs(c))
-    # u and e h u on arrays, by the products Matrix made; what overflows fails in Matrix or _finite
+    # u and e h u on arrays, by the products Matrix made; an overflow fails in Matrix or the check
     with np.errstate(over="ignore", invalid="ignore"):
-        u = np.eye(x.n) + np.dot(_inv_float(s, x.tol * (1.0 + _norm(s.ravel()))), n)
-        diff = np.dot(np.dot(e.float_array(), h.float_array()), u) - x.float_array()
+        u = np.eye(x.n) + np.dot(_inv_float(s, x.tol), n)
+        ehu = np.dot(np.dot(e.float_array(), h.float_array()), u)
     u = Matrix(u, APPROX, x.tol)
-    if not (np.abs(diff) <= x.abs_tol()).all():
-        _finite(diff)
-        raise PostconditionFailed("multiplicative parts fail to reassemble the input")
+    _check_reassembly(ehu, x.float_array(), x.tol,
+                      "multiplicative parts fail to reassemble the input")
     return JordanTriple(e, h, u, MULTIPLICATIVE)
 
 

@@ -24,12 +24,12 @@ constructed from entries.
 reduction: ``_kernel`` (int kernel rows), ``rref``, ``exact_nullspace`` and
 ``exact_solve`` read one, and Bareiss stays the square determinant and
 inverse kernel.  ``FloatSubspace``, its float twin, answers every float span
-question by one residual rule; singular values remain for matrix rank (of a
-whole stack in one ``float_rank`` call) and kernels (``nullspace``).
-``Polynomial`` arithmetic stays on ``Fraction``; its int forms, each built
-once, are ``ints``, the primitive int multiple, and ``sturm``, the Sturm
-sequence on Python ints (exact int division, no ``Fraction`` Euclid) divided
-by gcd(p, p'), led by the squarefree part, which inherits both.  Exact ``eval_matrix`` reads ``ints``;
+question by one residual rule; singular values remain for rank (of a stack
+in one ``float_rank`` call) and kernels (``nullspace``).  ``Polynomial``
+arithmetic stays on ``Fraction``; its int forms, each built once, are ``ints``,
+the primitive int multiple, and ``sturm``, the Sturm sequence on Python ints
+(exact int division, no ``Fraction`` Euclid) divided by gcd(p, p'), led by the
+squarefree part, which inherits both.  Exact ``eval_matrix`` reads ``ints``;
 rational roots (p-adic lifting), factors and squarefree parts read only the
 head of the sequence, so its tail is divided when a real-root count first
 reads it.  Spectral predicates are answered on the squarefree part without
@@ -56,7 +56,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ClusterAmbiguity, NotInvertible, NumericalFailure, ZeroPolynomial
+from .errors import (ClusterAmbiguity, NotInvertible, NumericalFailure, PostconditionFailed,
+                     ZeroPolynomial)
 
 EXACT = "exact"
 APPROX = "approx"
@@ -241,7 +242,7 @@ class Matrix:
 
     def abs_tol(self) -> float:
         """Effective absolute threshold: tol * (1 + ||m||)."""
-        return self.tol * (1.0 + self.norm())
+        return _abs_tol(self.tol, self.norm())
 
     def float_array(self) -> np.ndarray:
         if self.mode == APPROX:
@@ -369,12 +370,17 @@ class Matrix:
             if out is None:
                 raise NotInvertible("exact matrix is singular")
             return out
-        return Matrix(_inv_float(self._data, self.abs_tol()), APPROX, self.tol)
+        return Matrix(_inv_float(self._data, self.tol), APPROX, self.tol)
 
     def is_invertible(self) -> bool:
         if self.mode == EXACT:
             return self.det() != 0
-        return _invertible_float(self._data, self.abs_tol())
+        return _invertible_float(self._data, self.tol)
+
+
+def _abs_tol(tol: float, size: float) -> float:
+    """The absolute threshold of a matrix of Frobenius norm size at relative tol."""
+    return tol * (1.0 + size)
 
 
 def _finite(a: np.ndarray) -> np.ndarray:
@@ -384,15 +390,26 @@ def _finite(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _invertible_float(a: np.ndarray, abs_tol: float) -> bool:
-    # every singular value exceeds abs_tol; a 0 x 0 matrix has none, as its exact det is 1
-    return bool(min(np.linalg.svd(a, compute_uv=False), default=np.inf) > abs_tol)
+def _check_reassembly(whole: np.ndarray, a: np.ndarray, tol: float, complaint: str):
+    """PostconditionFailed(complaint) unless whole = a within tol (1 + ||a||) in every entry,
+    after NumericalFailure where whole - a is not finite (as a float ``Matrix`` of it raises)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = whole - a
+    if not (np.abs(diff) <= _abs_tol(tol, _norm(a.ravel()))).all():
+        _finite(diff)
+        raise PostconditionFailed(complaint)
 
 
-def _inv_float(a: np.ndarray, abs_tol: float) -> np.ndarray:
+def _invertible_float(a: np.ndarray, tol: float) -> bool:
+    # every singular value exceeds tol (1 + ||a||); a 0 x 0 a has none, as its exact det is 1
+    return bool(min(np.linalg.svd(a, compute_uv=False), default=np.inf)
+                > _abs_tol(tol, _norm(a.ravel())))
+
+
+def _inv_float(a: np.ndarray, tol: float) -> np.ndarray:
     """a^-1 for a float array a that ``_invertible_float`` accepts; else NotInvertible."""
     try:
-        if _invertible_float(a, abs_tol):
+        if _invertible_float(a, tol):
             return np.linalg.inv(a)
     except np.linalg.LinAlgError:  # at tol 0 a pivot can vanish although no singular value does
         pass
@@ -602,7 +619,7 @@ class FloatSubspace(_Span):
         """(x, abs_tol, residual, in the span) for v; the residual is that of x 2^k (below)."""
         x = (v.float_array() if isinstance(v, Matrix) else np.asarray(v, dtype=float)).ravel()
         size = _norm(x)
-        t = v.tol * (1.0 + size) if isinstance(v, Matrix) else 0.0  # v.abs_tol(), from size
+        t = _abs_tol(v.tol, size) if isinstance(v, Matrix) else 0.0  # v.abs_tol(), from size
         # rounding is a share of the size only in the normal range, so an x whose rounding
         # falls below it is projected as x 2^k at unit size (exact), and r is compared unscaled
         k = -frexp(size)[1] if 0 < size < _TINY / (len(x) * _EPS) else 0

@@ -183,21 +183,20 @@ def _hyperbolic_datum(chi: Polynomial) -> ReplicaDatum:
 
 def replica_unipotent(x: Matrix) -> ReplicaDatum:
     """One-parameter replica of a unipotent element through its logarithm."""
-    gen = log_unipotent(x)
-    dim = 0 if gen.is_zero() else 1
-    return ReplicaDatum(kind=UNIPOTENT, dimension=dim, generator=gen)
+    return _unipotent_datum(log_unipotent(x))
+
+
+def _unipotent_datum(gen: Matrix) -> ReplicaDatum:
+    return ReplicaDatum(kind=UNIPOTENT, dimension=0 if gen.is_zero() else 1, generator=gen)
 
 
 def replica(x: Matrix) -> ReplicaDatum:
     """Dispatch on the element class: unipotent, then rational hyperbolic."""
     chi = char_poly(x) if x.mode == EXACT else None
     cls = classify(x, GROUP) if chi is None else _classify_exact(x, GROUP, chi)
-    if cls.unipotent:
-        if chi is None:
-            return replica_unipotent(x)
-        # chi's squarefree part is t - 1, so x - I is nilpotent (Cayley-Hamilton): no check
-        gen = _log_series(x - Matrix.identity(x.n, EXACT, x.tol))
-        return ReplicaDatum(kind=UNIPOTENT, dimension=0 if gen.is_zero() else 1, generator=gen)
+    if cls.unipotent:  # with chi, x - I is nilpotent by Cayley-Hamilton: its log is not checked
+        return _unipotent_datum(log_unipotent(x) if chi is None
+                                else _log_series(x - Matrix.identity(x.n, EXACT, x.tol)))
     if cls.hyperbolic:
         return replica_hyperbolic(x) if chi is None else _hyperbolic_datum(chi)
     raise NotHyperbolic(

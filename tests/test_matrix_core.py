@@ -8,12 +8,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from integer_form import check_integer_form
-from nashkit.errors import ClusterAmbiguity, NotInvertible, ZeroPolynomial
+from nashkit.errors import (
+    ClusterAmbiguity,
+    NotInvertible,
+    NumericalFailure,
+    PostconditionFailed,
+    ZeroPolynomial,
+)
 from nashkit.liealg import algebra_from_basis
 from nashkit.matrix_core import (
     APPROX,
     Matrix,
     Polynomial,
+    _check_reassembly,
     char_poly,
     count_real_roots,
     irreducible_factors,
@@ -157,6 +164,16 @@ def test_float_matrix_takes_its_float64_array_and_is_its_own_approx():
     assert m.to_approx() is m and m.to_approx(m.tol) is m
     assert m.to_approx(1e-3).tol == 1e-3 and m.to_approx(1e-3) == m
     assert Matrix(np.array([[1, 2], [3, 4]]), "approx").data.dtype == np.float64
+
+
+def test_reassembly_check_bounds_each_entry_by_the_size_of_the_input():
+    a = np.array([[3.0, 0.0], [0.0, 4.0]])  # ||a|| = 5, so the bound at tol 1e-3 is 6e-3
+    _check_reassembly(a + 5e-3, a, 1e-3, "unused")
+    with pytest.raises(PostconditionFailed, match="parts fail"):
+        _check_reassembly(a + np.array([[0.0, 7e-3], [0.0, 0.0]]), a, 1e-3, "parts fail")
+    # a difference out of the float range fails as a float Matrix of it would
+    with pytest.raises(NumericalFailure, match="left the float range"):
+        _check_reassembly(np.array([[np.inf, 0.0], [0.0, 4.0]]), a, 1e-3, "")
 
 
 def test_matrix_json_roundtrip():
