@@ -64,15 +64,14 @@ from .matrix_core import (
     APPROX,
     EXACT,
     Matrix,
-    Polynomial,
     Spectrum,
     char_poly,
     matrix_from_json,
     matrix_to_json,
     nullspace,
     spectrum,
-    squarefree_part,
 )
+from .polynomial import Polynomial, squarefree_part
 from .replica import (
     ReplicaDatum,
     exponent_lattice,

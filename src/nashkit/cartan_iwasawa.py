@@ -40,8 +40,9 @@ from .matrix_core import (
     _check_reassembly,
     _combine,
     _kernel,
-    rational_eigenvalues,
+    char_poly,
 )
+from .polynomial import _distinct_rational_roots
 
 
 @dataclass(frozen=True)
@@ -189,7 +190,7 @@ def _eigensplit_exact(m: Matrix, space: Subspace):
     r = restriction(m, space)
     if r is None:
         raise NotSimultaneouslyDiagonalizable("subspace is not ad-invariant")
-    values = rational_eigenvalues(r)
+    values = _distinct_rational_roots(char_poly(r))
     if values is None:
         raise NotSimultaneouslyDiagonalizable(
             "ad operator has non-rational eigenvalues; the subspace is not split"

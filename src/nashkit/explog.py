@@ -21,7 +21,8 @@ from .errors import (
 )
 from .jordan import (ALGEBRA, GROUP, _classify_exact, classify, eigenprojections,
                      multiplicative_jordan)
-from .matrix_core import APPROX, EXACT, Matrix, Polynomial, _distinct_rational_roots, char_poly
+from .matrix_core import APPROX, EXACT, Matrix, char_poly
+from .polynomial import Polynomial, _distinct_rational_roots
 
 
 def exp_nilpotent(x: Matrix) -> Matrix:

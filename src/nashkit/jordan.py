@@ -5,8 +5,9 @@ modulus-one spectrum, h semisimple of positive real spectrum, u unipotent,
 all commuting; every matrix splits additively as e+h+u with purely
 imaginary / real / nilpotent spectra.  The exact track builds the parts of
 both from rational weights on each irreducible factor of the characteristic
-polynomial chi (``_exact_parts``, the one place that promotes to floats where
-a weight is irrational).  Factors with equal weights form one weight class,
+polynomial chi, which the root predicates of ``polynomial`` decide
+(``_exact_parts``, the one place that promotes to floats where a weight is
+irrational).  Factors with equal weights form one weight class,
 and each part takes one eigenprojection per class, none when one class holds
 every factor (as for the additive parts of a real spectrum).  The float track
 builds them from one eigendecomposition of the semisimple part, constant on
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import isqrt, lcm, prod
+from math import lcm, prod
 
 import numpy as np
 
@@ -38,21 +39,28 @@ from .matrix_core import (
     EXACT,
     FloatSubspace,
     Matrix,
-    Polynomial,
     Subspace,
     _check_reassembly,
     _combine,
     _finite,
-    _horner_float,
     _inv_exact,
     _inv_float,
     _kernel,
     _norm,
     char_poly,
-    count_real_roots,
     float_rank,
-    irreducible_factors,
     spectrum,
+)
+from .polynomial import (
+    Polynomial,
+    _all_roots_negative,
+    _all_roots_positive,
+    _all_roots_real,
+    _horner_float,
+    _rational_roots,
+    _roots_modulus_one,
+    _roots_purely_imaginary,
+    irreducible_factors,
     squarefree_part,
 )
 
@@ -90,63 +98,6 @@ class JordanTriple:
 
     def parts(self) -> tuple[Matrix, Matrix, Matrix]:
         return self.e, self.h, self.u
-
-
-# -- root predicates on a squarefree polynomial -------------------------------
-# Each holds for a product exactly when it holds for each factor, so it is
-# decided on the squarefree part f by Sturm counts and deflation, unfactored.
-
-
-def _rational_sqrt(x: Fraction) -> Fraction | None:
-    np_, dp = isqrt(x.numerator), isqrt(x.denominator)
-    if np_ * np_ == x.numerator and dp * dp == x.denominator:
-        return Fraction(np_, dp)
-    return None
-
-
-def _all_roots_real(f: Polynomial, lo=None, hi=None) -> bool:
-    """All roots of the squarefree f real and in [lo, hi] (None: unbounded)."""
-    return count_real_roots(f, lo, hi) == f.degree
-
-
-def _all_roots_positive(f: Polynomial) -> bool:
-    return f.coeffs[0] != 0 and _all_roots_real(f, Fraction(0))
-
-
-def _all_roots_negative(f: Polynomial) -> bool:
-    return f.coeffs[0] != 0 and _all_roots_real(f, None, Fraction(0))
-
-
-def _roots_purely_imaginary(f: Polynomial) -> bool:
-    """All roots of the squarefree monic f on the imaginary axis (0 included)."""
-    if f.coeffs[0] == 0:  # strip the root 0
-        f = Polynomial.of(f.coeffs[1:])
-    if not f.is_even():
-        return False
-    # f = r(t^2): the roots of r are the squares of those of f, all real < 0
-    return _all_roots_negative(f.even_part_in_square())
-
-
-def _roots_modulus_one(f: Polynomial) -> bool:
-    """All roots of the squarefree monic f on the unit circle."""
-    for root in (Fraction(1), Fraction(-1)):  # strip the real roots on the circle
-        q, r = f.divmod(Polynomial.of([-root, 1]))
-        if r.is_zero():
-            f = q
-    # the other roots pair up as z, 1/z = conj(z), so f must be palindromic
-    d = f.degree
-    if d % 2 or any(f.coeffs[k] != f.coeffs[d - k] for k in range(d + 1)):
-        return False
-    # palindromic: f(t) = t^m Q(t + 1/t); roots on the circle iff Q has m
-    # real roots in [-2, 2]
-    m = d // 2
-    basis = [Polynomial.of([2]), Polynomial.of([0, 1])]  # t^k + t^-k in z
-    for _ in range(2, m + 1):
-        basis.append(Polynomial.of([0, 1]) * basis[-1] - basis[-2])
-    acc = Polynomial.of([f.coeffs[m]])
-    for k in range(1, m + 1):
-        acc = acc + basis[k].scale(f.coeffs[m + k])
-    return count_real_roots(acc, Fraction(-2), Fraction(2)) == m
 
 
 # -- semisimple / nilpotent splitting ------------------------------------------
@@ -205,7 +156,7 @@ def _sn_split_approx(x: Matrix, spec) -> tuple[np.ndarray, np.ndarray]:
     for _ in range(40):
         if res <= thresh:
             break
-        s_new = s - fs @ np.linalg.inv(_horner_float(dcoeffs, s))
+        s_new = s - fs @ _inv_float(_horner_float(dcoeffs, s), x.tol)
         fs_new = _horner_float(coeffs, s_new)
         res_new = _norm(fs_new.ravel())
         if res_new >= res:
@@ -272,7 +223,8 @@ def _real_part(q: Polynomial) -> tuple | None:
 def _modulus_phase(q: Polynomial) -> tuple | None:
     """Weights (a, b) of |z| = a z + b, then of z/|z|, on the roots z of irreducible q; or None."""
     if q.degree == 2 and q.coeffs[1] ** 2 - 4 * q.coeffs[0] < 0:
-        rho = _rational_sqrt(q.coeffs[0])
+        c = q.coeffs[0]  # = |z|^2
+        rho = max(_rational_roots([-c.numerator, 0, c.denominator]), default=None)
         return None if rho is None else ((0, rho), (1 / rho, 0))
     if _all_roots_positive(q):
         return (1, 0), (0, 1)

@@ -18,7 +18,8 @@ from math import gcd
 from .errors import IrrationalSpectrum, NotHyperbolic, NotPositiveRational
 from .explog import _log_series, log_unipotent
 from .jordan import GROUP, _classify_exact, classify
-from .matrix_core import EXACT, Matrix, Polynomial, _distinct_rational_roots, char_poly
+from .matrix_core import EXACT, Matrix, char_poly
+from .polynomial import Polynomial, _distinct_rational_roots
 
 HYPERBOLIC = "hyperbolic"
 UNIPOTENT = "unipotent"

@@ -33,7 +33,8 @@ from .liealg import (
     levi_complement,
     unipotent_radical,
 )
-from .matrix_core import EXACT, Matrix, Subspace, char_poly, squarefree_part
+from .matrix_core import EXACT, Matrix, Subspace, char_poly
+from .polynomial import squarefree_part
 from .replica import exponent_lattice, replica_hyperbolic
 from .triangularize import engel_flag, split_triangularize
 

@@ -30,13 +30,11 @@ from .matrix_core import (
     Matrix,
     Subspace,
     _kernel,
-    _rational_roots,
     _svd_kernel,
     char_poly,
-    count_real_roots,
     spectrum,
-    squarefree_part,
 )
+from .polynomial import _all_roots_real, _rational_roots, count_real_roots, squarefree_part
 
 
 @dataclass(frozen=True)
@@ -283,8 +281,7 @@ def algebra_from_float(g: LieAlgebraData) -> LieAlgebraData:
 
 def _check_real_spectrum(b: Matrix):
     if b.mode == EXACT:
-        f = squarefree_part(char_poly(b))
-        if count_real_roots(f) != f.degree:
+        if not _all_roots_real(squarefree_part(char_poly(b))):
             raise NotSplit("a basis element has non-real eigenvalues")
     else:
         spec = spectrum(b)

@@ -471,6 +471,45 @@ def test_fuzz_findings_end_in_json(tmp_path, capsys, argv, doc, exit_code, reply
     assert {k: out.get(k) for k in want} == want
 
 
+# -- the float track on a defective eigenvalue --------------------------------------------
+# Roundoff splits a triple eigenvalue by about 3e-6, far more than the merge radius
+# tol (1 + ||x||), so the float clusters stay apart and the float track answers as if x were
+# semisimple.  Each call must agree with the exact track, or end in error JSON with exit 2,
+# 3 or 4; both cases fail until the float clusters see a defective eigenvalue.
+_DEFECTIVE = [
+    # chi = (t + 2)^3 (t - 2): float classify answers semisimple: true, exponential: false
+    (["classify", "--setting", "algebra"],
+     [[-2, -1, -1, 0], [0, 2, 0, 0], [2, -4, -2, -1], [0, -2, -2, -2]]),
+    # chi = (t - 1)^3 (t + 4): float e and h have entries of about 8.7e4, the exact e is 0
+    (["jordan", "--mode", "add"], [[1, 1, 0, 0], [-1, 2, 1, 0], [1, 0, 0, 0], [-2, 12, 2, -4]]),
+]
+
+
+@pytest.mark.xfail(strict=True, reason="float clusters split a defective eigenvalue")
+@pytest.mark.parametrize("argv, rows", _DEFECTIVE)
+def test_float_track_agrees_with_exact_on_a_defective_eigenvalue(tmp_path, capsys, argv, rows):
+    from fractions import Fraction
+
+    from nashkit.cli import main
+
+    path = write(tmp_path, "x.json", {"mode": "exact", "entries": rows})
+    assert main(argv + [path]) == 0
+    exact = json.loads(capsys.readouterr().out)
+    code = main(["--approx"] + argv + [path])
+    approx = json.loads(capsys.readouterr().out)
+    if code:
+        assert code in (2, 3, 4) and "error" in approx
+        return
+    bound = 1e-6 * (1 + np.linalg.norm(rows))  # per entry, for each matrix in the reply
+    assert approx.keys() == exact.keys()
+    for key, value in exact.items():
+        if isinstance(value, dict) and "entries" in value:
+            want = np.array([[float(Fraction(v)) for v in row] for row in value["entries"]])
+            assert np.abs(np.array(approx[key]["entries"]) - want).max() <= bound
+        else:
+            assert approx[key] == value
+
+
 @pytest.mark.parametrize("command", ["engel", "split"])
 def test_flag_of_zero_generators_matches_the_empty_basis(tmp_path, capsys, command):
     from nashkit.cli import main

@@ -13,11 +13,6 @@ from nashkit.explog import matrix_exp
 from nashkit.jordan import (
     ALGEBRA,
     GROUP,
-    _all_roots_negative,
-    _all_roots_positive,
-    _all_roots_real,
-    _roots_modulus_one,
-    _roots_purely_imaginary,
     abelian_ehu_split,
     additive_jordan,
     classify,
@@ -25,16 +20,17 @@ from nashkit.jordan import (
     multiplicative_jordan,
     sn_split,
 )
-from nashkit.matrix_core import (
-    FloatSubspace,
-    Matrix,
+from nashkit.matrix_core import (FloatSubspace, Matrix, Spectrum, Subspace, char_poly, float_rank,
+                                 spectrum)
+from nashkit.polynomial import (
     Polynomial,
-    Subspace,
-    char_poly,
-    float_rank,
+    _all_roots_negative,
+    _all_roots_positive,
+    _all_roots_real,
+    _distinct_rational_roots,
+    _roots_modulus_one,
+    _roots_purely_imaginary,
     irreducible_factors,
-    rational_eigenvalues,
-    spectrum,
     squarefree_part,
 )
 
@@ -62,6 +58,13 @@ def test_sn_split_properties():
         assert (s @ n - n @ s).is_zero()
         f = squarefree_part(char_poly(x))
         assert f.eval_matrix(s).is_zero()
+
+
+def test_float_newton_step_on_a_singular_derivative_raises_not_invertible():
+    # clusters that do not match x make f'(s) = 2 (x - I) singular at the first Newton step
+    x = Matrix.approx([[1.0, 0.0], [0.0, 2.0]])
+    with pytest.raises(NotInvertible):
+        jordan._sn_split_approx(x, Spectrum(((1 + 0j, 1), (1 + 0j, 1))))
 
 
 def test_additive_jordan_examples():
@@ -339,7 +342,7 @@ def test_squarefree_predicates_match_per_factor_reference(factors):
     if p.degree > 10:  # keeps the companion matrices small
         return
     x = _companion(p)
-    assert rational_eigenvalues(x) == ref["rational"]
+    assert _distinct_rational_roots(char_poly(x)) == ref["rational"]
     semisimple = ref["squarefree"]  # the minimal polynomial of x is p
     c = classify(x, ALGEBRA)
     assert (c.elliptic, c.hyperbolic, c.unipotent, c.semisimple, c.exponential) == (
@@ -363,6 +366,12 @@ def test_squarefree_predicates_match_per_factor_reference(factors):
     (Polynomial.of([1, -1, -1, -1, 1]), False, False),  # Salem, palindromic
     (_T * Polynomial.of([1, 0, 1]) * Polynomial.of([4, 0, 1]), False, True),
     (Polynomial.of([2, 0, 1]) * Polynomial.of([-1, 0, 1]), False, False),  # even, roots +-1 real
+    # edge cases of the Cayley image g(w) = (1 - w)^d f((1 + w)/(1 - w)) of the circle test
+    (Polynomial.of([1, 1]), True, False),  # t + 1: g is the constant 2
+    (Polynomial.of([1, -1]), True, False),  # 1 - t: a negative leading coefficient
+    (_T, False, True),  # t: g = 1 + w, root -1
+    (Polynomial.of([1, Fraction(1, 2), 1]), True, False),  # t^2 + t/2 + 1: |z| = 1, not real
+    (Polynomial.of([Fraction(1, 4), 0, 1]), False, True),  # t^2 + 1/4: roots +-i/2
 ])
 def test_squarefree_predicate_examples(f, circle, imaginary):
     assert _roots_modulus_one(f) == circle

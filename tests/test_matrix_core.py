@@ -19,17 +19,14 @@ from nashkit.liealg import algebra_from_basis
 from nashkit.matrix_core import (
     APPROX,
     Matrix,
-    Polynomial,
     _check_reassembly,
     char_poly,
-    count_real_roots,
-    irreducible_factors,
     matrix_from_json,
     matrix_to_json,
     nullspace,
     spectrum,
-    squarefree_part,
 )
+from nashkit.polynomial import Polynomial, count_real_roots, irreducible_factors, squarefree_part
 
 
 def test_char_poly_zero_matrix():
@@ -577,12 +574,12 @@ def test_irreducible_factors_selftest_char_polys():
 def test_degree_sets_certify_irreducibility_without_a_lift(monkeypatch):
     # allowed factor degrees mod 3, 5 and 11 are {2, 3, 4}, {2, 4} and {3}: no single prime
     # proves this sextic irreducible, but the intersection of the three is empty
-    import nashkit.matrix_core as mc
+    import nashkit.polynomial as poly
 
     p = Polynomial.of([3, -1, 3, -2, -3, -3, 1])
     assert _sympy_factors(p) == [(p, 1)]
-    lifts, hensel = [], mc._hensel
-    monkeypatch.setattr(mc, "_hensel", lambda *args: lifts.append(args) or hensel(*args))
+    lifts, hensel = [], poly._hensel
+    monkeypatch.setattr(poly, "_hensel", lambda *args: lifts.append(args) or hensel(*args))
     assert irreducible_factors(p) == [(p, 1)]
     assert lifts == []
 
